@@ -12,6 +12,7 @@
 //! differ run to run and would break byte-identity. [`crate::sweep`]
 //! writes them to a separate `.timing.json` sidecar.
 
+use trace::json::escape;
 use workloads::{AccelReport, RunResult, ServeSummary};
 
 /// Journal schema version (bump on breaking shape changes).
@@ -299,25 +300,6 @@ fn num(v: f64) -> String {
     } else {
         "null".to_owned()
     }
-}
-
-/// JSON string literal with the mandatory escapes.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

@@ -22,6 +22,7 @@
 use std::io::Write as _;
 
 use gpu_sim::absint::{coalescing, cycle_bounds, divergence, CostReport, Divergence};
+use trace::json::escape;
 use tta::ttaplus::TtaPlusConfig;
 use tta_lint::{shipped_kernel_inventory, shipped_programs};
 
@@ -78,7 +79,7 @@ fn kernel_fragment(s: &tta_lint::ShippedKernel, gpu: &gpu_sim::GpuConfig) -> Str
                 ),
                 None => "null".to_string(),
             };
-            let issues: Vec<String> = rep.issues.iter().map(|i| format!("\"{i}\"")).collect();
+            let issues: Vec<String> = rep.issues.iter().map(|i| escape(&i.to_string())).collect();
             (bounds_json, issues)
         }
         None => (

@@ -5,17 +5,18 @@
 use std::sync::Arc;
 
 use gpu_sim::GpuConfig;
+use rta::RtaConfig;
 use trees::BTreeFlavor;
-use workloads::btree::{BTreeExperiment, BTreeInputs};
-use workloads::nbody::{NBodyExperiment, NBodyInputs};
-use workloads::rtnn::{LeafPath, RtnnExperiment, RtnnInputs};
+use workloads::btree::{BTreeExperiment, BTreeInputs, BTreeLookups};
+use workloads::nbody::{ForceQueries, NBodyExperiment, NBodyInputs};
+use workloads::rtnn::{LeafPath, RadiusQueries, RtnnExperiment, RtnnInputs};
 use workloads::runner::sum_stats;
 use workloads::{CacheableExperiment, Platform, RunResult};
 
 use crate::engine::{serve, BatchService, ServeConfig};
 use crate::metrics::summarize;
 use crate::policy::BatchPolicy;
-use crate::service::{BTreeService, NBodyService, RtnnService, ServeBackend};
+use crate::service::{QueryService, ServeBackend};
 use crate::session::ServeSession;
 
 /// Which query workload the server hosts, with its tree parameters.
@@ -93,25 +94,38 @@ pub fn build_service(
     verify: bool,
 ) -> Box<dyn BatchService> {
     match (workload, inputs) {
-        (ServeWorkload::BTree { flavor, .. }, ServeInputs::BTree(i)) => Box::new(
-            BTreeService::new(Arc::clone(i), *flavor, backend, gpu, max_batch, verify),
-        ),
-        (ServeWorkload::Rtnn { radius, .. }, ServeInputs::Rtnn(i)) => Box::new(RtnnService::new(
-            Arc::clone(i),
-            *radius,
-            backend,
+        (ServeWorkload::BTree { .. }, ServeInputs::BTree(i)) => Box::new(QueryService::new(
+            BTreeLookups(Arc::clone(i)),
+            &backend.platform(Platform::BaselineGpu, BTreeExperiment::uop_programs()),
             gpu,
             max_batch,
             verify,
         )),
-        (ServeWorkload::NBody { theta, .. }, ServeInputs::NBody(i)) => Box::new(NBodyService::new(
-            Arc::clone(i),
-            *theta,
-            backend,
-            gpu,
-            max_batch,
-            verify,
-        )),
+        (ServeWorkload::Rtnn { radius, .. }, ServeInputs::Rtnn(i)) => {
+            // `Base` is the paper's RTNN baseline: the plain RTA with the
+            // exact distance check in an intersection shader; TTA/TTA+
+            // offload the leaf test.
+            let leaf = match backend {
+                ServeBackend::Base => LeafPath::Shader,
+                _ => LeafPath::Offloaded,
+            };
+            let w = RadiusQueries {
+                inputs: Arc::clone(i),
+                radius: *radius,
+                leaf,
+            };
+            let base = Platform::BaselineRta(RtaConfig::baseline());
+            let platform = backend.platform(base, RtnnExperiment::uop_programs());
+            Box::new(QueryService::new(w, &platform, gpu, max_batch, verify))
+        }
+        (ServeWorkload::NBody { theta, .. }, ServeInputs::NBody(i)) => {
+            let w = ForceQueries {
+                inputs: Arc::clone(i),
+                theta: *theta,
+            };
+            let platform = backend.platform(Platform::BaselineGpu, NBodyExperiment::uop_programs());
+            Box::new(QueryService::new(w, &platform, gpu, max_batch, verify))
+        }
         _ => panic!("serve inputs do not match the configured workload"),
     }
 }

@@ -14,9 +14,11 @@
 //!   continuous batching (work-conserving warp-slot refill, with
 //!   per-*warp* completion accounting from
 //!   [`SimStats::warp_completions`](gpu_sim::SimStats)).
-//! * [`service`] — backends that execute batches as simulated kernels:
-//!   B-Tree lookups, RTNN radius searches, and Barnes-Hut force queries on
-//!   the SIMT baseline, TTA, or TTA+.
+//! * [`service`] — the backend that executes batches as simulated
+//!   kernels: one [`QueryService`] over any
+//!   [`QueryWorkload`](workloads::query::QueryWorkload) (B-Tree lookups,
+//!   RTNN radius searches, Barnes-Hut force queries) on the SIMT
+//!   baseline, TTA, or TTA+.
 //! * [`metrics`] — per-query latency folded into p50/p95/p99, throughput,
 //!   queue depth, and drop counters
 //!   ([`ServeSummary`](workloads::ServeSummary), journaled by the
@@ -41,5 +43,5 @@ pub use engine::{serve, BatchService, DeviceEngine, QueryOutcome, ServeConfig, S
 pub use experiment::{build_service, ServeExperiment, ServeInputs, ServeWorkload};
 pub use metrics::summarize;
 pub use policy::BatchPolicy;
-pub use service::{BTreeService, NBodyService, RtnnService, ServeBackend};
+pub use service::{QueryService, ServeBackend};
 pub use session::ServeSession;

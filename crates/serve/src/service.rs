@@ -1,31 +1,23 @@
-//! Concrete [`BatchService`] backends: B-Tree lookups, RTNN radius
-//! searches, and Barnes-Hut force queries served from a persistent
-//! simulated GPU.
+//! The serving backend: one generic [`QueryService`] over any
+//! [`QueryWorkload`] — B-Tree lookups, RTNN radius searches and
+//! Barnes-Hut force queries today — served from a persistent simulated
+//! GPU.
 //!
-//! Each service performs the same device setup as its closed-batch
-//! experiment in `tta-workloads` (same tree image, same platform
-//! attachment), but sizes its query buffer for the *largest batch* rather
-//! than the whole query set: every `run_batch` rewrites the slots for the
-//! batch's queries and launches one kernel. The GPU persists across
-//! batches, so caches stay warm and accelerator counters accumulate over
-//! the serving run — exactly what an online server would see.
+//! The device is the [`QueryDevice`] the closed-batch sessions in
+//! `tta-workloads` use, so the tree image, record layout, platform
+//! attachment, kernel and oracle are the same code. A service sizes the
+//! device for the *largest batch* rather than the whole query set: every
+//! `run_batch` rewrites the slots for the batch's queries and launches one
+//! kernel. The GPU persists across batches, so caches stay warm and
+//! accelerator counters accumulate over the serving run — exactly what an
+//! online server would see.
 
-use std::sync::Arc;
-
-use gpu_sim::kernel::Kernel;
-use gpu_sim::{Gpu, GpuConfig, SimStats};
-use rta::units::TestKind;
-use trees::BTreeFlavor;
+use gpu_sim::{GpuConfig, SimStats};
 use tta::backend::TtaConfig;
-use tta::btree_sem::{self, BTreeSemantics};
-use tta::nbody_sem::{self, BarnesHutSemantics};
-use tta::radius_sem::{self, RadiusSearchSemantics};
+use tta::programs::UopProgram;
 use tta::ttaplus::TtaPlusConfig;
-use workloads::btree::{traverse_only_kernel, BTreeExperiment, BTreeInputs};
-use workloads::kernels::{btree_search_kernel, nbody_force_kernel, THREAD_STACK_BYTES};
-use workloads::nbody::{NBodyExperiment, NBodyInputs};
-use workloads::rtnn::{RtnnExperiment, RtnnInputs};
-use workloads::runner::{attach_platform, build_gpu, harvest_accel};
+use workloads::query::{QueryDevice, QueryWorkload};
+use workloads::runner::harvest_accel;
 use workloads::{AccelReport, Platform};
 
 use crate::engine::BatchService;
@@ -47,427 +39,102 @@ impl ServeBackend {
     /// All backends, in journal order.
     pub const ALL: [ServeBackend; 3] =
         [ServeBackend::Base, ServeBackend::Tta, ServeBackend::TtaPlus];
-}
 
-/// A B-Tree lookup serving backend.
-pub struct BTreeService {
-    inputs: Arc<BTreeInputs>,
-    gpu: Gpu,
-    kernel: Kernel,
-    qbase: u64,
-    tree_base: u64,
-    max_batch: usize,
-    verify: bool,
-    label: String,
-}
-
-impl BTreeService {
-    /// Builds the device state: serialized tree in global memory, a
-    /// `max_batch`-slot query buffer, and the backend's platform attached.
-    pub fn new(
-        inputs: Arc<BTreeInputs>,
-        flavor: BTreeFlavor,
-        backend: ServeBackend,
-        gpu_cfg: &GpuConfig,
-        max_batch: usize,
-        verify: bool,
-    ) -> Self {
-        assert!(max_batch > 0, "serving needs a positive batch bound");
-        let rec = btree_sem::QUERY_RECORD_SIZE;
-        let ser = &inputs.ser;
-        let mem = (ser.image.len() + max_batch * rec + (1 << 20)).next_power_of_two();
-        let mut gpu = build_gpu(gpu_cfg, mem);
-        let tree_base = gpu.gmem.alloc(ser.image.len(), 64);
-        gpu.gmem.write_bytes(tree_base, ser.image.as_bytes());
-        let qbase = gpu.gmem.alloc(max_batch * rec, 64);
-
-        let platform = match backend {
-            ServeBackend::Base => Platform::BaselineGpu,
+    /// The platform this backend means for a workload whose baseline is
+    /// `base` and whose TTA+ μop programs are `programs`.
+    pub fn platform(self, base: Platform, programs: Vec<UopProgram>) -> Platform {
+        match self {
+            ServeBackend::Base => base,
             ServeBackend::Tta => Platform::Tta(TtaConfig::default_paper()),
-            ServeBackend::TtaPlus => Platform::TtaPlus(
-                TtaPlusConfig::default_paper(),
-                BTreeExperiment::uop_programs(),
-            ),
-        };
-        let bplus = flavor == BTreeFlavor::BPlus;
-        let (inner_test, leaf_test) = match backend {
-            ServeBackend::TtaPlus => (TestKind::Program(0), TestKind::Program(1)),
-            _ => (TestKind::QueryKey, TestKind::QueryKey),
-        };
-        attach_platform(&mut gpu, &platform, move || {
-            vec![Box::new(BTreeSemantics {
-                tree_base,
-                bplus,
-                inner_test,
-                leaf_test,
-            })]
-        });
-        let kernel = if platform.has_accelerator() {
-            traverse_only_kernel(rec as u32)
-        } else {
-            btree_search_kernel(bplus)
-        };
-        BTreeService {
-            inputs,
-            label: platform.label().to_owned(),
-            gpu,
-            kernel,
-            qbase,
-            tree_base,
-            max_batch,
-            verify,
+            ServeBackend::TtaPlus => Platform::TtaPlus(TtaPlusConfig::default_paper(), programs),
         }
     }
 }
 
-impl BatchService for BTreeService {
-    fn label(&self) -> String {
-        self.label.clone()
-    }
-
-    fn query_count(&self) -> usize {
-        self.inputs.queries.len()
-    }
-
-    fn warp_width(&self) -> usize {
-        self.gpu.cfg.warp_width
-    }
-
-    fn accel_report(&self) -> Option<AccelReport> {
-        harvest_accel(&self.gpu)
-    }
-
-    fn set_trace(&mut self, trace: trace::TraceHandle) {
-        self.gpu.set_trace(trace);
-    }
-
-    fn export_state(&self) -> gpu_sim::StateBag {
-        self.gpu.export_state()
-    }
-
-    fn import_state(&mut self, bag: &gpu_sim::StateBag) -> Result<(), gpu_sim::BagError> {
-        self.gpu.import_state(bag)
-    }
-
-    fn run_batch(&mut self, ids: &[usize]) -> SimStats {
-        assert!(!ids.is_empty() && ids.len() <= self.max_batch);
-        let rec = btree_sem::QUERY_RECORD_SIZE;
-        let keys: Vec<u32> = ids
-            .iter()
-            .map(|&id| self.inputs.queries[id % self.inputs.queries.len()])
-            .collect();
-        for (slot, &k) in keys.iter().enumerate() {
-            btree_sem::write_query_record(&mut self.gpu.gmem, self.qbase + (slot * rec) as u64, k);
-        }
-        let stats = self.gpu.launch(
-            &self.kernel,
-            ids.len(),
-            &[self.qbase as u32, self.tree_base as u32],
-        );
-        if self.verify {
-            for (slot, &k) in keys.iter().enumerate().step_by(17) {
-                let (found, visited) =
-                    btree_sem::read_query_result(&self.gpu.gmem, self.qbase + (slot * rec) as u64);
-                let oracle = self.inputs.tree.search(k);
-                assert_eq!(found, oracle.found, "served query {k} found mismatch");
-                assert_eq!(
-                    visited as usize, oracle.nodes_visited,
-                    "served query {k} path mismatch"
-                );
-            }
-        }
-        stats
-    }
-}
-
-/// An RTNN radius-search serving backend.
-pub struct RtnnService {
-    inputs: Arc<RtnnInputs>,
-    gpu: Gpu,
-    kernel: Kernel,
-    qbase: u64,
-    tree_base: u64,
-    radius: f32,
+/// A serving backend: a [`QueryDevice`] with one slot per query of the
+/// largest batch.
+pub struct QueryService<W: QueryWorkload> {
+    dev: QueryDevice<W>,
     max_batch: usize,
     verify: bool,
     label: String,
 }
 
-impl RtnnService {
-    /// Builds the device state around the inflated-AABB BVH. `Base` is the
-    /// paper's RTNN baseline: the plain RTA with the exact distance check
-    /// in an intersection shader; TTA/TTA+ offload the leaf test.
+impl<W: QueryWorkload> QueryService<W> {
+    /// Builds the device: tree image, `max_batch` query slots, and
+    /// `platform` attached. `verify` checks the sampled oracle on every
+    /// batch.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `max_batch` is zero.
     pub fn new(
-        inputs: Arc<RtnnInputs>,
-        radius: f32,
-        backend: ServeBackend,
-        gpu_cfg: &GpuConfig,
+        workload: W,
+        platform: &Platform,
+        gpu: &GpuConfig,
         max_batch: usize,
         verify: bool,
     ) -> Self {
         assert!(max_batch > 0, "serving needs a positive batch bound");
-        let rec = radius_sem::QUERY_RECORD_SIZE;
-        let ser = &inputs.ser;
-        let mem = (ser.image.len() + max_batch * rec + (1 << 20)).next_power_of_two();
-        let mut gpu = build_gpu(gpu_cfg, mem);
-        let tree_base = gpu.gmem.alloc(ser.image.len(), 64);
-        gpu.gmem.write_bytes(tree_base, ser.image.as_bytes());
-        let prim_base = tree_base + ser.prim_base as u64;
-        let qbase = gpu.gmem.alloc(max_batch * rec, 64);
-
-        let platform = match backend {
-            ServeBackend::Base => Platform::BaselineRta(rta::RtaConfig::baseline()),
-            ServeBackend::Tta => Platform::Tta(TtaConfig::default_paper()),
-            ServeBackend::TtaPlus => Platform::TtaPlus(
-                TtaPlusConfig::default_paper(),
-                RtnnExperiment::uop_programs(),
+        QueryService {
+            dev: QueryDevice::open(
+                workload,
+                platform,
+                gpu,
+                max_batch,
+                0,
+                trace::TraceHandle::default(),
             ),
-        };
-        let (inner_test, leaf_test) = match backend {
-            ServeBackend::Base => (TestKind::RayBox, TestKind::IntersectionShader),
-            ServeBackend::Tta => (TestKind::RayBox, TestKind::PointToPoint),
-            ServeBackend::TtaPlus => (TestKind::Program(0), TestKind::Program(1)),
-        };
-        attach_platform(&mut gpu, &platform, move || {
-            vec![Box::new(RadiusSearchSemantics {
-                tree_base,
-                prim_base,
-                inner_test,
-                leaf_test,
-            })]
-        });
-        RtnnService {
-            inputs,
-            label: platform.label().to_owned(),
-            gpu,
-            kernel: traverse_only_kernel(rec as u32),
-            qbase,
-            tree_base,
-            radius,
             max_batch,
             verify,
+            label: platform.label().to_owned(),
         }
     }
 }
 
-impl BatchService for RtnnService {
+impl<W: QueryWorkload> BatchService for QueryService<W> {
     fn label(&self) -> String {
         self.label.clone()
     }
 
     fn query_count(&self) -> usize {
-        self.inputs.queries.len()
+        self.dev.workload.query_count()
     }
 
     fn warp_width(&self) -> usize {
-        self.gpu.cfg.warp_width
+        self.dev.gpu.cfg.warp_width
     }
 
     fn accel_report(&self) -> Option<AccelReport> {
-        harvest_accel(&self.gpu)
+        harvest_accel(&self.dev.gpu)
     }
 
     fn set_trace(&mut self, trace: trace::TraceHandle) {
-        self.gpu.set_trace(trace);
+        self.dev.gpu.set_trace(trace);
     }
 
     fn export_state(&self) -> gpu_sim::StateBag {
-        self.gpu.export_state()
+        self.dev.gpu.export_state()
     }
 
     fn import_state(&mut self, bag: &gpu_sim::StateBag) -> Result<(), gpu_sim::BagError> {
-        self.gpu.import_state(bag)
+        self.dev.gpu.import_state(bag)
     }
 
     fn run_batch(&mut self, ids: &[usize]) -> SimStats {
         assert!(!ids.is_empty() && ids.len() <= self.max_batch);
-        let rec = radius_sem::QUERY_RECORD_SIZE;
-        let points: Vec<geometry::Vec3> = ids
+        let n = self.query_count();
+        let queries: Vec<W::Query> = ids
             .iter()
-            .map(|&id| self.inputs.queries[id % self.inputs.queries.len()])
+            .map(|&id| self.dev.workload.query(id % n))
             .collect();
-        for (slot, &p) in points.iter().enumerate() {
-            radius_sem::write_radius_record(
-                &mut self.gpu.gmem,
-                self.qbase + (slot * rec) as u64,
-                p,
-                self.radius,
-            );
+        for (slot, &q) in queries.iter().enumerate() {
+            self.dev.write(slot, q);
         }
-        let stats = self.gpu.launch(
-            &self.kernel,
-            ids.len(),
-            &[self.qbase as u32, self.tree_base as u32],
-        );
+        let stats = self.dev.launch(0, ids.len());
         if self.verify {
-            for (slot, &p) in points.iter().enumerate().step_by(29) {
-                let (count, _) = radius_sem::read_radius_result(
-                    &self.gpu.gmem,
-                    self.qbase + (slot * rec) as u64,
-                );
-                let oracle = self.inputs.bvh.points_within(p, self.radius).len() as u32;
-                assert_eq!(count, oracle, "served radius query at {p}");
-            }
-        }
-        stats
-    }
-}
-
-/// A Barnes-Hut force-query serving backend.
-pub struct NBodyService {
-    inputs: Arc<NBodyInputs>,
-    gpu: Gpu,
-    kernel: Kernel,
-    launch_params: [u32; 4],
-    qbase: u64,
-    theta: f32,
-    max_batch: usize,
-    verify: bool,
-    label: String,
-}
-
-impl NBodyService {
-    /// Builds the device state: tree image, `max_batch` query records and
-    /// per-thread traversal stacks, and the backend's platform.
-    pub fn new(
-        inputs: Arc<NBodyInputs>,
-        theta: f32,
-        backend: ServeBackend,
-        gpu_cfg: &GpuConfig,
-        max_batch: usize,
-        verify: bool,
-    ) -> Self {
-        assert!(max_batch > 0, "serving needs a positive batch bound");
-        let rec = nbody_sem::QUERY_RECORD_SIZE;
-        let ser = &inputs.ser;
-        let mem = (ser.image.len() + max_batch * (rec + THREAD_STACK_BYTES as usize) + (1 << 20))
-            .next_power_of_two();
-        let mut gpu = build_gpu(gpu_cfg, mem);
-        let tree_base = gpu.gmem.alloc(ser.image.len(), 64);
-        gpu.gmem.write_bytes(tree_base, ser.image.as_bytes());
-        let particle_base = tree_base + ser.particle_base as u64;
-        let qbase = gpu.gmem.alloc(max_batch * rec, 64);
-        let stacks = gpu.gmem.alloc(max_batch * THREAD_STACK_BYTES as usize, 64);
-
-        let platform = match backend {
-            ServeBackend::Base => Platform::BaselineGpu,
-            // As in the closed-batch experiment, TTA's SQRT-dependent force
-            // accumulations run as cheap deferred core work, not full
-            // intersection-shader round-trips.
-            ServeBackend::Tta => {
-                let mut cfg = TtaConfig::default_paper();
-                cfg.rta.shader_callback_latency = 120;
-                cfg.rta.shader_interval = 2;
-                cfg.rta.shader_instructions = 12;
-                Platform::Tta(cfg)
-            }
-            ServeBackend::TtaPlus => Platform::TtaPlus(
-                TtaPlusConfig::default_paper(),
-                NBodyExperiment::uop_programs(),
-            ),
-        };
-        let (open_test, force_test) = match backend {
-            ServeBackend::TtaPlus => (TestKind::Program(0), TestKind::Program(1)),
-            _ => (TestKind::PointToPoint, TestKind::IntersectionShader),
-        };
-        attach_platform(&mut gpu, &platform, move || {
-            vec![Box::new(BarnesHutSemantics {
-                tree_base,
-                particle_base,
-                open_test,
-                force_test,
-            })]
-        });
-        // Baseline's params[3] is the particle buffer for the SIMT force
-        // kernel; the accelerated traverse-only kernel ignores it.
-        let (kernel, launch_params) = if platform.has_accelerator() {
-            (
-                traverse_only_kernel(rec as u32),
-                [qbase as u32, tree_base as u32, stacks as u32, 0],
-            )
-        } else {
-            (
-                nbody_force_kernel(),
-                [
-                    qbase as u32,
-                    tree_base as u32,
-                    stacks as u32,
-                    particle_base as u32,
-                ],
-            )
-        };
-        NBodyService {
-            inputs,
-            label: platform.label().to_owned(),
-            gpu,
-            kernel,
-            launch_params,
-            qbase,
-            theta,
-            max_batch,
-            verify,
-        }
-    }
-}
-
-impl BatchService for NBodyService {
-    fn label(&self) -> String {
-        self.label.clone()
-    }
-
-    fn query_count(&self) -> usize {
-        self.inputs.particles.len()
-    }
-
-    fn warp_width(&self) -> usize {
-        self.gpu.cfg.warp_width
-    }
-
-    fn accel_report(&self) -> Option<AccelReport> {
-        harvest_accel(&self.gpu)
-    }
-
-    fn set_trace(&mut self, trace: trace::TraceHandle) {
-        self.gpu.set_trace(trace);
-    }
-
-    fn export_state(&self) -> gpu_sim::StateBag {
-        self.gpu.export_state()
-    }
-
-    fn import_state(&mut self, bag: &gpu_sim::StateBag) -> Result<(), gpu_sim::BagError> {
-        self.gpu.import_state(bag)
-    }
-
-    fn run_batch(&mut self, ids: &[usize]) -> SimStats {
-        assert!(!ids.is_empty() && ids.len() <= self.max_batch);
-        let rec = nbody_sem::QUERY_RECORD_SIZE;
-        let n = self.inputs.particles.len();
-        let positions: Vec<geometry::Vec3> = ids
-            .iter()
-            .map(|&id| self.inputs.particles[id % n].pos)
-            .collect();
-        for (slot, &pos) in positions.iter().enumerate() {
-            nbody_sem::write_nbody_record(
-                &mut self.gpu.gmem,
-                self.qbase + (slot * rec) as u64,
-                pos,
-                self.theta,
-            );
-        }
-        let stats = self
-            .gpu
-            .launch(&self.kernel, ids.len(), &self.launch_params);
-        if self.verify {
-            for (slot, &pos) in positions.iter().enumerate().step_by(61) {
-                let (force, _) =
-                    nbody_sem::read_nbody_result(&self.gpu.gmem, self.qbase + (slot * rec) as u64);
-                let oracle = self.inputs.tree.force_on(pos, self.theta);
-                let err = (force - oracle).length();
-                assert!(
-                    err <= 2e-2 * oracle.length().max(1.0),
-                    "served body at {pos}: force {force} vs oracle {oracle}"
-                );
+            if let Err(e) = self.dev.check(&queries) {
+                panic!("served on {}: {e}", self.label);
             }
         }
         stats

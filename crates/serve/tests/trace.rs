@@ -10,7 +10,10 @@ use gpu_sim::stats::percentile;
 use gpu_sim::GpuConfig;
 use trace::{check_events, ChromeTraceSink, EventKind, TraceEvent, Track};
 use trees::BTreeFlavor;
-use tta_serve::{serve, summarize, BTreeService, BatchPolicy, ServeBackend, ServeConfig};
+use tta_serve::{
+    build_service, serve, summarize, BatchPolicy, ServeBackend, ServeConfig, ServeInputs,
+    ServeWorkload,
+};
 use workloads::btree::BTreeExperiment;
 use workloads::CacheableExperiment;
 
@@ -29,10 +32,15 @@ fn traced_session(
         workloads::Platform::BaselineGpu,
     );
     let inputs = Arc::new(seed_exp.build_inputs());
-    let mut svc = BTreeService::new(
-        inputs,
-        BTreeFlavor::BTree,
+    let workload = ServeWorkload::BTree {
+        flavor: BTreeFlavor::BTree,
+        keys: 512,
+        universe: 64,
+    };
+    let mut svc = build_service(
+        &workload,
         backend,
+        &ServeInputs::BTree(inputs),
         &gpu,
         policy.max_batch(gpu.warp_width),
         true,
@@ -43,7 +51,7 @@ fn traced_session(
         queue_capacity: None,
         trace: handle,
     };
-    let out = serve(&mut svc, &cfg, arrivals);
+    let out = serve(svc.as_mut(), &cfg, arrivals);
     let events = sink.borrow().events().to_vec();
     (events, out)
 }

@@ -6,14 +6,20 @@ use std::sync::Arc;
 use gpu_sim::absint::{AccessMode, ContractLen, MemContract};
 use gpu_sim::isa::SReg;
 use gpu_sim::kernel::{Kernel, KernelBuilder};
+use gpu_sim::mem::GlobalMemory;
 use gpu_sim::GpuConfig;
+use rta::engine::TraversalSemantics;
+use rta::units::TestKind;
 use trees::btree::SerializedBTree;
+use trees::image::MemoryImage;
 use trees::{BTree, BTreeFlavor};
+use tta::btree_sem::{self, BTreeSemantics};
 use tta::programs::UopProgram;
 
 use crate::cacheable::CacheableExperiment;
 use crate::gen;
-use crate::kernels::params;
+use crate::kernels::{btree_search_kernel, params};
+use crate::query::QueryWorkload;
 use crate::runner::{Platform, RunResult};
 
 /// One B-Tree experiment configuration.
@@ -111,8 +117,8 @@ impl BTreeExperiment {
             .build(gen)
     }
 
-    /// Runs the experiment — a [`crate::session::BTreeSession`] with a
-    /// single chunk, stepped to completion.
+    /// Runs the experiment — a single-chunk
+    /// [`crate::session::QuerySession`] stepped to completion.
     ///
     /// # Panics
     ///
@@ -148,6 +154,70 @@ impl CacheableExperiment for BTreeExperiment {
 
     fn set_inputs(&mut self, inputs: Arc<BTreeInputs>) {
         self.inputs = Some(inputs);
+    }
+}
+
+/// B-Tree key lookups as a [`QueryWorkload`]: the query is the key, the
+/// oracle the host tree's search (found flag and path length).
+pub struct BTreeLookups(pub Arc<BTreeInputs>);
+
+impl QueryWorkload for BTreeLookups {
+    type Query = u32;
+    const RECORD_SIZE: usize = btree_sem::QUERY_RECORD_SIZE;
+    const STACK_BYTES: usize = 0;
+    const CHECK_STRIDE: usize = 17;
+
+    fn image(&self) -> &MemoryImage {
+        &self.0.ser.image
+    }
+
+    fn aux_offset(&self) -> usize {
+        0
+    }
+
+    fn query_count(&self) -> usize {
+        self.0.queries.len()
+    }
+
+    fn query(&self, i: usize) -> u32 {
+        self.0.queries[i]
+    }
+
+    fn semantics(&self, platform: &Platform, tree_base: u64) -> Box<dyn TraversalSemantics> {
+        let (inner_test, leaf_test) = if platform.is_tta_plus() {
+            (TestKind::Program(0), TestKind::Program(1))
+        } else {
+            (TestKind::QueryKey, TestKind::QueryKey)
+        };
+        Box::new(BTreeSemantics {
+            tree_base,
+            bplus: self.0.ser.flavor == BTreeFlavor::BPlus,
+            inner_test,
+            leaf_test,
+        })
+    }
+
+    fn simt_kernel(&self) -> Kernel {
+        btree_search_kernel(self.0.ser.flavor == BTreeFlavor::BPlus)
+    }
+
+    fn write(&self, gmem: &mut GlobalMemory, addr: u64, key: u32) {
+        btree_sem::write_query_record(gmem, addr, key);
+    }
+
+    fn check(&self, gmem: &GlobalMemory, addr: u64, key: u32) -> Result<(), String> {
+        let (found, visited) = btree_sem::read_query_result(gmem, addr);
+        let oracle = self.0.tree.search(key);
+        if found != oracle.found {
+            Err(format!(
+                "{:?} query {key} found mismatch",
+                self.0.ser.flavor
+            ))
+        } else if visited as usize != oracle.nodes_visited {
+            Err(format!("{:?} query {key} path mismatch", self.0.ser.flavor))
+        } else {
+            Ok(())
+        }
     }
 }
 

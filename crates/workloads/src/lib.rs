@@ -14,9 +14,11 @@
 //! | [`rtree`] | R-Tree range query (extension; §I motivates it) | SIMT kernel | MBR tests on the Ray-Box unit |
 //!
 //! [`gen`] provides the seeded data/scene generators, [`kernels`] the
-//! baseline mini-ISA kernels, [`runner`] the shared plumbing, and
-//! [`session`] the resumable launch-by-launch form of every experiment
-//! that the `tta-snap` snapshot/restore machinery drives.
+//! baseline mini-ISA kernels, [`runner`] the shared plumbing, [`query`]
+//! the one device setup the tree-query workloads share between their
+//! closed-batch sessions and the serving backends, and [`session`] the
+//! resumable launch-by-launch form of every experiment that the
+//! `tta-snap` snapshot/restore machinery drives.
 
 pub mod btree;
 pub mod cacheable;
@@ -26,6 +28,7 @@ pub mod instanced;
 pub mod kernels;
 pub mod lumibench;
 pub mod nbody;
+pub mod query;
 pub mod rtnn;
 pub mod rtree;
 pub mod runner;

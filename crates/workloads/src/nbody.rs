@@ -3,15 +3,21 @@
 
 use std::sync::Arc;
 
+use geometry::Vec3;
+use gpu_sim::mem::GlobalMemory;
 use gpu_sim::GpuConfig;
+use rta::engine::TraversalSemantics;
+use rta::units::TestKind;
 use trees::barnes_hut::SerializedBarnesHut;
+use trees::image::MemoryImage;
 use trees::{BarnesHutTree, Particle};
-use tta::nbody_sem::QUERY_RECORD_SIZE;
+use tta::nbody_sem::{self, BarnesHutSemantics, QUERY_RECORD_SIZE};
 use tta::programs::UopProgram;
 
 use crate::cacheable::CacheableExperiment;
 use crate::gen;
-use crate::kernels::params;
+use crate::kernels::{nbody_force_kernel, params, THREAD_STACK_BYTES};
+use crate::query::QueryWorkload;
 use crate::runner::{Platform, RunResult};
 use gpu_sim::isa::SReg;
 use gpu_sim::kernel::{Kernel, KernelBuilder};
@@ -127,7 +133,7 @@ impl NBodyExperiment {
             .build(gen)
     }
 
-    /// Runs the experiment — a [`crate::session::NBodySession`] stepped
+    /// Runs the experiment — a [`crate::session::QuerySession`] stepped
     /// through its launch plan.
     ///
     /// # Panics
@@ -159,6 +165,85 @@ impl CacheableExperiment for NBodyExperiment {
 
     fn set_inputs(&mut self, inputs: Arc<NBodyInputs>) {
         self.inputs = Some(inputs);
+    }
+}
+
+/// Barnes-Hut force queries as a [`QueryWorkload`]: each query is a body
+/// position, the oracle the host tree's force at opening angle `theta`.
+pub struct ForceQueries {
+    /// The bodies and the Barnes-Hut tree.
+    pub inputs: Arc<NBodyInputs>,
+    /// Opening angle θ.
+    pub theta: f32,
+}
+
+impl QueryWorkload for ForceQueries {
+    type Query = Vec3;
+    const RECORD_SIZE: usize = QUERY_RECORD_SIZE;
+    const STACK_BYTES: usize = THREAD_STACK_BYTES as usize;
+    const CHECK_STRIDE: usize = 61;
+
+    fn image(&self) -> &MemoryImage {
+        &self.inputs.ser.image
+    }
+
+    fn aux_offset(&self) -> usize {
+        self.inputs.ser.particle_base
+    }
+
+    fn query_count(&self) -> usize {
+        self.inputs.particles.len()
+    }
+
+    fn query(&self, i: usize) -> Vec3 {
+        self.inputs.particles[i].pos
+    }
+
+    /// TTA's SQRT-dependent force accumulations run as cheap deferred core
+    /// work, not full intersection-shader round-trips.
+    fn platform(&self, platform: &Platform) -> Platform {
+        match platform {
+            Platform::Tta(cfg) => {
+                let mut cfg = cfg.clone();
+                cfg.rta.shader_callback_latency = 120;
+                cfg.rta.shader_interval = 2;
+                cfg.rta.shader_instructions = 12;
+                Platform::Tta(cfg)
+            }
+            other => other.clone(),
+        }
+    }
+
+    fn semantics(&self, platform: &Platform, tree_base: u64) -> Box<dyn TraversalSemantics> {
+        let (open_test, force_test) = if platform.is_tta_plus() {
+            (TestKind::Program(0), TestKind::Program(1))
+        } else {
+            (TestKind::PointToPoint, TestKind::IntersectionShader)
+        };
+        Box::new(BarnesHutSemantics {
+            tree_base,
+            particle_base: tree_base + self.inputs.ser.particle_base as u64,
+            open_test,
+            force_test,
+        })
+    }
+
+    fn simt_kernel(&self) -> Kernel {
+        nbody_force_kernel()
+    }
+
+    fn write(&self, gmem: &mut GlobalMemory, addr: u64, pos: Vec3) {
+        nbody_sem::write_nbody_record(gmem, addr, pos, self.theta);
+    }
+
+    fn check(&self, gmem: &GlobalMemory, addr: u64, pos: Vec3) -> Result<(), String> {
+        let (force, _) = nbody_sem::read_nbody_result(gmem, addr);
+        let oracle = self.inputs.tree.force_on(pos, self.theta);
+        if (force - oracle).length() <= 2e-2 * oracle.length().max(1.0) {
+            Ok(())
+        } else {
+            Err(format!("body at {pos}: force {force} vs oracle {oracle}"))
+        }
     }
 }
 

@@ -11,15 +11,23 @@
 use std::sync::Arc;
 
 use geometry::{Sphere, Vec3};
+use gpu_sim::kernel::Kernel;
+use gpu_sim::mem::GlobalMemory;
 use gpu_sim::GpuConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use rta::engine::TraversalSemantics;
+use rta::units::TestKind;
 use trees::bvh::SerializedBvh;
+use trees::image::MemoryImage;
 use trees::{Bvh, BvhPrimitive};
 use tta::programs::UopProgram;
+use tta::radius_sem::{self, RadiusSearchSemantics};
 
+use crate::btree::traverse_only_kernel;
 use crate::cacheable::CacheableExperiment;
 use crate::gen;
+use crate::query::QueryWorkload;
 use crate::runner::{Platform, RunResult};
 
 /// Whether the leaf distance test stays in the intersection shader
@@ -122,8 +130,8 @@ impl RtnnExperiment {
             .build(gen)
     }
 
-    /// Runs the experiment — a [`crate::session::RtnnSession`] with a
-    /// single chunk, stepped to completion.
+    /// Runs the experiment — a single-chunk
+    /// [`crate::session::QuerySession`] stepped to completion.
     ///
     /// # Panics
     ///
@@ -169,6 +177,82 @@ impl CacheableExperiment for RtnnExperiment {
 
     fn set_inputs(&mut self, inputs: Arc<RtnnInputs>) {
         self.inputs = Some(inputs);
+    }
+}
+
+/// RTNN radius searches as a [`QueryWorkload`]: the oracle is the host
+/// BVH's neighbour count within `radius`.
+pub struct RadiusQueries {
+    /// The point cloud, queries and inflated-AABB BVH.
+    pub inputs: Arc<RtnnInputs>,
+    /// Search radius.
+    pub radius: f32,
+    /// Where the leaf distance test runs.
+    pub leaf: LeafPath,
+}
+
+impl QueryWorkload for RadiusQueries {
+    type Query = Vec3;
+    const RECORD_SIZE: usize = radius_sem::QUERY_RECORD_SIZE;
+    const STACK_BYTES: usize = 0;
+    const CHECK_STRIDE: usize = 29;
+
+    fn image(&self) -> &MemoryImage {
+        &self.inputs.ser.image
+    }
+
+    fn aux_offset(&self) -> usize {
+        self.inputs.ser.prim_base
+    }
+
+    fn query_count(&self) -> usize {
+        self.inputs.queries.len()
+    }
+
+    fn query(&self, i: usize) -> Vec3 {
+        self.inputs.queries[i]
+    }
+
+    fn semantics(&self, platform: &Platform, tree_base: u64) -> Box<dyn TraversalSemantics> {
+        let plus = platform.is_tta_plus();
+        let inner_test = if plus {
+            TestKind::Program(0)
+        } else {
+            TestKind::RayBox
+        };
+        let leaf_test = match (self.leaf, plus) {
+            (LeafPath::Shader, _) => TestKind::IntersectionShader,
+            (LeafPath::Offloaded, false) => TestKind::PointToPoint,
+            (LeafPath::Offloaded, true) => TestKind::Program(1),
+        };
+        Box::new(RadiusSearchSemantics {
+            tree_base,
+            prim_base: tree_base + self.inputs.ser.prim_base as u64,
+            inner_test,
+            leaf_test,
+        })
+    }
+
+    /// RTNN has no SIMT kernel in the paper: it always runs on a
+    /// ray-tracing accelerator.
+    fn simt_kernel(&self) -> Kernel {
+        traverse_only_kernel(Self::RECORD_SIZE as u32)
+    }
+
+    fn write(&self, gmem: &mut GlobalMemory, addr: u64, point: Vec3) {
+        radius_sem::write_radius_record(gmem, addr, point, self.radius);
+    }
+
+    fn check(&self, gmem: &GlobalMemory, addr: u64, point: Vec3) -> Result<(), String> {
+        let (count, _) = radius_sem::read_radius_result(gmem, addr);
+        let oracle = self.inputs.bvh.points_within(point, self.radius).len() as u32;
+        if count == oracle {
+            Ok(())
+        } else {
+            Err(format!(
+                "radius query at {point}: {count} neighbours, oracle {oracle}"
+            ))
+        }
     }
 }
 

@@ -11,15 +11,20 @@ use std::sync::Arc;
 use geometry::{Aabb, Vec3};
 use gpu_sim::isa::{Cmp, SReg};
 use gpu_sim::kernel::{Kernel, KernelBuilder};
+use gpu_sim::mem::GlobalMemory;
 use gpu_sim::GpuConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use rta::engine::TraversalSemantics;
+use rta::units::TestKind;
+use trees::image::MemoryImage;
 use trees::rtree::{RTree, RTreeEntry, SerializedRTree, ENTRY_STRIDE};
 use tta::programs::UopProgram;
-use tta::rtree_sem::QUERY_RECORD_SIZE;
+use tta::rtree_sem::{read_range_result, write_range_record, RTreeSemantics, QUERY_RECORD_SIZE};
 
 use crate::cacheable::CacheableExperiment;
 use crate::kernels::{params, THREAD_STACK_BYTES};
+use crate::query::QueryWorkload;
 use crate::runner::{Platform, RunResult};
 use gpu_sim::absint::{AccessMode, ContractLen, MemContract};
 
@@ -116,8 +121,8 @@ impl RTreeExperiment {
         (entries, queries)
     }
 
-    /// Runs the experiment — a [`crate::session::RTreeSession`] with a
-    /// single chunk, stepped to completion.
+    /// Runs the experiment — a single-chunk
+    /// [`crate::session::QuerySession`] stepped to completion.
     ///
     /// # Panics
     ///
@@ -155,6 +160,70 @@ impl CacheableExperiment for RTreeExperiment {
 
     fn set_inputs(&mut self, inputs: Arc<RTreeInputs>) {
         self.inputs = Some(inputs);
+    }
+}
+
+/// R-Tree range queries as a [`QueryWorkload`]: the oracle is the host
+/// tree's counted range query (hit count and nodes visited).
+pub struct RTreeRanges(pub Arc<RTreeInputs>);
+
+impl QueryWorkload for RTreeRanges {
+    type Query = Aabb;
+    const RECORD_SIZE: usize = QUERY_RECORD_SIZE;
+    const STACK_BYTES: usize = THREAD_STACK_BYTES as usize;
+    const CHECK_STRIDE: usize = 23;
+
+    fn image(&self) -> &MemoryImage {
+        &self.0.ser.image
+    }
+
+    fn aux_offset(&self) -> usize {
+        self.0.ser.entry_base
+    }
+
+    fn query_count(&self) -> usize {
+        self.0.queries.len()
+    }
+
+    fn query(&self, i: usize) -> Aabb {
+        self.0.queries[i]
+    }
+
+    fn semantics(&self, platform: &Platform, tree_base: u64) -> Box<dyn TraversalSemantics> {
+        let test = if platform.is_tta_plus() {
+            TestKind::Program(0)
+        } else {
+            TestKind::RayBox
+        };
+        Box::new(RTreeSemantics {
+            tree_base,
+            entry_base: tree_base + self.0.ser.entry_base as u64,
+            inner_test: test,
+            leaf_test: test,
+        })
+    }
+
+    fn simt_kernel(&self) -> Kernel {
+        rtree_range_kernel()
+    }
+
+    fn write(&self, gmem: &mut GlobalMemory, addr: u64, q: Aabb) {
+        write_range_record(gmem, addr, &q);
+    }
+
+    fn check(&self, gmem: &GlobalMemory, addr: u64, q: Aabb) -> Result<(), String> {
+        let (count, visited) = read_range_result(gmem, addr);
+        let (oracle, ovisited) = self.0.tree.range_query_counted(&q);
+        if count as usize != oracle.len() {
+            Err(format!(
+                "range {q:?}: {count} hits, oracle {}",
+                oracle.len()
+            ))
+        } else if visited as usize != ovisited {
+            Err(format!("range {q:?}: visited {visited}, oracle {ovisited}"))
+        } else {
+            Ok(())
+        }
     }
 }
 

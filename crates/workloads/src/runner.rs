@@ -45,6 +45,11 @@ impl Platform {
     pub fn has_accelerator(&self) -> bool {
         !matches!(self, Platform::BaselineGpu)
     }
+
+    /// Does this platform run μop programs (TTA+)?
+    pub fn is_tta_plus(&self) -> bool {
+        matches!(self, Platform::TtaPlus(..) | Platform::TtaPlusWith(..))
+    }
 }
 
 /// Aggregated accelerator-side report (summed over the per-SM engines).

@@ -16,7 +16,10 @@
 #   5. cargo test --workspace  — every crate's unit/integration/doc tests
 #      (including the golden-trace and trace-invariant suites in
 #      tta-trace, and the shadow-checked soundness suite in
-#      tta-workloads)
+#      tta-workloads), then the host-time benchmark's own suite
+#      (benchmark/ is a separate workspace): its instrumented session and
+#      service drive must write the same journal bytes as plain run(),
+#      and its seed-0 rows must match results/fig13.journal.json
 #   6. --quick smoke runs of the sweep binaries (fig15, the serving grid,
 #      and the fleet cluster grid — the latter two assert their own
 #      batching/routing claims internally), checking that each run
@@ -116,6 +119,11 @@ run cargo test "${CARGO_FLAGS[@]}" -q
 # Full workspace test suite (includes the harness determinism test:
 # byte-identical journals at 1 vs 4 sweep threads).
 run cargo test "${CARGO_FLAGS[@]}" --workspace -q
+
+# The benchmark's own tests: a separate workspace, built by path against
+# the crates above. Its transparency suite pins the journal bytes of the
+# instrumented session/service drive to plain run().
+run cargo test "${CARGO_FLAGS[@]}" --release --manifest-path benchmark/Cargo.toml
 
 # Smoke one sweep binary and verify the journal appears.
 run cargo run "${CARGO_FLAGS[@]}" --release -p tta-bench --bin fig15 -- --quick --threads 2

@@ -37,7 +37,7 @@ fn main() {
             );
             e.trace_dir = args.trace.clone();
             let store = store.clone();
-            sweep.add(move || run_or_resume(store.as_ref(), strict, Box::new(e.session(1))))
+            sweep.add(move || run_or_resume(store.as_ref(), strict, || Box::new(e.session(1))))
         };
         let base = add(Platform::BaselineGpu);
         let tta = add(platform_tta());
@@ -50,7 +50,7 @@ fn main() {
         let mut e = prepare(&cache, NBodyExperiment::new(3, bodies, platform));
         e.trace_dir = args.trace.clone();
         let store = store.clone();
-        sweep.add(move || run_or_resume(store.as_ref(), strict, Box::new(e.session())))
+        sweep.add(move || run_or_resume(store.as_ref(), strict, || Box::new(e.session())))
     };
     let base = add(Platform::BaselineGpu);
     let tta = add(platform_tta());
@@ -64,7 +64,7 @@ fn main() {
         let mut e = prepare(&cache, RtnnExperiment::new(points, rtnn_q, platform, leaf));
         e.trace_dir = args.trace.clone();
         let store = store.clone();
-        sweep.add(move || run_or_resume(store.as_ref(), strict, Box::new(e.session(1))))
+        sweep.add(move || run_or_resume(store.as_ref(), strict, || Box::new(e.session(1))))
     };
     let base = add(tta_bench::platform_rta(), LeafPath::Shader);
     let tta = add(platform_tta(), LeafPath::Offloaded);

@@ -79,8 +79,10 @@ pub fn prepare<E: CacheableExperiment>(cache: &InputCache, mut e: E) -> E {
 /// fast. After a cold run the final state is saved for the next rerun.
 ///
 /// A snapshot that no longer fits the session (schema or configuration
-/// drift) is treated as a miss and re-simulated, so stale stores degrade
-/// to cold runs instead of failing.
+/// drift) is treated as a miss and re-simulated on a session freshly
+/// re-opened with `open` — a failed import may have overwritten part of
+/// the first one — so stale stores degrade to cold runs instead of
+/// failing.
 ///
 /// # Panics
 ///
@@ -90,8 +92,9 @@ pub fn prepare<E: CacheableExperiment>(cache: &InputCache, mut e: E) -> E {
 pub fn run_or_resume(
     store: Option<&SnapshotStore>,
     strict: bool,
-    mut session: Box<dyn RunSession>,
+    open: impl Fn() -> Box<dyn RunSession>,
 ) -> workloads::RunResult {
+    let mut session = open();
     let Some(store) = store else {
         assert!(!strict, "--resume requires a snapshot store");
         return workloads::session::run_to_end(session);
@@ -101,7 +104,10 @@ pub fn run_or_resume(
     match store.load(&key) {
         Ok(bag) => match session.import_state(&bag) {
             Ok(()) => restored = true,
-            Err(e) => eprintln!("[snap] stale snapshot for `{key}` ({e}); re-running"),
+            Err(e) => {
+                eprintln!("[snap] stale snapshot for `{key}` ({e}); re-running");
+                session = open();
+            }
         },
         Err(snap::SnapError::Io(_)) if !store.contains(&key) => {}
         Err(e) => eprintln!("[snap] unreadable snapshot for `{key}` ({e}); re-running"),

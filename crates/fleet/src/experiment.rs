@@ -3,6 +3,7 @@
 //! cached [`ServeInputs`] with `tta-serve` sweeps — every device in the
 //! fleet mounts the same immutable tree image.
 
+use std::path::Path;
 use std::sync::Arc;
 
 use gpu_sim::GpuConfig;
@@ -11,7 +12,7 @@ use workloads::runner::sum_stats;
 use workloads::{AccelReport, CacheableExperiment, RunResult};
 
 use crate::autoscale::AutoscaleConfig;
-use crate::cluster::{run_fleet, FleetConfig};
+use crate::cluster::FleetConfig;
 use crate::metrics::summarize;
 use crate::router::RouterPolicy;
 use crate::session::FleetSession;
@@ -107,74 +108,18 @@ impl FleetExperiment {
 
     /// Runs the fleet experiment: stands up `devices` warm services over
     /// one shared tree image, generates the arrival stream and class mix,
-    /// drives [`run_fleet`], and folds the outcome into a [`RunResult`]
-    /// whose `fleet` section carries the cluster summary.
+    /// drives a [`FleetSession`] to completion (what [`run_fleet`] does),
+    /// and folds the outcome into a [`RunResult`] whose `fleet` section
+    /// carries the cluster summary.
     ///
     /// # Panics
     ///
     /// Panics when `verify` is set and a sampled batch diverges from the
     /// host oracle, or when attached inputs mismatch the workload.
+    ///
+    /// [`run_fleet`]: crate::cluster::run_fleet
     pub fn run(&self) -> RunResult {
-        let inputs = match &self.inputs {
-            Some(i) => Arc::clone(i),
-            None => Arc::new(self.build_inputs()),
-        };
-        let max_batch = self.policy.max_batch(self.gpu.warp_width);
-        let mut services: Vec<Box<dyn BatchService>> = (0..self.devices)
-            .map(|_| {
-                build_service(
-                    &self.workload,
-                    self.backend,
-                    &inputs,
-                    &self.gpu,
-                    max_batch,
-                    self.verify,
-                )
-            })
-            .collect();
-        let arrivals =
-            workloads::gen::exponential_arrivals(self.offered, self.arrival_mean_cycles, self.seed);
-        let classes =
-            workloads::gen::class_assignments(self.offered, &self.slo.weights(), self.seed);
-        let (trace, sink) = workloads::runner::trace_pair(self.trace_dir.as_deref());
-        let cfg = FleetConfig {
-            policy: self.policy.clone(),
-            router: self.router,
-            router_seed: self.seed,
-            queue_capacity: self.queue_capacity,
-            shards: self.shards.clone(),
-            shard_miss_penalty: self.shard_miss_penalty,
-            slo: self.slo.clone(),
-            autoscale: self.autoscale.clone(),
-            trace,
-        };
-        let outcome = run_fleet(&mut services, &cfg, &arrivals, &classes);
-        let backend_label = services[0].label();
-        let summary = summarize(&cfg, &backend_label, self.arrival_mean_cycles, &outcome);
-        let label = format!(
-            "fleet {} {} {} d{} {} mean{}",
-            self.workload.name(),
-            backend_label,
-            self.router.label(),
-            self.devices,
-            self.policy.label(),
-            self.arrival_mean_cycles
-        );
-        if let (Some(dir), Some(sink)) = (&self.trace_dir, &sink) {
-            workloads::runner::write_trace(dir, &label, sink);
-        }
-        let all_stats: Vec<_> = outcome
-            .per_device
-            .iter()
-            .flat_map(|d| d.launch_stats.iter().cloned())
-            .collect();
-        RunResult {
-            label,
-            stats: sum_stats(&all_stats),
-            accel: merge_accel(services.iter().filter_map(|s| s.accel_report())),
-            serve: None,
-            fleet: Some(summary),
-        }
+        self.run_segments(1, self.trace_dir.as_deref())
     }
 
     /// Runs the fleet as `segments` horizon shards: the virtual horizon is
@@ -197,6 +142,12 @@ impl FleetExperiment {
     /// mismatch the workload.
     pub fn run_sharded(&self, segments: usize) -> RunResult {
         assert!(segments >= 1, "horizon sharding needs at least one segment");
+        self.run_segments(segments, None)
+    }
+
+    /// The body of [`run`](FleetExperiment::run) (one segment, traced
+    /// into `trace_dir`) and [`run_sharded`](FleetExperiment::run_sharded).
+    fn run_segments(&self, segments: usize, trace_dir: Option<&Path>) -> RunResult {
         let inputs = match &self.inputs {
             Some(i) => Arc::clone(i),
             None => Arc::new(self.build_inputs()),
@@ -220,6 +171,7 @@ impl FleetExperiment {
             workloads::gen::exponential_arrivals(self.offered, self.arrival_mean_cycles, self.seed);
         let classes =
             workloads::gen::class_assignments(self.offered, &self.slo.weights(), self.seed);
+        let (trace, sink) = workloads::runner::trace_pair(trace_dir);
         let cfg = FleetConfig {
             policy: self.policy.clone(),
             router: self.router,
@@ -229,7 +181,7 @@ impl FleetExperiment {
             shard_miss_penalty: self.shard_miss_penalty,
             slo: self.slo.clone(),
             autoscale: self.autoscale.clone(),
-            trace: trace::TraceHandle::default(),
+            trace,
         };
         let mut services = build_fleet();
         let mut session = FleetSession::new(
@@ -244,31 +196,15 @@ impl FleetExperiment {
             if session.run_until(&mut services, Some(stop)) {
                 break;
             }
-            let mut snap = gpu_sim::StateBag::new();
-            snap.put_bag("session", session.export_state());
-            snap.put_list(
-                "services",
-                services
-                    .iter()
-                    .map(|s| gpu_sim::SnapValue::Bag(s.export_state()))
-                    .collect(),
-            );
-
             let mut fresh = build_fleet();
             let mut fresh_session =
                 FleetSession::new(&mut fresh, cfg.clone(), arrivals.clone(), classes.clone());
-            for (svc, v) in fresh
-                .iter_mut()
-                .zip(snap.list("services").expect("just written"))
-            {
-                let gpu_sim::SnapValue::Bag(b) = v else {
-                    unreachable!("just written as bags")
-                };
-                svc.import_state(b)
+            for (svc, old) in fresh.iter_mut().zip(&services) {
+                svc.import_state(&old.export_state())
                     .expect("device snapshot fits an identically built backend");
             }
             fresh_session
-                .import_state(snap.bag("session").expect("just written"))
+                .import_state(&session.export_state())
                 .expect("cluster snapshot fits an identical configuration");
             services = fresh;
             session = fresh_session;
@@ -285,6 +221,9 @@ impl FleetExperiment {
             self.policy.label(),
             self.arrival_mean_cycles
         );
+        if let (Some(dir), Some(sink)) = (trace_dir, &sink) {
+            workloads::runner::write_trace(dir, &label, sink);
+        }
         let all_stats: Vec<_> = outcome
             .per_device
             .iter()

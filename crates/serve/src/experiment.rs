@@ -2,6 +2,7 @@
 //! arrival rate) point, runnable through the harness like any closed-batch
 //! experiment and cacheable via [`CacheableExperiment`].
 
+use std::path::Path;
 use std::sync::Arc;
 
 use gpu_sim::GpuConfig;
@@ -13,7 +14,7 @@ use workloads::rtnn::{LeafPath, RadiusQueries, RtnnExperiment, RtnnInputs};
 use workloads::runner::sum_stats;
 use workloads::{CacheableExperiment, Platform, RunResult};
 
-use crate::engine::{serve, BatchService, ServeConfig};
+use crate::engine::{BatchService, ServeConfig};
 use crate::metrics::summarize;
 use crate::policy::BatchPolicy;
 use crate::service::{QueryService, ServeBackend};
@@ -207,43 +208,7 @@ impl ServeExperiment {
     /// from the host oracle, or when attached inputs mismatch the
     /// configured workload.
     pub fn run(&self) -> RunResult {
-        let inputs = match &self.inputs {
-            Some(i) => Arc::clone(i),
-            None => Arc::new(self.build_inputs()),
-        };
-        let mut svc = self.build_service(&inputs);
-        let arrivals =
-            workloads::gen::exponential_arrivals(self.offered, self.arrival_mean_cycles, self.seed);
-        let (trace, sink) = workloads::runner::trace_pair(self.trace_dir.as_deref());
-        let cfg = ServeConfig {
-            policy: self.policy.clone(),
-            queue_capacity: self.queue_capacity,
-            trace,
-        };
-        let outcome = serve(svc.as_mut(), &cfg, &arrivals);
-        let summary = summarize(
-            &self.policy.label(),
-            &svc.label(),
-            self.arrival_mean_cycles,
-            &outcome,
-        );
-        let label = format!(
-            "serve {} {} {} mean{}",
-            self.workload.name(),
-            svc.label(),
-            self.policy.label(),
-            self.arrival_mean_cycles
-        );
-        if let (Some(dir), Some(sink)) = (&self.trace_dir, &sink) {
-            workloads::runner::write_trace(dir, &label, sink);
-        }
-        RunResult {
-            label,
-            stats: sum_stats(&outcome.launch_stats),
-            accel: svc.accel_report(),
-            serve: Some(summary),
-            fleet: None,
-        }
+        self.run_segments(1, self.trace_dir.as_deref())
     }
 
     /// Runs the experiment as `segments` horizon shards: the virtual
@@ -265,16 +230,23 @@ impl ServeExperiment {
     /// mismatch the configured workload.
     pub fn run_sharded(&self, segments: usize) -> RunResult {
         assert!(segments >= 1, "horizon sharding needs at least one segment");
+        self.run_segments(segments, None)
+    }
+
+    /// The body of [`run`](ServeExperiment::run) (one segment, traced
+    /// into `trace_dir`) and [`run_sharded`](ServeExperiment::run_sharded).
+    fn run_segments(&self, segments: usize, trace_dir: Option<&Path>) -> RunResult {
         let inputs = match &self.inputs {
             Some(i) => Arc::clone(i),
             None => Arc::new(self.build_inputs()),
         };
         let arrivals =
             workloads::gen::exponential_arrivals(self.offered, self.arrival_mean_cycles, self.seed);
+        let (trace, sink) = workloads::runner::trace_pair(trace_dir);
         let cfg = ServeConfig {
             policy: self.policy.clone(),
             queue_capacity: self.queue_capacity,
-            trace: trace::TraceHandle::default(),
+            trace,
         };
         let mut svc = self.build_service(&inputs);
         let mut session = ServeSession::new(svc.as_mut(), cfg.clone(), arrivals.clone());
@@ -286,18 +258,14 @@ impl ServeExperiment {
             if session.run_until(svc.as_mut(), Some(stop)) {
                 break;
             }
-            let mut snap = gpu_sim::StateBag::new();
-            snap.put_bag("session", session.export_state());
-            snap.put_bag("service", svc.export_state());
-
             let mut fresh_svc = self.build_service(&inputs);
             let mut fresh_session =
                 ServeSession::new(fresh_svc.as_mut(), cfg.clone(), arrivals.clone());
             fresh_svc
-                .import_state(snap.bag("service").expect("just written"))
+                .import_state(&svc.export_state())
                 .expect("service snapshot fits an identically built backend");
             fresh_session
-                .import_state(snap.bag("session").expect("just written"))
+                .import_state(&session.export_state())
                 .expect("session snapshot fits an identical stream");
             svc = fresh_svc;
             session = fresh_session;
@@ -316,6 +284,9 @@ impl ServeExperiment {
             self.policy.label(),
             self.arrival_mean_cycles
         );
+        if let (Some(dir), Some(sink)) = (trace_dir, &sink) {
+            workloads::runner::write_trace(dir, &label, sink);
+        }
         RunResult {
             label,
             stats: sum_stats(&outcome.launch_stats),

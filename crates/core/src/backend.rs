@@ -12,12 +12,8 @@
 //! for actual ray tracing, shader callbacks — is inherited unchanged, which
 //! is why TTA's area overhead is <2% of the Ray-Box unit (§V-C1).
 
-use gpu_sim::snapshot::{BagError, StateBag};
 use rta::config::RtaConfig;
-use rta::units::{
-    export_units, import_units, IntersectionBackend, PipelinedUnit, TestKind, UnitStats,
-    UnsupportedTest,
-};
+use rta::units::{IntersectionBackend, PipelinedUnit, TestKind, UnitStats, UnsupportedTest};
 
 /// TTA configuration: the baseline RTA plus the modified-unit latencies.
 #[derive(Debug, Clone, PartialEq)]
@@ -170,27 +166,15 @@ impl IntersectionBackend for TtaBackend {
         ]
     }
 
-    fn export_state(&self) -> StateBag {
-        let mut bag = StateBag::new();
-        bag.put("box_units", export_units(&self.box_units));
-        bag.put("tri_units", export_units(&self.tri_units));
-        bag.put_bag("xform_unit", self.xform_unit.export_state());
-        bag.put_bag("shader", self.shader.export_state());
-        bag.put_u64("shader_calls", self.shader_calls);
-        bag.put_u64("query_key_tests", self.query_key_tests);
-        bag.put_u64("point_tests", self.point_tests);
-        bag
-    }
-
-    fn import_state(&mut self, bag: &StateBag) -> Result<(), BagError> {
-        import_units(&mut self.box_units, bag, "box_units")?;
-        import_units(&mut self.tri_units, bag, "tri_units")?;
-        self.xform_unit.import_state(bag.bag("xform_unit")?)?;
-        self.shader.import_state(bag.bag("shader")?)?;
-        self.shader_calls = bag.u64("shader_calls")?;
-        self.query_key_tests = bag.u64("query_key_tests")?;
-        self.point_tests = bag.u64("point_tests")?;
-        Ok(())
+    gpu_sim::snap_fields! {
+        fn export_state / import_state;
+        #[host] box_units,
+        #[host] tri_units,
+        xform_unit,
+        shader,
+        shader_calls,
+        query_key_tests,
+        point_tests,
     }
 }
 

@@ -12,7 +12,6 @@
 //! Everything here keys off virtual-clock state only, keeping scaling
 //! decisions byte-deterministic.
 
-use gpu_sim::snapshot::{BagError, StateBag};
 use trace::{TraceHandle, Track};
 
 /// Autoscaler tuning.
@@ -139,44 +138,19 @@ impl Autoscaler {
         self.cold_starts[device]
     }
 
-    /// Exports the scaler's dynamic state: warm flags, per-device activity
-    /// stamps, pending cold-start charges, and cold-start counters. The
-    /// config (thresholds, windows) is reconstructed on restore.
-    pub fn export_state(&self) -> StateBag {
-        let mut bag = StateBag::new();
-        bag.put_u64_list("warm", self.warm.iter().map(|&w| u64::from(w)));
-        bag.put_u64_list("last_active", self.last_active.iter().copied());
-        bag.put_u64_list("pending", self.pending.iter().copied());
-        bag.put_u64_list("cold_starts", self.cold_starts.iter().copied());
-        bag
-    }
-
-    /// Restores state exported by [`Autoscaler::export_state`].
-    ///
-    /// # Errors
-    ///
-    /// [`BagError::Mismatch`] when the per-device lists disagree with this
-    /// scaler's device count; other [`BagError`]s for malformed bags.
-    pub fn import_state(&mut self, bag: &StateBag) -> Result<(), BagError> {
-        let warm = bag.u64_list("warm")?;
-        let last_active = bag.u64_list("last_active")?;
-        let pending = bag.u64_list("pending")?;
-        let cold_starts = bag.u64_list("cold_starts")?;
-        let n = self.warm.len();
-        if warm.len() != n || last_active.len() != n || pending.len() != n || cold_starts.len() != n
-        {
-            return Err(BagError::Mismatch(format!(
-                "autoscaler snapshot covers {} devices, host has {n}",
-                warm.len()
-            )));
-        }
-        self.warm = warm.iter().map(|&w| w != 0).collect();
-        self.last_active = last_active;
-        self.pending = pending;
-        self.cold_starts = cold_starts;
-        Ok(())
+    // Snapshot support: warm flags, per-device activity stamps, pending
+    // cold-start charges, and cold-start counters. The config
+    // (thresholds, windows) is reconstructed on restore.
+    gpu_sim::snap_fields! {
+        pub fn export_state / import_state;
+        #[host] warm,
+        #[host] last_active,
+        #[host] pending,
+        #[host] cold_starts,
     }
 }
+
+gpu_sim::snap_state!(Autoscaler);
 
 #[cfg(test)]
 mod tests {

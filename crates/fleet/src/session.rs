@@ -11,7 +11,7 @@
 //! clock-advance split as `serve::session` (see there for the argument),
 //! applied to every engine in ascending device order.
 
-use gpu_sim::snapshot::{fnv1a_64, BagError, SnapValue, StateBag};
+use gpu_sim::snapshot::fnv1a_64;
 use serve::{BatchService, DeviceEngine};
 use trace::Track;
 
@@ -42,18 +42,6 @@ pub struct FleetSession {
     makespan: u64,
     now: u64,
     next_arrival: usize,
-}
-
-/// Identity hash of the offered stream (stamps and class assignments) —
-/// guards a session snapshot against being resumed onto different inputs.
-fn stream_fnv(arrivals: &[u64], classes: &[usize]) -> u64 {
-    let bytes: Vec<u8> = arrivals
-        .iter()
-        .copied()
-        .chain(classes.iter().map(|&c| c as u64))
-        .flat_map(u64::to_le_bytes)
-        .collect();
-    fnv1a_64(&bytes)
 }
 
 impl FleetSession {
@@ -376,130 +364,43 @@ impl FleetSession {
         }
     }
 
-    /// Exports the session's dynamic state: clock, cursors, per-query
-    /// outcomes, per-device counters, every engine, the router, and the
-    /// autoscaler. The offered stream, shard map, and config are
-    /// reconstructed on restore and represented only by an identity hash.
-    /// Backend state is *not* included — snapshot each device separately
-    /// via [`BatchService::export_state`].
-    pub fn export_state(&self) -> StateBag {
-        let mut bag = StateBag::new();
-        bag.put_u64("stream_len", self.arrivals.len() as u64);
-        bag.put_u64(
-            "stream_fnv",
-            stream_fnv(
-                &self.arrivals,
-                &self.queries.iter().map(|q| q.class).collect::<Vec<_>>(),
-            ),
-        );
-        bag.put_u64("now", self.now);
-        bag.put_u64("next_arrival", self.next_arrival as u64);
-        bag.put_u64("makespan", self.makespan);
-        bag.put_u64("admission_dropped", self.admission_dropped);
-        bag.put_u64_list(
-            "completions",
-            self.queries
-                .iter()
-                .map(|q| q.completion.map_or(0, |c| c + 1)),
-        );
-        bag.put_u64_list(
-            "devices",
-            self.queries
-                .iter()
-                .map(|q| q.device.map_or(0, |d| d as u64 + 1)),
-        );
-        bag.put_u64_list("local", self.queries.iter().map(|q| u64::from(q.local)));
-        bag.put_u64_list("routed", self.routed.iter().copied());
-        bag.put_u64_list("in_flight", self.in_flight.iter().map(|&v| v as u64));
-        bag.put_u64_list("shard_misses", self.shard_misses.iter().copied());
-        bag.put_u64_list(
-            "queued_per_class",
-            self.queued_per_class.iter().map(|&v| v as u64),
-        );
-        bag.put_list(
-            "engines",
-            self.engines
-                .iter()
-                .map(|e| SnapValue::Bag(e.export_state()))
-                .collect(),
-        );
-        bag.put_bag("router", self.router.export_state());
-        bag.put_bag("scaler", self.scaler.export_state());
-        bag
+    // Snapshot support: clock, cursors, per-query outcomes, per-device
+    // counters, every engine, the router, and the autoscaler. The offered
+    // stream, shard map, and config are reconstructed on restore and
+    // represented only by the stream's length and identity hash. Backend
+    // state is *not* included — snapshot each device separately via
+    // `BatchService::export_state`.
+    gpu_sim::snap_fields! {
+        pub fn export_state / import_state;
+        #[check] stream_len: arrivals.len(),
+        #[check] stream_fnv: stream_fnv(),
+        now,
+        next_arrival,
+        makespan,
+        admission_dropped,
+        #[host] completions: queries[..].completion,
+        #[host] devices: queries[..].device,
+        #[host] local: queries[..].local,
+        #[host] routed,
+        #[host] in_flight,
+        #[host] shard_misses,
+        #[host] queued_per_class,
+        #[host] engines,
+        router,
+        scaler,
     }
 
-    /// Restores state exported by
-    /// [`export_state`](FleetSession::export_state) onto a session built
-    /// over the same stream, class mix, and configuration.
-    ///
-    /// # Errors
-    ///
-    /// [`BagError::Mismatch`] when the bag was exported from a different
-    /// offered stream or device count; other [`BagError`]s for malformed
-    /// bags.
-    pub fn import_state(&mut self, bag: &StateBag) -> Result<(), BagError> {
-        let classes: Vec<usize> = self.queries.iter().map(|q| q.class).collect();
-        if bag.u64("stream_len")? != self.arrivals.len() as u64
-            || bag.u64("stream_fnv")? != stream_fnv(&self.arrivals, &classes)
-        {
-            return Err(BagError::Mismatch(
-                "snapshot was taken over a different offered stream".into(),
-            ));
-        }
-        let n_dev = self.engines.len();
-        let engine_bags = bag.list("engines")?;
-        if engine_bags.len() != n_dev {
-            return Err(BagError::Mismatch(format!(
-                "snapshot covers {} devices, host has {n_dev}",
-                engine_bags.len()
-            )));
-        }
-        let completions = bag.u64_list("completions")?;
-        let devices = bag.u64_list("devices")?;
-        let local = bag.u64_list("local")?;
-        if completions.len() != self.queries.len()
-            || devices.len() != self.queries.len()
-            || local.len() != self.queries.len()
-        {
-            return Err(BagError::Mismatch(
-                "per-query outcome lists disagree with the stream length".into(),
-            ));
-        }
-        let routed = bag.u64_list("routed")?;
-        let in_flight = bag.u64_list("in_flight")?;
-        let shard_misses = bag.u64_list("shard_misses")?;
-        let queued_per_class = bag.u64_list("queued_per_class")?;
-        if routed.len() != n_dev || in_flight.len() != n_dev || shard_misses.len() != n_dev {
-            return Err(BagError::Mismatch(
-                "per-device counter lists disagree with the device count".into(),
-            ));
-        }
-        if queued_per_class.len() != self.queued_per_class.len() {
-            return Err(BagError::Mismatch(
-                "per-class queue list disagrees with the SLO class count".into(),
-            ));
-        }
-        for (e, v) in self.engines.iter_mut().zip(engine_bags) {
-            match v {
-                SnapValue::Bag(b) => e.import_state(b)?,
-                _ => return Err(BagError::WrongKind("engines".into())),
-            }
-        }
-        self.router.import_state(bag.bag("router")?)?;
-        self.scaler.import_state(bag.bag("scaler")?)?;
-        self.now = bag.u64("now")?;
-        self.next_arrival = bag.u64("next_arrival")? as usize;
-        self.makespan = bag.u64("makespan")?;
-        self.admission_dropped = bag.u64("admission_dropped")?;
-        for (i, q) in self.queries.iter_mut().enumerate() {
-            q.completion = completions[i].checked_sub(1);
-            q.device = devices[i].checked_sub(1).map(|d| d as usize);
-            q.local = local[i] != 0;
-        }
-        self.routed = routed;
-        self.in_flight = in_flight.iter().map(|&v| v as usize).collect();
-        self.shard_misses = shard_misses;
-        self.queued_per_class = queued_per_class.iter().map(|&v| v as usize).collect();
-        Ok(())
+    /// Identity hash of the offered stream (stamps and class assignments)
+    /// — guards a session snapshot against being resumed onto different
+    /// inputs.
+    fn stream_fnv(&self) -> u64 {
+        let bytes: Vec<u8> = self
+            .arrivals
+            .iter()
+            .copied()
+            .chain(self.queries.iter().map(|q| q.class as u64))
+            .flat_map(u64::to_le_bytes)
+            .collect();
+        fnv1a_64(&bytes)
     }
 }

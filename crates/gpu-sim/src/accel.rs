@@ -8,7 +8,7 @@
 //! models (`tta`) implement this trait.
 
 use crate::mem::{GlobalMemory, MemorySystem};
-use crate::snapshot::{BagError, StateBag};
+use crate::snapshot::{BagError, Snap, SnapValue, StateBag};
 
 /// One lane's traversal descriptor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -161,15 +161,30 @@ impl Accelerator for NullAccelerator {
         self
     }
 
-    fn export_state(&self) -> StateBag {
-        let mut bag = StateBag::new();
-        bag.put_u64("submitted", self.submitted);
-        bag
+    crate::snap_fields! {
+        fn export_state / import_state;
+        submitted,
+    }
+}
+
+/// An SM's accelerator slot: an empty bag when nothing is attached.
+impl Snap for Option<Box<dyn Accelerator>> {
+    fn save(&self) -> SnapValue {
+        SnapValue::Bag(
+            self.as_deref()
+                .map_or_else(StateBag::new, |a| a.export_state()),
+        )
     }
 
-    fn import_state(&mut self, bag: &StateBag) -> Result<(), BagError> {
-        self.submitted = bag.u64("submitted")?;
-        Ok(())
+    fn load(&mut self, v: &SnapValue, name: &str) -> Result<(), BagError> {
+        let bag = v.as_bag(name)?;
+        match self.as_deref_mut() {
+            Some(acc) => acc.import_state(bag),
+            None if bag.entries().is_empty() => Ok(()),
+            None => Err(BagError::Mismatch(format!(
+                "snapshot carries `{name}` state for an SM with no accelerator attached"
+            ))),
+        }
     }
 }
 

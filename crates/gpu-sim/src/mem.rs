@@ -8,7 +8,7 @@
 //! parallelism, and DRAM bandwidth saturation — without a full event queue.
 
 use crate::config::MemConfig;
-use crate::snapshot::{BagError, StateBag};
+use crate::snapshot::{BagError, Snap, SnapValue, StateBag};
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use trace::{TraceHandle, Track};
 
@@ -160,32 +160,38 @@ impl GlobalMemory {
             .rposition(|&b| b != 0)
             .map_or(0, |i| i + 1);
         let mut bag = StateBag::new();
-        bag.put_u64("capacity", self.bytes.len() as u64);
-        bag.put_u64("next_free", self.next_free as u64);
-        bag.put_bytes("image", self.bytes[..used].to_vec());
+        bag.put("capacity", self.bytes.len().save());
+        bag.put("next_free", self.next_free.save());
+        bag.put("image", SnapValue::Bytes(self.bytes[..used].to_vec()));
         bag
     }
 
-    /// Restores the image exported by [`GlobalMemory::export_state`],
-    /// resizing to the snapshot's capacity.
+    /// Restores the image exported by [`GlobalMemory::export_state`] onto
+    /// memory of the same capacity (every restore host sizes its memory
+    /// with the exporter's formula), zero-filling past the image.
     ///
     /// # Errors
     ///
-    /// [`BagError`] on a malformed bag or an image longer than its
-    /// declared capacity.
+    /// [`BagError::Mismatch`] when the capacity differs from this host's
+    /// or the allocation cursor or image runs past it — checked before
+    /// anything is written, so a hostile file cannot make the reader
+    /// allocate; other [`BagError`]s for a malformed bag.
     pub fn import_state(&mut self, bag: &StateBag) -> Result<(), BagError> {
-        let capacity = bag.u64("capacity")? as usize;
-        let image = bag.bytes("image")?;
-        if image.len() > capacity {
+        let (mut capacity, mut next_free) = (0usize, 0usize);
+        capacity.load(bag.entry("capacity")?, "capacity")?;
+        next_free.load(bag.entry("next_free")?, "next_free")?;
+        let image = bag.entry("image")?.as_bytes("image")?;
+        if capacity != self.bytes.len() || next_free > capacity || image.len() > capacity {
             return Err(BagError::Mismatch(format!(
-                "memory image of {} B exceeds capacity {} B",
+                "memory snapshot (capacity {capacity} B, cursor {next_free} B, image {} B) \
+                 does not fit this host's {} B",
                 image.len(),
-                capacity
+                self.bytes.len()
             )));
         }
-        self.bytes = vec![0; capacity];
         self.bytes[..image.len()].copy_from_slice(image);
-        self.next_free = bag.u64("next_free")? as usize;
+        self.bytes[image.len()..].fill(0);
+        self.next_free = next_free;
         Ok(())
     }
 }
@@ -361,16 +367,22 @@ impl MshrFile {
     }
 }
 
+/// One SM's private L1: tag store, MSHRs, port and pending-fill table.
+#[derive(Debug)]
+struct L1 {
+    cache: FullyAssocCache,
+    mshr: MshrFile,
+    port_busy: u64,
+    /// In-flight fills: line -> completion (for merge).
+    pending: HashMap<u64, u64>,
+}
+
 /// The timing model: per-SM L1s, a shared L2, and channelled DRAM.
 #[derive(Debug)]
 pub struct MemorySystem {
     cfg: MemConfig,
     perfect: bool,
-    l1: Vec<FullyAssocCache>,
-    l1_mshr: Vec<MshrFile>,
-    l1_port_busy: Vec<u64>,
-    /// In-flight L1 fills per SM: line -> completion (for merge).
-    l1_pending: Vec<HashMap<u64, u64>>,
+    l1: Vec<L1>,
     l2: SetAssocCache,
     l2_mshr: MshrFile,
     l2_pending: HashMap<u64, u64>,
@@ -394,11 +406,13 @@ impl MemorySystem {
             cfg: cfg.clone(),
             perfect,
             l1: (0..num_sms)
-                .map(|_| FullyAssocCache::new(l1_lines))
+                .map(|_| L1 {
+                    cache: FullyAssocCache::new(l1_lines),
+                    mshr: MshrFile::new(cfg.l1_mshrs),
+                    port_busy: 0,
+                    pending: HashMap::new(),
+                })
                 .collect(),
-            l1_mshr: (0..num_sms).map(|_| MshrFile::new(cfg.l1_mshrs)).collect(),
-            l1_port_busy: vec![0; num_sms],
-            l1_pending: (0..num_sms).map(|_| HashMap::new()).collect(),
             l2: SetAssocCache::new(cfg.l2_bytes, cfg.line_size, cfg.l2_ways),
             l2_mshr: MshrFile::new(cfg.l2_mshrs),
             l2_pending: HashMap::new(),
@@ -449,19 +463,19 @@ impl MemorySystem {
         }
         let line = self.line_of(addr);
         // L1 port: one transaction per cycle.
-        let t0 = self.l1_port_busy[sm].max(now) + 1;
-        self.l1_port_busy[sm] = t0;
-        let hit = self.l1[sm].access(line);
+        let t0 = self.l1[sm].port_busy.max(now) + 1;
+        self.l1[sm].port_busy = t0;
+        let hit = self.l1[sm].cache.access(line);
         if hit {
             // A line still being filled counts as a miss-merge, not a hit.
-            if let Some(&fill) = self.l1_pending[sm].get(&line) {
+            if let Some(&fill) = self.l1[sm].pending.get(&line) {
                 if fill > t0 {
                     self.l1_stats.misses += 1;
                     self.l1_stats.mshr_merges += 1;
                     self.trace_req(Track::Mem(sm as u32), "read_merge", now, fill, bytes);
                     return fill;
                 }
-                self.l1_pending[sm].remove(&line);
+                self.l1[sm].pending.remove(&line);
             }
             self.l1_stats.hits += 1;
             let t = t0 + self.cfg.l1_latency;
@@ -470,10 +484,10 @@ impl MemorySystem {
         }
         self.l1_stats.misses += 1;
         // Allocate an L1 MSHR (may push the start time back when full).
-        let t1 = self.l1_mshr[sm].allocate(t0);
+        let t1 = self.l1[sm].mshr.allocate(t0);
         let fill = self.l2_lookup(line, t1 + self.cfg.l1_latency);
-        self.l1_mshr[sm].record(fill);
-        self.l1_pending[sm].insert(line, fill);
+        self.l1[sm].mshr.record(fill);
+        self.l1[sm].pending.insert(line, fill);
         self.trace_req(Track::Mem(sm as u32), "read_miss", now, fill, bytes);
         fill
     }
@@ -484,8 +498,8 @@ impl MemorySystem {
         if self.perfect {
             return now + 1;
         }
-        let t0 = self.l1_port_busy[sm].max(now) + 1;
-        self.l1_port_busy[sm] = t0;
+        let t0 = self.l1[sm].port_busy.max(now) + 1;
+        self.l1[sm].port_busy = t0;
         // Write-through: consume DRAM bandwidth for the written bytes.
         let t = self.dram_transfer(addr, bytes, t0 + self.cfg.l2_latency, false);
         self.dram_stats.bytes_written += bytes as u64;
@@ -556,221 +570,80 @@ impl MemorySystem {
 // equal states export equal bags; heaps are exported as sorted vectors
 // (pop order is by value, so heap-internal layout is not state).
 impl FullyAssocCache {
-    fn export_state(&self) -> StateBag {
-        let mut bag = StateBag::new();
-        bag.put_u64("stamp", self.stamp);
-        // The BTreeMap `order` (stamp -> line) is the canonical form; the
-        // `lines` HashMap is its inverse and is rebuilt on import.
-        bag.put_u64_list("order", self.order.iter().flat_map(|(&s, &l)| [s, l]));
-        bag
+    // The BTreeMap `order` (stamp -> line) is the canonical form; the
+    // `lines` HashMap is its inverse and is rebuilt on import.
+    crate::snap_fields! {
+        fn export_state / import_state, after import rebuild_lines;
+        stamp,
+        order,
     }
 
-    fn import_state(&mut self, bag: &StateBag) -> Result<(), BagError> {
-        let flat = bag.u64_list("order")?;
-        if !flat.len().is_multiple_of(2) {
-            return Err(BagError::Mismatch("odd lru-order pair list".into()));
-        }
-        self.stamp = bag.u64("stamp")?;
-        self.order = flat.chunks(2).map(|p| (p[0], p[1])).collect();
-        self.lines = flat.chunks(2).map(|p| (p[1], p[0])).collect();
+    fn rebuild_lines(&mut self) -> Result<(), BagError> {
+        self.lines = self.order.iter().map(|(&s, &l)| (l, s)).collect();
         Ok(())
     }
 }
 
 impl SetAssocCache {
-    fn export_state(&self) -> StateBag {
-        let mut bag = StateBag::new();
-        bag.put_u64("stamp", self.stamp);
-        bag.put_list(
-            "sets",
-            self.sets
-                .iter()
-                .map(|set| {
-                    crate::snapshot::SnapValue::List(
-                        set.iter()
-                            .flat_map(|&(l, s)| [l, s])
-                            .map(crate::snapshot::SnapValue::U64)
-                            .collect(),
-                    )
-                })
-                .collect(),
-        );
-        bag
+    crate::snap_fields! {
+        fn export_state / import_state, after import check_ways;
+        stamp,
+        #[host] sets,
     }
 
-    fn import_state(&mut self, bag: &StateBag) -> Result<(), BagError> {
-        let sets = bag.list("sets")?;
-        if sets.len() != self.sets.len() {
-            return Err(BagError::Mismatch(format!(
-                "snapshot has {} L2 sets, host has {}",
-                sets.len(),
-                self.sets.len()
-            )));
-        }
-        self.stamp = bag.u64("stamp")?;
-        for (host, snap) in self.sets.iter_mut().zip(sets) {
-            let crate::snapshot::SnapValue::List(items) = snap else {
-                return Err(BagError::WrongKind("sets".into()));
-            };
-            let flat: Vec<u64> = items
-                .iter()
-                .map(|v| match v {
-                    crate::snapshot::SnapValue::U64(x) => Ok(*x),
-                    _ => Err(BagError::WrongKind("sets".into())),
-                })
-                .collect::<Result<_, _>>()?;
-            if !flat.len().is_multiple_of(2) || flat.len() / 2 > self.ways {
-                return Err(BagError::Mismatch("bad L2 set contents".into()));
-            }
-            *host = flat.chunks(2).map(|p| (p[0], p[1])).collect();
+    fn check_ways(&self) -> Result<(), BagError> {
+        if self.sets.iter().any(|set| set.len() > self.ways) {
+            return Err(BagError::Mismatch("bad L2 set contents".into()));
         }
         Ok(())
     }
 }
 
-impl MshrFile {
-    fn export_state(&self) -> Vec<u64> {
+impl Snap for MshrFile {
+    fn save(&self) -> SnapValue {
         let mut v: Vec<u64> = self.inflight.iter().map(|r| r.0).collect();
         v.sort_unstable();
-        v
+        v.save()
     }
 
-    fn import_state(&mut self, v: Vec<u64>) {
-        self.inflight = v.into_iter().map(std::cmp::Reverse).collect();
+    fn load(&mut self, v: &SnapValue, name: &str) -> Result<(), BagError> {
+        let mut stamps: Vec<u64> = Vec::new();
+        stamps.load(v, name)?;
+        self.inflight = stamps.into_iter().map(std::cmp::Reverse).collect();
+        Ok(())
     }
 }
 
-fn sorted_pairs(map: &HashMap<u64, u64>) -> Vec<u64> {
-    let mut pairs: Vec<(u64, u64)> = map.iter().map(|(&k, &v)| (k, v)).collect();
-    pairs.sort_unstable();
-    pairs.into_iter().flat_map(|(k, v)| [k, v]).collect()
+impl L1 {
+    crate::snap_fields! {
+        fn export_state / import_state;
+        cache,
+        mshr,
+        port_busy,
+        pending,
+    }
 }
 
-fn pairs_into_map(flat: Vec<u64>, name: &str) -> Result<HashMap<u64, u64>, BagError> {
-    if !flat.len().is_multiple_of(2) {
-        return Err(BagError::Mismatch(format!("odd pair list `{name}`")));
-    }
-    Ok(flat.chunks(2).map(|p| (p[0], p[1])).collect())
-}
+crate::snap_state!(
+    FullyAssocCache,
+    SetAssocCache,
+    L1,
+    GlobalMemory,
+    MemorySystem
+);
 
 impl MemorySystem {
-    /// Exports the full timing state: cache tags and LRU stamps, MSHR
-    /// occupancy, pending-fill merge tables, port and channel busy-until
-    /// stamps, and the cumulative statistics.
-    pub fn export_state(&self) -> StateBag {
-        let mut bag = StateBag::new();
-        bag.put_list(
-            "l1",
-            (0..self.l1.len())
-                .map(|sm| {
-                    let mut b = StateBag::new();
-                    b.put_bag("cache", self.l1[sm].export_state());
-                    b.put_u64_list("mshr", self.l1_mshr[sm].export_state());
-                    b.put_u64("port_busy", self.l1_port_busy[sm]);
-                    b.put_u64_list("pending", sorted_pairs(&self.l1_pending[sm]));
-                    crate::snapshot::SnapValue::Bag(b)
-                })
-                .collect(),
-        );
-        bag.put_bag("l2", self.l2.export_state());
-        bag.put_u64_list("l2_mshr", self.l2_mshr.export_state());
-        bag.put_u64_list("l2_pending", sorted_pairs(&self.l2_pending));
-        bag.put_u64_list(
-            "dram_channel_busy",
-            self.dram_channel_busy.iter().map(|b| b.to_bits()),
-        );
-        bag.put_u64("next_req_id", self.next_req_id);
-        bag.put_u64_list(
-            "l1_stats",
-            [
-                self.l1_stats.hits,
-                self.l1_stats.misses,
-                self.l1_stats.mshr_merges,
-            ],
-        );
-        bag.put_u64_list(
-            "l2_stats",
-            [
-                self.l2_stats.hits,
-                self.l2_stats.misses,
-                self.l2_stats.mshr_merges,
-            ],
-        );
-        bag.put_u64_list(
-            "dram_stats",
-            [
-                self.dram_stats.bytes_read,
-                self.dram_stats.bytes_written,
-                self.dram_stats.bytes_requested,
-                self.dram_stats.busy_channel_cycles.to_bits(),
-                self.dram_stats.transactions,
-            ],
-        );
-        bag
-    }
-
-    /// Restores state exported by [`MemorySystem::export_state`] onto a
-    /// hierarchy built with the same configuration.
-    ///
-    /// # Errors
-    ///
-    /// [`BagError`] when the bag is malformed or was exported from a
-    /// differently-shaped hierarchy (SM count, set count, channel count).
-    pub fn import_state(&mut self, bag: &StateBag) -> Result<(), BagError> {
-        let l1 = bag.list("l1")?;
-        if l1.len() != self.l1.len() {
-            return Err(BagError::Mismatch(format!(
-                "snapshot has {} L1s, host has {}",
-                l1.len(),
-                self.l1.len()
-            )));
-        }
-        for (sm, snap) in l1.iter().enumerate() {
-            let crate::snapshot::SnapValue::Bag(b) = snap else {
-                return Err(BagError::WrongKind("l1".into()));
-            };
-            self.l1[sm].import_state(b.bag("cache")?)?;
-            self.l1_mshr[sm].import_state(b.u64_list("mshr")?);
-            self.l1_port_busy[sm] = b.u64("port_busy")?;
-            self.l1_pending[sm] = pairs_into_map(b.u64_list("pending")?, "pending")?;
-        }
-        self.l2.import_state(bag.bag("l2")?)?;
-        self.l2_mshr.import_state(bag.u64_list("l2_mshr")?);
-        self.l2_pending = pairs_into_map(bag.u64_list("l2_pending")?, "l2_pending")?;
-        let chans = bag.u64_list("dram_channel_busy")?;
-        if chans.len() != self.dram_channel_busy.len() {
-            return Err(BagError::Mismatch(format!(
-                "snapshot has {} DRAM channels, host has {}",
-                chans.len(),
-                self.dram_channel_busy.len()
-            )));
-        }
-        self.dram_channel_busy = chans.into_iter().map(f64::from_bits).collect();
-        self.next_req_id = bag.u64("next_req_id")?;
-        let s1 = bag.u64_list("l1_stats")?;
-        let s2 = bag.u64_list("l2_stats")?;
-        let sd = bag.u64_list("dram_stats")?;
-        if s1.len() != 3 || s2.len() != 3 || sd.len() != 5 {
-            return Err(BagError::Mismatch("bad stats arity".into()));
-        }
-        self.l1_stats = CacheStats {
-            hits: s1[0],
-            misses: s1[1],
-            mshr_merges: s1[2],
-        };
-        self.l2_stats = CacheStats {
-            hits: s2[0],
-            misses: s2[1],
-            mshr_merges: s2[2],
-        };
-        self.dram_stats = DramStats {
-            bytes_read: sd[0],
-            bytes_written: sd[1],
-            bytes_requested: sd[2],
-            busy_channel_cycles: f64::from_bits(sd[3]),
-            transactions: sd[4],
-        };
-        Ok(())
+    crate::snap_fields! {
+        pub fn export_state / import_state;
+        #[host] l1,
+        l2,
+        l2_mshr,
+        l2_pending,
+        #[host] dram_channel_busy,
+        next_req_id,
+        l1_stats,
+        l2_stats,
+        dram_stats,
     }
 }
 
@@ -985,13 +858,47 @@ mod tests {
         let buf = m.alloc(128, 64);
         m.write_u32(buf, 0xdead_beef);
         let bag = m.export_state();
-        assert!(bag.bytes("image").unwrap().len() < 1 << 12, "tail elided");
-        let mut back = GlobalMemory::new(16); // wrong size: import resizes
+        let image = bag.get("image").unwrap().as_bytes("image").unwrap();
+        assert!(image.len() < 1 << 12, "tail elided");
+        let mut back = GlobalMemory::new(1 << 16);
+        back.write_u32((1 << 16) - 4, 7); // stale host bytes past the image
         back.import_state(&bag).unwrap();
-        assert_eq!(back.capacity(), 1 << 16);
         assert_eq!(back.read_u32(buf), 0xdead_beef);
+        assert_eq!(back.read_u32((1 << 16) - 4), 0, "zero tail restored");
         let next = back.alloc(16, 16);
         assert_eq!(next, m.alloc(16, 16), "bump allocator position restored");
+    }
+
+    #[test]
+    fn global_memory_rejects_hostile_sizes_before_allocating() {
+        let mut m = GlobalMemory::new(1 << 12);
+        m.alloc(64, 64);
+        let good = m.export_state();
+        let with = |name: &str, v: u64| {
+            let mut bag = StateBag::new();
+            for (n, val) in good.entries() {
+                let val = if n == name {
+                    SnapValue::U64(v)
+                } else {
+                    val.clone()
+                };
+                bag.put(n, val);
+            }
+            bag
+        };
+        let mut host = GlobalMemory::new(1 << 12);
+        for bag in [
+            with("capacity", 1 << 60),
+            with("capacity", 1 << 13),
+            with("next_free", (1 << 12) + 1),
+        ] {
+            assert!(matches!(
+                host.import_state(&bag),
+                Err(BagError::Mismatch(_))
+            ));
+        }
+        assert_eq!(host.capacity(), 1 << 12, "host untouched");
+        host.import_state(&good).unwrap();
     }
 
     #[test]

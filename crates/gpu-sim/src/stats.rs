@@ -2,7 +2,6 @@
 
 use crate::isa::InstrClass;
 use crate::mem::{CacheStats, DramStats};
-use crate::snapshot::{BagError, StateBag};
 use trace::CycleAttribution;
 
 /// Dynamic instruction counts by category (lane-level, i.e. one increment
@@ -198,117 +197,22 @@ impl SimStats {
         histogram(&self.warp_completions, bucket_width)
     }
 
-    /// Exports every counter into a [`StateBag`] (snapshot support).
-    /// Equal stats export equal bags; [`SimStats::from_bag`] inverts this
-    /// exactly, including the `f64` DRAM busy-cycle accumulator (stored
-    /// bit-exact).
-    pub fn to_bag(&self) -> StateBag {
-        let mut bag = StateBag::new();
-        bag.put_u64("warp_size", u64::from(self.warp_size));
-        bag.put_u64("cycles", self.cycles);
-        bag.put_u64("warp_instrs", self.warp_instrs);
-        bag.put_u64("lane_instrs", self.lane_instrs);
-        bag.put_u64_list(
-            "mix",
-            [
-                self.mix.alu,
-                self.mix.control,
-                self.mix.memory,
-                self.mix.traverse,
-            ],
-        );
-        bag.put_u64("flops", self.flops);
-        bag.put_u64_list("l1", [self.l1.hits, self.l1.misses, self.l1.mshr_merges]);
-        bag.put_u64_list("l2", [self.l2.hits, self.l2.misses, self.l2.mshr_merges]);
-        bag.put_u64_list(
-            "dram",
-            [
-                self.dram.bytes_read,
-                self.dram.bytes_written,
-                self.dram.bytes_requested,
-                self.dram.busy_channel_cycles.to_bits(),
-                self.dram.transactions,
-            ],
-        );
-        bag.put_u64("dram_channels", self.dram_channels as u64);
-        bag.put_u64("traversals_offloaded", self.traversals_offloaded);
-        bag.put_u64("sm_active_cycles", self.sm_active_cycles);
-        bag.put_u64_list(
-            "attribution",
-            [
-                self.attribution.simt_busy,
-                self.attribution.simt_stall_mem,
-                self.attribution.simt_stall_other,
-                self.attribution.accel_busy,
-                self.attribution.accel_starved,
-                self.attribution.queue_wait,
-                self.attribution.device_idle,
-            ],
-        );
-        bag.put_u64_list("warp_completions", self.warp_completions.iter().copied());
-        bag
-    }
-
-    /// Rebuilds stats from a bag produced by [`SimStats::to_bag`].
-    ///
-    /// # Errors
-    ///
-    /// [`BagError`] when an entry is missing, mistyped, or a fixed-arity
-    /// list has the wrong length.
-    pub fn from_bag(bag: &StateBag) -> Result<Self, BagError> {
-        fn fixed<const N: usize>(bag: &StateBag, name: &str) -> Result<[u64; N], BagError> {
-            let v = bag.u64_list(name)?;
-            v.try_into()
-                .map_err(|_| BagError::Mismatch(format!("`{name}` has the wrong arity")))
-        }
-        let mix = fixed::<4>(bag, "mix")?;
-        let l1 = fixed::<3>(bag, "l1")?;
-        let l2 = fixed::<3>(bag, "l2")?;
-        let dram = fixed::<5>(bag, "dram")?;
-        let attr = fixed::<7>(bag, "attribution")?;
-        Ok(SimStats {
-            warp_size: bag.u64("warp_size")? as u32,
-            cycles: bag.u64("cycles")?,
-            warp_instrs: bag.u64("warp_instrs")?,
-            lane_instrs: bag.u64("lane_instrs")?,
-            mix: InstrMix {
-                alu: mix[0],
-                control: mix[1],
-                memory: mix[2],
-                traverse: mix[3],
-            },
-            flops: bag.u64("flops")?,
-            l1: CacheStats {
-                hits: l1[0],
-                misses: l1[1],
-                mshr_merges: l1[2],
-            },
-            l2: CacheStats {
-                hits: l2[0],
-                misses: l2[1],
-                mshr_merges: l2[2],
-            },
-            dram: DramStats {
-                bytes_read: dram[0],
-                bytes_written: dram[1],
-                bytes_requested: dram[2],
-                busy_channel_cycles: f64::from_bits(dram[3]),
-                transactions: dram[4],
-            },
-            dram_channels: bag.u64("dram_channels")? as usize,
-            traversals_offloaded: bag.u64("traversals_offloaded")?,
-            sm_active_cycles: bag.u64("sm_active_cycles")?,
-            attribution: CycleAttribution {
-                simt_busy: attr[0],
-                simt_stall_mem: attr[1],
-                simt_stall_other: attr[2],
-                accel_busy: attr[3],
-                accel_starved: attr[4],
-                queue_wait: attr[5],
-                device_idle: attr[6],
-            },
-            warp_completions: bag.u64_list("warp_completions")?,
-        })
+    crate::snap_fields! {
+        pub fn export_state / import_state;
+        warp_size,
+        cycles,
+        warp_instrs,
+        lane_instrs,
+        mix,
+        flops,
+        l1,
+        l2,
+        dram,
+        dram_channels,
+        traversals_offloaded,
+        sm_active_cycles,
+        attribution,
+        warp_completions,
     }
 
     /// Serializes the raw counters as a JSON object with a stable field
@@ -359,6 +263,24 @@ impl SimStats {
                 .join(","),
         )
     }
+}
+
+crate::snap_state!(SimStats);
+
+// Fixed-arity counter rows, in field order.
+crate::snap_row! {
+    InstrMix { alu, control, memory, traverse };
+    CacheStats { hits, misses, mshr_merges };
+    DramStats { bytes_read, bytes_written, bytes_requested, busy_channel_cycles, transactions };
+    CycleAttribution {
+        simt_busy,
+        simt_stall_mem,
+        simt_stall_other,
+        accel_busy,
+        accel_starved,
+        queue_wait,
+        device_idle,
+    };
 }
 
 #[cfg(test)]
@@ -562,7 +484,8 @@ mod tests {
         s.dram.busy_channel_cycles = 123.456;
         s.attribution.simt_busy = 600;
         s.attribution.accel_busy = 400;
-        let back = SimStats::from_bag(&s.to_bag()).unwrap();
+        let mut back = SimStats::default();
+        back.import_state(&s.export_state()).unwrap();
         assert_eq!(back, s);
         assert_eq!(back.to_json(), s.to_json());
     }

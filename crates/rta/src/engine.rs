@@ -22,7 +22,7 @@ use std::collections::{BinaryHeap, HashMap, VecDeque};
 
 use gpu_sim::accel::{AccelCtx, Accelerator, TraversalRequest};
 use gpu_sim::mem::GlobalMemory;
-use gpu_sim::snapshot::{BagError, StateBag};
+use gpu_sim::snapshot::BagError;
 
 use crate::config::RtaConfig;
 use crate::units::{IntersectionBackend, TestKind, UnitStats};
@@ -584,13 +584,28 @@ impl Accelerator for TraversalEngine {
         self.trace = trace;
     }
 
-    fn export_state(&self) -> StateBag {
-        // Quiescent-point invariants: no resident rays, no queued work.
-        // What *does* persist across launches: the free-slot order (its
-        // pop order decides future slot ids, which break event-queue ties),
-        // the in-flight fetch map and speculative prefetch queue (late
-        // completions merge with future fetches), the issue/arbiter stamps,
-        // and all cumulative statistics.
+    // What persists across launches: the free-slot order (its pop order
+    // decides future slot ids, which break event-queue ties), the in-flight
+    // fetch map and speculative prefetch queue (late completions merge
+    // with future fetches), the issue/arbiter stamps, and all cumulative
+    // statistics.
+    gpu_sim::snap_fields! {
+        fn export_state / import_state, before export assert_quiescent,
+            after import check_free_slots;
+        free_slots,
+        inflight,
+        prefetch_queue,
+        next_issue_slot,
+        next_arbiter_slot,
+        traversals,
+        stats,
+        backend,
+    }
+}
+
+impl TraversalEngine {
+    /// Quiescent-point invariants: no resident rays, no queued work.
+    fn assert_quiescent(&self) {
         assert!(
             self.warp_outstanding.is_empty()
                 && self.completed.is_empty()
@@ -600,77 +615,32 @@ impl Accelerator for TraversalEngine {
                 && self.last_busy_from.is_none(),
             "engine snapshots are taken only at quiescent points"
         );
-        let mut bag = StateBag::new();
-        bag.put_u64_list("free_slots", self.free_slots.iter().map(|&s| s as u64));
-        let mut inflight: Vec<(u64, u64)> = self.inflight.iter().map(|(&a, &d)| (a, d)).collect();
-        inflight.sort_unstable();
-        bag.put_u64_list("inflight", inflight.into_iter().flat_map(|(a, d)| [a, d]));
-        bag.put_u64_list(
-            "prefetch_queue",
-            self.prefetch_queue.iter().flat_map(|&(a, t)| [a, t]),
-        );
-        bag.put_u64("next_issue_slot", self.next_issue_slot);
-        bag.put_u64("next_arbiter_slot", self.next_arbiter_slot);
-        bag.put_u64("traversals", self.traversals);
-        bag.put_u64_list(
-            "stats",
-            [
-                self.stats.warps_accepted,
-                self.stats.rays_completed,
-                self.stats.node_fetches,
-                self.stats.fetch_merges,
-                self.stats.nodes_processed,
-                self.stats.warp_buffer_accesses,
-                self.stats.prefetches,
-                self.stats.busy_cycles,
-            ],
-        );
-        bag.put_bag("backend", self.backend.export_state());
-        bag
     }
 
-    fn import_state(&mut self, bag: &StateBag) -> Result<(), BagError> {
-        let free_slots = bag.u64_list("free_slots")?;
-        if free_slots.len() != self.rays.len()
-            || free_slots.iter().any(|&s| s as usize >= self.rays.len())
-        {
+    /// A quiescent engine has every ray slot free.
+    fn check_free_slots(&self) -> Result<(), BagError> {
+        let n = self.rays.len();
+        if self.free_slots.len() != n || self.free_slots.iter().any(|&s| s >= n) {
             return Err(BagError::Mismatch(format!(
-                "snapshot has {} ray slots, host has {}",
-                free_slots.len(),
-                self.rays.len()
+                "snapshot has {} ray slots, host has {n}",
+                self.free_slots.len()
             )));
         }
-        self.free_slots = free_slots.into_iter().map(|s| s as usize).collect();
-        let inflight = bag.u64_list("inflight")?;
-        if inflight.len() % 2 != 0 {
-            return Err(BagError::Mismatch("odd inflight pair list".to_owned()));
-        }
-        self.inflight = inflight.chunks_exact(2).map(|p| (p[0], p[1])).collect();
-        let prefetch = bag.u64_list("prefetch_queue")?;
-        if prefetch.len() % 2 != 0 {
-            return Err(BagError::Mismatch("odd prefetch pair list".to_owned()));
-        }
-        self.prefetch_queue = prefetch.chunks_exact(2).map(|p| (p[0], p[1])).collect();
-        self.next_issue_slot = bag.u64("next_issue_slot")?;
-        self.next_arbiter_slot = bag.u64("next_arbiter_slot")?;
-        self.traversals = bag.u64("traversals")?;
-        let s = bag.u64_list("stats")?;
-        let s: [u64; 8] = s
-            .try_into()
-            .map_err(|_| BagError::Mismatch("engine stats arity".to_owned()))?;
-        self.stats = EngineStats {
-            warps_accepted: s[0],
-            rays_completed: s[1],
-            node_fetches: s[2],
-            fetch_merges: s[3],
-            nodes_processed: s[4],
-            warp_buffer_accesses: s[5],
-            prefetches: s[6],
-            busy_cycles: s[7],
-        };
-        self.backend.import_state(bag.bag("backend")?)?;
         Ok(())
     }
+}
+
+gpu_sim::snap_row! {
+    EngineStats {
+        warps_accepted,
+        rays_completed,
+        node_fetches,
+        fetch_merges,
+        nodes_processed,
+        warp_buffer_accesses,
+        prefetches,
+        busy_cycles,
+    };
 }
 
 #[cfg(test)]

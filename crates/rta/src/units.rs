@@ -132,74 +132,22 @@ impl PipelinedUnit {
         self.next_issue.max(now)
     }
 
-    /// Exports the unit's dynamic state (issue stamp, in-flight tracker,
-    /// statistics). Latency and interval are configuration and stay out.
-    pub fn export_state(&self) -> StateBag {
-        let mut bag = StateBag::new();
-        bag.put_u64("next_issue", self.next_issue);
-        // Retained lazily, so stale end-times are part of the state: the
-        // peak-occupancy accounting of the next `schedule` depends on them.
-        bag.put_u64_list("in_flight", self.in_flight.iter().copied());
-        bag.put_u64("invocations", self.stats.invocations);
-        bag.put_u64("busy_cycles", self.stats.busy_cycles);
-        bag.put_u64("peak_in_flight", self.stats.peak_in_flight as u64);
-        bag.put_u64("total_latency", self.stats.total_latency);
-        bag
-    }
-
-    /// Restores state exported by [`PipelinedUnit::export_state`].
-    ///
-    /// # Errors
-    ///
-    /// [`BagError`] when the bag is malformed.
-    pub fn import_state(&mut self, bag: &StateBag) -> Result<(), BagError> {
-        self.next_issue = bag.u64("next_issue")?;
-        self.in_flight = bag.u64_list("in_flight")?;
-        self.stats.invocations = bag.u64("invocations")?;
-        self.stats.busy_cycles = bag.u64("busy_cycles")?;
-        self.stats.peak_in_flight = bag.u64("peak_in_flight")? as usize;
-        self.stats.total_latency = bag.u64("total_latency")?;
-        Ok(())
+    // Snapshot support: the issue stamp, the in-flight tracker (retained
+    // lazily, so stale end-times are state: the peak-occupancy accounting
+    // of the next `schedule` depends on them) and the statistics. Latency
+    // and interval are configuration and stay out.
+    gpu_sim::snap_fields! {
+        pub fn export_state / import_state;
+        next_issue,
+        in_flight,
+        invocations: stats.invocations,
+        busy_cycles: stats.busy_cycles,
+        peak_in_flight: stats.peak_in_flight,
+        total_latency: stats.total_latency,
     }
 }
 
-/// Exports a bank of units as a list of per-unit bags.
-pub fn export_units(units: &[PipelinedUnit]) -> gpu_sim::snapshot::SnapValue {
-    gpu_sim::snapshot::SnapValue::List(
-        units
-            .iter()
-            .map(|u| gpu_sim::snapshot::SnapValue::Bag(u.export_state()))
-            .collect(),
-    )
-}
-
-/// Restores a bank of units from a list exported by [`export_units`].
-///
-/// # Errors
-///
-/// [`BagError::Mismatch`] when the bank sizes disagree, [`BagError`] when
-/// any element is malformed.
-pub fn import_units(
-    units: &mut [PipelinedUnit],
-    bag: &StateBag,
-    name: &str,
-) -> Result<(), BagError> {
-    let list = bag.list(name)?;
-    if list.len() != units.len() {
-        return Err(BagError::Mismatch(format!(
-            "`{name}` has {} units, host has {}",
-            list.len(),
-            units.len()
-        )));
-    }
-    for (u, v) in units.iter_mut().zip(list) {
-        match v {
-            gpu_sim::snapshot::SnapValue::Bag(b) => u.import_state(b)?,
-            _ => return Err(BagError::WrongKind(name.to_owned())),
-        }
-    }
-    Ok(())
-}
+gpu_sim::snap_state!(PipelinedUnit, Box<dyn IntersectionBackend>);
 
 /// Timing backend for intersection tests.
 pub trait IntersectionBackend: std::fmt::Debug {
@@ -342,23 +290,13 @@ impl IntersectionBackend for FixedFunctionBackend {
         out
     }
 
-    fn export_state(&self) -> StateBag {
-        let mut bag = StateBag::new();
-        bag.put("box_units", export_units(&self.box_units));
-        bag.put("tri_units", export_units(&self.tri_units));
-        bag.put_bag("xform_unit", self.xform_unit.export_state());
-        bag.put_bag("shader", self.shader.export_state());
-        bag.put_u64("shader_calls", self.shader_calls);
-        bag
-    }
-
-    fn import_state(&mut self, bag: &StateBag) -> Result<(), BagError> {
-        import_units(&mut self.box_units, bag, "box_units")?;
-        import_units(&mut self.tri_units, bag, "tri_units")?;
-        self.xform_unit.import_state(bag.bag("xform_unit")?)?;
-        self.shader.import_state(bag.bag("shader")?)?;
-        self.shader_calls = bag.u64("shader_calls")?;
-        Ok(())
+    gpu_sim::snap_fields! {
+        fn export_state / import_state;
+        #[host] box_units,
+        #[host] tri_units,
+        xform_unit,
+        shader,
+        shader_calls,
     }
 }
 

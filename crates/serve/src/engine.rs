@@ -9,7 +9,7 @@
 
 use std::collections::VecDeque;
 
-use gpu_sim::snapshot::{BagError, SnapValue, StateBag};
+use gpu_sim::snapshot::{BagError, StateBag};
 use gpu_sim::SimStats;
 use trace::{Bucket, CycleAttribution, TraceHandle, Track};
 
@@ -411,71 +411,28 @@ impl DeviceEngine {
         self.launch_stats
     }
 
-    /// Exports the engine's dynamic state — queue contents, accounting
-    /// counters, per-launch stats — into a [`StateBag`]. Policy, trace
-    /// handle and track ids are configuration and stay out of the bag;
-    /// restore overlays onto an engine built with the same
-    /// [`DeviceEngine::new`] arguments.
-    pub fn export_state(&self) -> StateBag {
-        let mut bag = StateBag::new();
-        bag.put_u64_list("queue_ids", self.queue.iter().map(|&(id, _)| id as u64));
-        bag.put_u64_list("queue_arrivals", self.queue.iter().map(|&(_, t)| t));
-        bag.put_u64("device_free_at", self.device_free_at);
-        bag.put_u64("batches", self.batches);
-        bag.put_u64("max_queue_depth", self.max_queue_depth as u64);
-        bag.put_u64("dropped", self.dropped);
-        bag.put_u64("completed", self.completed);
-        bag.put_u64("busy_cycles", self.busy_cycles);
-        bag.put_u64("queue_wait_cycles", self.queue_wait_cycles);
-        bag.put_u64("idle_cycles", self.idle_cycles);
-        bag.put_list(
-            "launch_stats",
-            self.launch_stats
-                .iter()
-                .map(|s| SnapValue::Bag(s.to_bag()))
-                .collect(),
-        );
-        bag
-    }
-
-    /// Restores state exported by [`DeviceEngine::export_state`].
-    ///
-    /// # Errors
-    ///
-    /// [`BagError`] when the bag is malformed (missing entries, wrong
-    /// kinds, or inconsistent queue lists).
-    pub fn import_state(&mut self, bag: &StateBag) -> Result<(), BagError> {
-        let ids = bag.u64_list("queue_ids")?;
-        let arrivals = bag.u64_list("queue_arrivals")?;
-        if ids.len() != arrivals.len() {
-            return Err(BagError::Mismatch(
-                "queue id/arrival list lengths disagree".into(),
-            ));
-        }
-        self.queue = ids
-            .iter()
-            .zip(&arrivals)
-            .map(|(&id, &t)| (id as usize, t))
-            .collect();
-        self.device_free_at = bag.u64("device_free_at")?;
-        self.batches = bag.u64("batches")?;
-        self.max_queue_depth = bag.u64("max_queue_depth")? as usize;
-        self.dropped = bag.u64("dropped")?;
-        self.completed = bag.u64("completed")?;
-        self.busy_cycles = bag.u64("busy_cycles")?;
-        self.queue_wait_cycles = bag.u64("queue_wait_cycles")?;
-        self.idle_cycles = bag.u64("idle_cycles")?;
-        self.launch_stats = bag
-            .list("launch_stats")?
-            .iter()
-            .map(|v| match v {
-                SnapValue::Bag(b) => SimStats::from_bag(b),
-                _ => Err(BagError::WrongKind("launch_stats".into())),
-            })
-            .collect::<Result<_, _>>()?;
-        Ok(())
+    // Snapshot support: queue contents, accounting counters, per-launch
+    // stats. Policy, trace handle and track ids are configuration; restore
+    // overlays onto an engine built with the same `DeviceEngine::new`
+    // arguments. `queue_ids` sizes the queue, so `queue_arrivals` must
+    // then match it.
+    gpu_sim::snap_fields! {
+        pub fn export_state / import_state;
+        queue_ids: queue[..].0,
+        #[host] queue_arrivals: queue[..].1,
+        device_free_at,
+        batches,
+        max_queue_depth,
+        dropped,
+        completed,
+        busy_cycles,
+        queue_wait_cycles,
+        idle_cycles,
+        launch_stats,
     }
 }
+
+gpu_sim::snap_state!(DeviceEngine);
 
 /// Runs the serving loop: admits `arrivals` (cycle stamps, ascending) into
 /// a FIFO queue, forms batches per `cfg.policy`, executes them on `svc`,

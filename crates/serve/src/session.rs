@@ -15,7 +15,7 @@
 //! and no event can fire strictly inside `(now, t)`, so a resumed run
 //! replays the identical event sequence.
 
-use gpu_sim::snapshot::{fnv1a_64, BagError, StateBag};
+use gpu_sim::snapshot::fnv1a_64;
 use trace::Track;
 
 use crate::engine::{BatchService, DeviceEngine, QueryOutcome, ServeConfig, ServeOutcome};
@@ -31,23 +31,6 @@ pub struct ServeSession {
     makespan: u64,
     now: u64,
     next_arrival: usize,
-}
-
-/// Completion stored as `cycle + 1` so 0 can mean "not completed" in a
-/// `u64` list (completions are cycle stamps and may legitimately be 0+1).
-fn encode_completion(c: Option<u64>) -> u64 {
-    c.map_or(0, |v| v + 1)
-}
-
-fn decode_completion(v: u64) -> Option<u64> {
-    v.checked_sub(1)
-}
-
-/// Identity hash of an arrival stream — guards a session snapshot against
-/// being resumed onto a different stream.
-fn stream_fnv(arrivals: &[u64]) -> u64 {
-    let bytes: Vec<u8> = arrivals.iter().flat_map(|v| v.to_le_bytes()).collect();
-    fnv1a_64(&bytes)
 }
 
 impl ServeSession {
@@ -195,63 +178,33 @@ impl ServeSession {
         }
     }
 
-    /// Exports the session's dynamic state. The arrival stream itself is
-    /// configuration (regenerated from the experiment seed on restore) and
-    /// is represented only by an identity hash; the backend's state is
-    /// *not* included — snapshot it separately via
-    /// [`BatchService::export_state`].
-    pub fn export_state(&self) -> StateBag {
-        let mut bag = StateBag::new();
-        bag.put_u64("stream_len", self.arrivals.len() as u64);
-        bag.put_u64("stream_fnv", stream_fnv(&self.arrivals));
-        bag.put_u64("now", self.now);
-        bag.put_u64("next_arrival", self.next_arrival as u64);
-        bag.put_u64("makespan", self.makespan);
-        bag.put_u64_list(
-            "completions",
-            self.queries.iter().map(|q| encode_completion(q.completion)),
-        );
-        bag.put_bag("engine", self.engine.export_state());
-        bag
+    // Snapshot support. The arrival stream itself is configuration
+    // (regenerated from the experiment seed on restore) and is represented
+    // only by its length and identity hash; the backend's state is *not*
+    // included — snapshot it separately via `BatchService::export_state`.
+    gpu_sim::snap_fields! {
+        pub fn export_state / import_state;
+        #[check] stream_len: arrivals.len(),
+        #[check] stream_fnv: stream_fnv(),
+        now,
+        next_arrival,
+        makespan,
+        #[host] completions: queries[..].completion,
+        engine,
     }
 
-    /// Restores state exported by [`export_state`](ServeSession::export_state)
-    /// onto a session built over the same stream and configuration.
-    ///
-    /// # Errors
-    ///
-    /// [`BagError::Mismatch`] when the bag was exported from a different
-    /// arrival stream; other [`BagError`]s for malformed bags.
-    pub fn import_state(&mut self, bag: &StateBag) -> Result<(), BagError> {
-        if bag.u64("stream_len")? != self.arrivals.len() as u64
-            || bag.u64("stream_fnv")? != stream_fnv(&self.arrivals)
-        {
-            return Err(BagError::Mismatch(
-                "snapshot was taken over a different arrival stream".into(),
-            ));
-        }
-        let completions = bag.u64_list("completions")?;
-        if completions.len() != self.queries.len() {
-            return Err(BagError::Mismatch(format!(
-                "snapshot has {} query outcomes, stream offers {}",
-                completions.len(),
-                self.queries.len()
-            )));
-        }
-        self.engine.import_state(bag.bag("engine")?)?;
-        self.now = bag.u64("now")?;
-        self.next_arrival = bag.u64("next_arrival")? as usize;
-        self.makespan = bag.u64("makespan")?;
-        for (q, &c) in self.queries.iter_mut().zip(&completions) {
-            q.completion = decode_completion(c);
-        }
-        Ok(())
+    /// Identity hash of the arrival stream — guards a session snapshot
+    /// against being resumed onto a different stream.
+    fn stream_fnv(&self) -> u64 {
+        let bytes: Vec<u8> = self.arrivals.iter().flat_map(|v| v.to_le_bytes()).collect();
+        fnv1a_64(&bytes)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpu_sim::snapshot::BagError;
     use gpu_sim::SimStats;
     use trace::TraceHandle;
 

@@ -167,7 +167,9 @@ fn make_session(o: &Opts) -> Result<Box<dyn RunSession>, String> {
 
 /// The simulator clock inside an exported session bag, for reporting.
 fn clock_of(bag: &StateBag) -> u64 {
-    bag.bag("gpu").and_then(|g| g.u64("clock")).unwrap_or(0)
+    bag.entry("gpu")
+        .and_then(|g| g.as_bag("gpu")?.entry("clock")?.as_u64("clock"))
+        .unwrap_or(0)
 }
 
 /// Replays a snapshot file to completion (reproduce-from-snapshot mode).

@@ -465,23 +465,26 @@ mod tests {
 
     fn sample_bag() -> StateBag {
         let mut inner = StateBag::new();
-        inner.put_u64("clock", 1234);
-        inner.put_bytes("image", vec![0xde, 0xad, 0xbe, 0xef]);
+        inner.put("clock", SnapValue::U64(1234));
+        inner.put("image", SnapValue::Bytes(vec![0xde, 0xad, 0xbe, 0xef]));
         let mut bag = StateBag::new();
-        bag.put_u64("answer", 42);
-        bag.put_f64("ratio", -1.5);
-        bag.put_bytes("blob", (0..=255).collect());
-        bag.put_u64_list("stamps", [0, 1, u64::MAX]);
-        bag.put_list(
+        bag.put("answer", SnapValue::U64(42));
+        bag.put("ratio", SnapValue::U64((-1.5f64).to_bits()));
+        bag.put("blob", SnapValue::Bytes((0..=255).collect()));
+        bag.put(
+            "stamps",
+            SnapValue::List([0, 1, u64::MAX].map(SnapValue::U64).to_vec()),
+        );
+        bag.put(
             "mixed",
-            vec![
+            SnapValue::List(vec![
                 SnapValue::U64(7),
                 SnapValue::Bytes(vec![]),
                 SnapValue::List(vec![SnapValue::U64(8)]),
                 SnapValue::Bag(inner.clone()),
-            ],
+            ]),
         );
-        bag.put_bag("gpu", inner);
+        bag.put("gpu", SnapValue::Bag(inner));
         bag
     }
 
@@ -616,7 +619,7 @@ mod tests {
         let a = schema_fingerprint(&sample_bag());
         let mut other = sample_bag();
         assert_eq!(a, schema_fingerprint(&other));
-        other.put_u64("extra", 1);
+        other.put("extra", SnapValue::U64(1));
         assert_ne!(a, schema_fingerprint(&other));
     }
 }

@@ -29,9 +29,9 @@
 #   8. the snapshot/restore smoke: a cold --quick fig13 populates a
 #      snapshot store, a warm --resume rerun restores every run's final
 #      state without re-simulating, and the two journals must be
-#      byte-identical; then tta-snap-bisect --diff proves one real
-#      TTA point restores and replays byte-identically at every step
-#      boundary
+#      byte-identical; then tta-snap-bisect --diff proves real points
+#      (B-Tree on TTA, RT and N-Body on TTA+, RTNN on the RTA) restore
+#      and replay byte-identically at every step boundary
 #   9. a shadow- and race-checked --quick fig13 sweep (TTA_SHADOW_CHECK=1
 #      TTA_RACE_CHECK=1): the runtime soundness gate asserting every
 #      register value and SIMT stack depth stays inside its static
@@ -176,14 +176,19 @@ run cargo run "${CARGO_FLAGS[@]}" --release -p tta-trace --bin tta-trace-check -
 # Snapshot/restore smoke: the cold pass simulates and saves every run's
 # final state under results/snap-smoke; the warm --resume pass restores
 # instead of simulating and must write the byte-identical journal. The
-# bisect tool's --diff self-check then proves a real TTA point restores
-# and replays byte-identically at every step boundary.
+# bisect tool's --diff self-check then proves real points restore and
+# replay byte-identically at every step boundary: B-Tree on TTA, plus the
+# accelerator layouts (ray tracing and N-Body on TTA+, RTNN on the RTA).
 rm -rf results/snap-smoke
 run cargo run "${CARGO_FLAGS[@]}" --release -p tta-bench --bin fig13 -- --quick --threads 2 --snapshot-dir results/snap-smoke
 cp results/fig13.journal.json results/snap-smoke-cold.journal.json
 run cargo run "${CARGO_FLAGS[@]}" --release -p tta-bench --bin fig13 -- --quick --threads 2 --snapshot-dir results/snap-smoke --resume
 run cmp results/snap-smoke-cold.journal.json results/fig13.journal.json
-run cargo run "${CARGO_FLAGS[@]}" --release -p tta-snap --bin tta-snap-bisect -- --workload btree --platform tta --chunks 3 --scale 0.2 --diff
+for point in "btree tta" "rt ttaplus" "rtnn rta" "nbody ttaplus"; do
+    read -r workload platform <<<"$point"
+    run cargo run "${CARGO_FLAGS[@]}" --release -p tta-snap --bin tta-snap-bisect -- \
+        --workload "$workload" --platform "$platform" --chunks 3 --scale 0.2 --diff
+done
 
 # Runtime soundness gate: rerun the Fig. 13 sweep with every launch
 # shadow-checked against the abstract interpreter and race-checked by the

@@ -23,6 +23,7 @@
 pub mod bench_log;
 
 use energy::ActivityCounts;
+use workloads::runner::parse_scale;
 use workloads::RunResult;
 
 pub use harness::{prepare, run_or_resume, InputCache, SnapshotStore, Sweep};
@@ -91,9 +92,7 @@ impl Args {
             match a.as_str() {
                 "--scale" => {
                     let v = it.next().ok_or("--scale needs a value")?;
-                    args.scale = v
-                        .parse()
-                        .map_err(|_| format!("--scale needs a number, got `{v}`"))?;
+                    args.scale = parse_scale(&v).map_err(|e| e.to_string())?;
                 }
                 "--quick" => args.quick = true,
                 "--trace" => {
@@ -318,6 +317,12 @@ mod tests {
         assert_eq!(ok.threads, 3);
         assert!(ok.quick);
         assert!((ok.scale - 0.5).abs() < 1e-12);
+        // An infinite scale never finishes sizing a sweep; the others
+        // would silently run it at the 64-element floor.
+        for bad in ["inf", "nan", "0", "-1", "x"] {
+            let err = parse(&["--scale", bad]).unwrap_err();
+            assert!(err.contains("finite number above 0"), "{bad}: {err}");
+        }
         assert!(ok.trace.is_none(), "tracing is opt-in");
         let tr = parse(&["--trace", "results/tr"]).unwrap();
         assert_eq!(

@@ -432,7 +432,7 @@ impl TripFact {
 /// Declared bracket for the offloaded `Traverse` instruction: accelerator
 /// steps (node visits including leaf-primitive fetch rounds) per query,
 /// and a per-step worst-case cycle cost the caller derives from its
-/// platform configuration (see `workloads::cost::node_step_cost_upper`).
+/// platform configuration (see `workloads::cost::step_cost_upper`).
 #[derive(Debug, Clone, Copy)]
 pub struct TraversalFact {
     /// Minimum steps per query.

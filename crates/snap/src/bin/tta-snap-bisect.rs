@@ -36,6 +36,7 @@ use workloads::lumibench::{RtExperiment, RtWorkload};
 use workloads::nbody::NBodyExperiment;
 use workloads::rtnn::{LeafPath, RtnnExperiment};
 use workloads::rtree::RTreeExperiment;
+use workloads::runner::parse_scale;
 use workloads::{Platform, RunSession};
 
 const USAGE: &str = "usage: tta-snap-bisect [--workload btree|rtree|rtnn|nbody|rt] \
@@ -82,10 +83,7 @@ fn parse_opts() -> Result<Opts, String> {
                     .ok_or(format!("--chunks needs a positive integer, got `{v}`"))?;
             }
             "--scale" => {
-                let v = val("--scale")?;
-                o.scale = v
-                    .parse()
-                    .map_err(|_| format!("--scale needs a number, got `{v}`"))?;
+                o.scale = parse_scale(&val("--scale")?).map_err(|e| e.to_string())?;
             }
             "--snapshot-dir" => o.snapshot_dir = PathBuf::from(val("--snapshot-dir")?),
             "--resume" => o.resume = Some(PathBuf::from(val("--resume")?)),

@@ -17,6 +17,7 @@ use tta::btree_sem::{self, BTreeSemantics};
 use tta::programs::UopProgram;
 
 use crate::cacheable::CacheableExperiment;
+use crate::cost::Walk;
 use crate::gen;
 use crate::kernels::{btree_search_kernel, params};
 use crate::query::QueryWorkload;
@@ -199,6 +200,16 @@ impl QueryWorkload for BTreeLookups {
 
     fn simt_kernel(&self) -> Kernel {
         btree_search_kernel(self.0.ser.flavor == BTreeFlavor::BPlus)
+    }
+
+    fn walk(&self, queries: &[u32]) -> Walk {
+        let tree = &self.0.tree;
+        let visits = queries
+            .iter()
+            .map(|&q| tree.search(q).nodes_visited as u64)
+            .max()
+            .unwrap_or(1);
+        Walk::new(visits, visits, tree.node_count() as u64, 0)
     }
 
     fn write(&self, gmem: &mut GlobalMemory, addr: u64, key: u32) {

@@ -1,13 +1,16 @@
 //! Static cycle-bound predictions for the shipped experiments.
 //!
 //! [`gpu_sim::absint::cycle_bounds`] brackets one *launch* of one kernel
-//! given declared [`CostFacts`]; this module derives those facts for each
-//! experiment — from the host-side tree oracles (the same oracles `run()`
-//! verifies against) plus the platform configuration — and composes the
-//! per-launch brackets along the exact launch plan the matching session
-//! executes. The result is a static `[lower, upper]` bracket on the
-//! `RunResult::stats.cycles` the experiment will measure, which the
-//! `cost_gate` integration suite (and CI) re-validates on every run.
+//! given declared [`CostFacts`]; this module derives those facts and
+//! composes the per-launch brackets along the launch plan a session
+//! executes. Each workload walks its host tree oracle once
+//! ([`QueryWorkload::walk`]) into a [`Walk`]; one function,
+//! `kernel_facts`, turns a kernel (by the name it is built with) and a
+//! walk into facts; and [`predict`] folds the brackets over a
+//! [`QuerySession`]'s own plan. The result is a static `[lower, upper]`
+//! bracket on the `RunResult::stats.cycles` the experiment will measure,
+//! which the `cost_gate` integration suite (and CI) re-validates on every
+//! run.
 //!
 //! The facts are *input-derived but simulator-independent*: trip counts
 //! come from walking the host tree (nodes visited per query, fanout
@@ -30,15 +33,9 @@ use rta::config::RtaConfig;
 use trees::btree::MAX_KEYS;
 use trees::rtree::RTREE_FANOUT;
 
-use crate::btree::{traverse_only_kernel, BTreeExperiment};
-use crate::cacheable::CacheableExperiment;
-use crate::kernels::{btree_search_kernel, bvh_trace_kernel, nbody_force_kernel};
-use crate::lumibench::{rt_kernel_for, RtExperiment, RtWorkload};
-use crate::nbody::{merged_traverse_integrate_kernel, NBodyExperiment, PostProcess};
-use crate::rtnn::RtnnExperiment;
-use crate::rtree::{rtree_range_kernel, RTreeExperiment};
+use crate::query::QueryWorkload;
 use crate::runner::Platform;
-use trees::BTreeFlavor;
+use crate::session::{QuerySession, RtSession};
 
 /// Fixed per-step engine-bookkeeping allowance in [`step_cost_upper`]:
 /// warp-buffer entry, fetch-queue issue, result-retry events.
@@ -56,69 +53,138 @@ const INTEGRATE_TRIPS: TripFact = TripFact { min: 12, max: 13 };
 /// those steps' own charges (the aggregate-serialization argument of
 /// `gpu_sim::absint::cost`).
 pub fn step_cost_upper(gpu: &GpuConfig, platform: &Platform) -> u64 {
-    let mem = gpu_sim::absint::mem_worst_round_trip(gpu);
-    let (rta, test_max) = match platform {
-        Platform::BaselineGpu => return 0,
-        Platform::BaselineRta(c) => {
-            let t = c
-                .ray_triangle_latency
-                .max(c.ray_box_latency)
-                .max(c.transform_latency);
-            (c.clone(), t)
-        }
-        Platform::Tta(c) => {
-            let t = c
-                .rta
-                .ray_triangle_latency
-                .max(c.rta.ray_box_latency)
-                .max(c.rta.transform_latency)
-                .max(c.query_key_latency)
-                .max(c.point_to_point_latency);
-            (c.rta.clone(), t)
-        }
-        Platform::TtaPlus(plus, programs) => {
-            let mut rta = RtaConfig::baseline();
-            rta.shader_callback_latency = rta
-                .shader_callback_latency
-                .max(plus.shader_callback_latency);
-            rta.shader_interval = rta.shader_interval.max(plus.shader_interval);
-            let t = programs
-                .iter()
-                .map(|p| p.latency_bounds(plus.crossbar_hop_latency).1)
-                .max()
-                .unwrap_or(0)
-                .max(rta.ray_triangle_latency);
-            (rta, t)
-        }
-        Platform::TtaPlusWith(base, plus, programs) => {
-            let mut rta = base.clone();
-            rta.shader_callback_latency = rta
-                .shader_callback_latency
-                .max(plus.shader_callback_latency);
-            rta.shader_interval = rta.shader_interval.max(plus.shader_interval);
-            let t = programs
-                .iter()
-                .map(|p| p.latency_bounds(plus.crossbar_hop_latency).1)
-                .max()
-                .unwrap_or(0)
-                .max(rta.ray_triangle_latency);
-            (rta, t)
-        }
+    let Some(mut rta) = platform.engine_config() else {
+        return 0;
     };
-    mem + test_max
+    let fixed = rta
+        .ray_triangle_latency
+        .max(rta.ray_box_latency)
+        .max(rta.transform_latency);
+    let test_max = match platform {
+        Platform::Tta(c) => fixed.max(c.query_key_latency).max(c.point_to_point_latency),
+        Platform::TtaPlus(plus, programs) | Platform::TtaPlusWith(_, plus, programs) => {
+            rta.shader_callback_latency = rta
+                .shader_callback_latency
+                .max(plus.shader_callback_latency);
+            rta.shader_interval = rta.shader_interval.max(plus.shader_interval);
+            programs
+                .iter()
+                .map(|p| p.latency_bounds(plus.crossbar_hop_latency).1)
+                .max()
+                .unwrap_or(0)
+                .max(rta.ray_triangle_latency)
+        }
+        _ => fixed,
+    };
+    gpu_sim::absint::mem_worst_round_trip(gpu)
+        + test_max
         + rta.shader_callback_latency
         + rta.shader_interval
         + rta.submit_latency
         + STEP_SLACK
 }
 
-/// Brackets one launch, panicking if the facts leave anything unbounded
-/// (a bug in this module, not in the caller's inputs).
-fn launch(kernel: &Kernel, threads: usize, gpu: &GpuConfig, facts: &CostFacts) -> CycleBounds {
+/// The oracle bounds of one query set that every kernel's cost facts are
+/// derived from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Walk {
+    /// Node visits of the slowest query. Its steps are strictly
+    /// sequential, so they floor a traversal launch.
+    pub slowest_visits: u64,
+    /// Node visits any one query can make.
+    pub max_visits: u64,
+    /// Traversal steps (node fetches plus leaf-item rounds) any one query
+    /// can take, with slack.
+    pub max_steps: u64,
+    /// Nodes in the tree.
+    pub nodes: u64,
+    /// Leaf-item rounds (entries, points, particles or primitives) any
+    /// one query can take besides its node visits.
+    pub items: u64,
+}
+
+impl Walk {
+    /// A walk from oracle counts. The step budget doubles the worst
+    /// query's visits plus item rounds, and adds slack for the
+    /// begin/terminate events.
+    pub fn new(slowest_visits: u64, max_visits: u64, nodes: u64, items: u64) -> Walk {
+        Walk {
+            slowest_visits,
+            max_visits,
+            max_steps: 2 * (max_visits + items) + 8,
+            nodes,
+            items,
+        }
+    }
+}
+
+/// The cost facts of the kernel named `kernel` over `walk`, charging each
+/// traversal step `step_cost`; `None` for a kernel this module does not
+/// know. Trip facts list the kernel's back-edges in pc order.
+fn kernel_facts(kernel: &str, walk: &Walk, step_cost: u64) -> Option<CostFacts> {
+    let w = walk;
+    let trips = |trips| CostFacts {
+        trips,
+        traversal: None,
+    };
+    let traversal = |trips| CostFacts {
+        trips,
+        traversal: Some(TraversalFact {
+            min_steps: w.slowest_visits,
+            max_steps: w.max_steps,
+            step_cost_upper: step_cost,
+        }),
+    };
+    Some(match kernel {
+        // The key scan, then the node walk. The scan header runs at most
+        // MAX_KEYS+1 times per visited node.
+        "btree_search" | "bplus_search" => trips(vec![
+            TripFact::new(1, w.max_visits * (MAX_KEYS as u64 + 1)),
+            TripFact::new(1, w.max_visits + 1),
+        ]),
+        // Child push, leaf particle sum, walk. Every node pops at most
+        // once (walk ≤ nodes+1 headers); pushes total the child count
+        // (< nodes) plus one closing header per opened node (≤ nodes);
+        // particle rounds total the particles plus one closing header per
+        // visited leaf (≤ nodes).
+        "nbody_force" => trips(vec![
+            TripFact::new(0, 2 * w.nodes),
+            TripFact::new(0, w.items + w.nodes),
+            TripFact::new(1, w.nodes + 1),
+        ]),
+        "nbody_integrate" => trips(vec![INTEGRATE_TRIPS]),
+        // Triangle loop, walk. Triangle-loop headers total the tests plus
+        // one closing evaluation per visited leaf.
+        "bvh_trace" => trips(vec![
+            TripFact::new(0, w.items + w.max_visits),
+            TripFact::new(1, w.max_visits + 1),
+        ]),
+        // Leaf entry scan, child push, walk: each visited node tests at
+        // most a fanout of entries or children.
+        "rtree_range" => {
+            let tests = w.max_visits * (RTREE_FANOUT as u64 + 1);
+            trips(vec![
+                TripFact::new(0, tests),
+                TripFact::new(0, tests),
+                TripFact::new(1, w.max_visits + 1),
+            ])
+        }
+        "nbody_merged" => traversal(vec![INTEGRATE_TRIPS]),
+        name if name == "traverse_only" || name.starts_with("rt_pipeline") => traversal(Vec::new()),
+        _ => return None,
+    })
+}
+
+/// Brackets one launch of `threads` threads over `walk`, panicking if the
+/// kernel is unknown or the facts leave anything unbounded (a bug in this
+/// module, not in the caller's inputs).
+fn launch(kernel: &Kernel, threads: usize, gpu: &GpuConfig, walk: &Walk, step: u64) -> CycleBounds {
+    let facts = kernel_facts(&kernel.name, walk, step)
+        .unwrap_or_else(|| panic!("{}: no cost facts", kernel.name));
     let bounds = LaunchBounds {
         num_threads: threads as u32,
     };
-    let report = cycle_bounds(kernel, bounds, gpu, facts);
+    let report = cycle_bounds(kernel, bounds, gpu, &facts);
     report.bounds.unwrap_or_else(|| {
         panic!(
             "{}: cost facts left the bound open: {:?}",
@@ -127,292 +193,46 @@ fn launch(kernel: &Kernel, threads: usize, gpu: &GpuConfig, facts: &CostFacts) -
     })
 }
 
-/// A traversal fact from oracle-walked visit counts: the slowest query's
-/// visits floor the launch (its steps are strictly sequential), and the
-/// per-query step budget doubles `worst_steps` (node fetches plus
-/// leaf-primitive rounds) plus slack for begin/terminate events.
-fn traversal_fact(
-    slowest_query_visits: u64,
-    worst_steps: u64,
-    gpu: &GpuConfig,
-    platform: &Platform,
-) -> TraversalFact {
-    TraversalFact {
-        min_steps: slowest_query_visits,
-        max_steps: 2 * worst_steps + 8,
-        step_cost_upper: step_cost_upper(gpu, platform),
-    }
+/// Predicts the cycle bracket of a [`QuerySession`] stepped to
+/// completion: the launches of its own plan, back to back, over the walk
+/// of its queries. Steps are charged on the experiment's platform as
+/// given, not as the workload attaches it.
+pub fn predict<W: QueryWorkload>(s: &QuerySession<W>) -> CycleBounds {
+    let gpu = &s.dev.gpu.cfg;
+    let walk = s.dev.workload.walk(&s.queries);
+    let step = step_cost_upper(gpu, &s.platform);
+    let none = CycleBounds { lower: 0, upper: 0 };
+    s.plan.iter().fold(none, |acc, (kernel, threads, _)| {
+        acc.seq(launch(kernel, *threads, gpu, &walk, step))
+    })
 }
 
-// ------------------------------------------------------------------ btree
-
-/// Predicts the cycle bracket of [`BTreeExperiment::run`].
-pub fn predict_btree(e: &BTreeExperiment) -> CycleBounds {
-    let inputs = match &e.inputs {
-        Some(i) => std::sync::Arc::clone(i),
-        None => std::sync::Arc::new(e.build_inputs()),
-    };
-    let visited_max = inputs
-        .queries
-        .iter()
-        .map(|&q| inputs.tree.search(q).nodes_visited as u64)
-        .max()
-        .unwrap_or(1);
-    if e.platform.has_accelerator() {
-        let kernel = traverse_only_kernel(tta::btree_sem::QUERY_RECORD_SIZE as u32);
-        let facts = CostFacts {
-            trips: Vec::new(),
-            traversal: Some(traversal_fact(
-                visited_max,
-                visited_max,
-                &e.gpu,
-                &e.platform,
-            )),
-        };
-        launch(&kernel, e.queries, &e.gpu, &facts)
-    } else {
-        let kernel = btree_search_kernel(e.flavor == BTreeFlavor::BPlus);
-        // Back-edges in pc order: the key scan, then the node walk. The
-        // scan header runs at most MAX_KEYS+1 times per visited node.
-        let facts = CostFacts {
-            trips: vec![
-                TripFact::new(1, visited_max * (MAX_KEYS as u64 + 1)),
-                TripFact::new(1, visited_max + 1),
-            ],
-            traversal: None,
-        };
-        launch(&kernel, e.queries, &e.gpu, &facts)
-    }
-}
-
-// ------------------------------------------------------------------ nbody
-
-/// Predicts the cycle bracket of [`NBodyExperiment::run`].
-pub fn predict_nbody(e: &NBodyExperiment) -> CycleBounds {
-    let inputs = match &e.inputs {
-        Some(i) => std::sync::Arc::clone(i),
-        None => std::sync::Arc::new(e.build_inputs()),
-    };
-    let n = inputs.tree.node_count() as u64;
-    let bodies = e.bodies as u64;
-    let visited_max = inputs
-        .particles
-        .iter()
-        .map(|p| inputs.tree.force_on_counted(p.pos, e.theta).1 as u64)
-        .max()
-        .unwrap_or(1);
-    if e.platform.has_accelerator() {
-        // Steps cover node visits plus leaf particle rounds: every
-        // particle lives in exactly one leaf, so one query's rounds are
-        // bounded by its visits plus the whole particle set.
-        let t = traversal_fact(visited_max, visited_max + bodies, &e.gpu, &e.platform);
-        let qrs = tta::nbody_sem::QUERY_RECORD_SIZE as u32;
-        match e.post {
-            PostProcess::Merged => {
-                let kernel = merged_traverse_integrate_kernel();
-                let facts = CostFacts {
-                    trips: vec![INTEGRATE_TRIPS],
-                    traversal: Some(t),
-                };
-                launch(&kernel, e.bodies, &e.gpu, &facts)
-            }
-            PostProcess::Split => {
-                let trav = launch(
-                    &traverse_only_kernel(qrs),
-                    e.bodies,
-                    &e.gpu,
-                    &CostFacts {
-                        trips: Vec::new(),
-                        traversal: Some(t),
-                    },
-                );
-                trav.seq(predict_integrate(e.bodies, &e.gpu))
-            }
-            PostProcess::None => launch(
-                &traverse_only_kernel(qrs),
-                e.bodies,
-                &e.gpu,
-                &CostFacts {
-                    trips: Vec::new(),
-                    traversal: Some(t),
-                },
-            ),
-        }
-    } else {
-        let kernel = nbody_force_kernel();
-        // Back-edges in pc order: child-push, leaf particle sum, walk.
-        // Per thread: every node pops at most once (walk ≤ n+1 headers);
-        // pushes total the child count (< n) plus one closing header per
-        // opened node (≤ n); particle rounds total the body count plus
-        // one closing header per visited leaf (≤ n).
-        let facts = CostFacts {
-            trips: vec![
-                TripFact::new(0, 2 * n),
-                TripFact::new(0, bodies + n),
-                TripFact::new(1, n + 1),
-            ],
-            traversal: None,
-        };
-        let force = launch(&kernel, e.bodies, &e.gpu, &facts);
-        if e.post == PostProcess::None {
-            force
-        } else {
-            force.seq(predict_integrate(e.bodies, &e.gpu))
-        }
-    }
-}
-
-fn predict_integrate(bodies: usize, gpu: &GpuConfig) -> CycleBounds {
-    let kernel = crate::kernels::nbody_integrate_kernel();
-    let facts = CostFacts {
-        trips: vec![INTEGRATE_TRIPS],
-        traversal: None,
-    };
-    launch(&kernel, bodies, gpu, &facts)
-}
-
-// ------------------------------------------------------------------ rtree
-
-/// Predicts the cycle bracket of [`RTreeExperiment::run`].
-pub fn predict_rtree(e: &RTreeExperiment) -> CycleBounds {
-    let inputs = match &e.inputs {
-        Some(i) => std::sync::Arc::clone(i),
-        None => std::sync::Arc::new(e.build_inputs()),
-    };
-    let visited_max = inputs
-        .queries
-        .iter()
-        .map(|q| inputs.tree.range_query_counted(q).1 as u64)
-        .max()
-        .unwrap_or(1);
-    let fan = RTREE_FANOUT as u64;
-    if e.platform.has_accelerator() {
-        let kernel = traverse_only_kernel(tta::rtree_sem::QUERY_RECORD_SIZE as u32);
-        // Each visited node contributes at most a fanout of child tests /
-        // leaf-entry rounds on top of its own fetch.
-        let facts = CostFacts {
-            trips: Vec::new(),
-            traversal: Some(traversal_fact(
-                visited_max,
-                visited_max * (fan + 1),
-                &e.gpu,
-                &e.platform,
-            )),
-        };
-        launch(&kernel, e.queries, &e.gpu, &facts)
-    } else {
-        let kernel = rtree_range_kernel();
-        // Back-edges in pc order: leaf entry scan, child push, walk.
-        let facts = CostFacts {
-            trips: vec![
-                TripFact::new(0, visited_max * (fan + 1)),
-                TripFact::new(0, visited_max * (fan + 1)),
-                TripFact::new(1, visited_max + 1),
-            ],
-            traversal: None,
-        };
-        launch(&kernel, e.queries, &e.gpu, &facts)
-    }
-}
-
-// ------------------------------------------------------------------ rtnn
-
-/// Predicts the cycle bracket of [`RtnnExperiment::run`].
-///
-/// The host radius-search oracle does not expose visit counts, so the
-/// step bracket falls back to the structural cap: one query can visit at
-/// most every node and test at most every point.
-pub fn predict_rtnn(e: &RtnnExperiment) -> CycleBounds {
-    let inputs = match &e.inputs {
-        Some(i) => std::sync::Arc::clone(i),
-        None => std::sync::Arc::new(e.build_inputs()),
-    };
-    let n = inputs.bvh.node_count() as u64;
-    let kernel = traverse_only_kernel(tta::radius_sem::QUERY_RECORD_SIZE as u32);
-    let facts = CostFacts {
-        trips: Vec::new(),
-        traversal: Some(traversal_fact(1, n + e.points as u64, &e.gpu, &e.platform)),
-    };
-    launch(&kernel, e.queries, &e.gpu, &facts)
-}
-
-// --------------------------------------------------------------------- rt
-
-/// Predicts the cycle bracket of [`RtExperiment::run`]: the primary pass
-/// bracketed from per-ray oracle counts, plus the workload's worst-case
-/// secondary rounds bracketed structurally (secondary rays are generated
-/// from hit points, so their traversals are capped by the whole tree).
-/// The lower bound is the primary pass alone — a scene the primary rays
-/// all miss runs zero secondary rounds.
-pub fn predict_rt(e: &RtExperiment) -> CycleBounds {
-    let inputs = match &e.inputs {
-        Some(i) => std::sync::Arc::clone(i),
-        None => std::sync::Arc::new(e.build_inputs()),
-    };
-    let n_rays = e.width * e.height;
-    let nodes = inputs.bvh.node_count() as u64;
-    let prims = inputs.bvh.primitives().len() as u64;
-    let (eye, target) = e.camera(&inputs.bvh);
-    let primary = crate::gen::camera_rays(e.width, e.height, eye, target);
+/// Predicts the cycle bracket of an [`RtSession`] stepped to completion:
+/// the primary pass bracketed from per-ray oracle counts, plus the
+/// workload's secondary rounds bracketed structurally (secondary rays are
+/// generated from hit points, so their traversals are capped by the whole
+/// tree). The lower bound is the primary pass alone — a scene the primary
+/// rays all miss runs zero secondary rounds.
+pub fn predict_rt(s: &RtSession) -> CycleBounds {
+    let bvh = &s.inputs.bvh;
+    let nodes = bvh.node_count() as u64;
     let (mut visited_max, mut prim_tests_max) = (1u64, 0u64);
-    for r in &primary {
-        let (_, c) = inputs.bvh.closest_hit(r);
+    for r in &s.primary {
+        let (_, c) = bvh.closest_hit(r);
         visited_max = visited_max.max(c.nodes_visited as u64);
         prim_tests_max = prim_tests_max.max(c.prim_tests as u64);
     }
-    let is_simt = !e.platform.has_accelerator();
-
-    let primary_bounds = if is_simt {
-        let kernel = bvh_trace_kernel();
-        // Back-edges in pc order: triangle loop, walk. Prim-loop headers
-        // total the tests plus one closing evaluation per visited leaf.
-        let facts = CostFacts {
-            trips: vec![
-                TripFact::new(0, prim_tests_max + visited_max),
-                TripFact::new(1, visited_max + 1),
-            ],
-            traversal: None,
-        };
-        launch(&kernel, n_rays, &e.gpu, &facts)
-    } else {
-        let facts = CostFacts {
-            trips: Vec::new(),
-            traversal: Some(traversal_fact(
-                visited_max,
-                visited_max + prim_tests_max,
-                &e.gpu,
-                &e.platform,
-            )),
-        };
-        launch(&rt_kernel_for(0), n_rays, &e.gpu, &facts)
-    };
-
-    let rounds_max = if e.workload == RtWorkload::ShipSh {
-        4
-    } else {
-        1
-    };
-    let secondary_upper = {
-        if is_simt {
-            let kernel = bvh_trace_kernel();
-            let facts = CostFacts {
-                trips: vec![TripFact::new(0, prims + nodes), TripFact::new(1, nodes + 1)],
-                traversal: None,
-            };
-            launch(&kernel, n_rays, &e.gpu, &facts).upper
-        } else {
-            let facts = CostFacts {
-                trips: Vec::new(),
-                traversal: Some(traversal_fact(1, nodes + prims, &e.gpu, &e.platform)),
-            };
-            launch(&rt_kernel_for(1), n_rays, &e.gpu, &facts).upper
-        }
-    };
+    let gpu = &s.gpu.cfg;
+    let step = step_cost_upper(gpu, &s.exp.platform);
+    let n = s.primary.len();
+    let primary = Walk::new(visited_max, visited_max, nodes, prim_tests_max);
+    let primary = launch(&s.kernel(0), n, gpu, &primary, step);
+    let secondary = Walk::new(1, nodes, nodes, bvh.primitives().len() as u64);
+    let secondary = launch(&s.kernel(1), n, gpu, &secondary, step);
+    let rounds = s.exp.workload.secondary_rounds() as u64;
     CycleBounds {
-        lower: primary_bounds.lower,
-        upper: primary_bounds
-            .upper
-            .saturating_add(rounds_max * secondary_upper),
+        lower: primary.lower,
+        upper: primary.upper.saturating_add(rounds * secondary.upper),
     }
 }
 
@@ -423,74 +243,40 @@ pub fn predict_rt(e: &RtExperiment) -> CycleBounds {
 /// finite. These are *workload design caps*, not input-derived bounds:
 /// trees the shipped contracts admit are capped at [`SHIPPED_NODE_CAP`]
 /// nodes / bodies, which dominates every configuration the experiments
-/// construct. The input-specific (much tighter) facts live in the
-/// `predict_*` functions above.
+/// construct. The input-specific (much tighter) walks come from
+/// [`QueryWorkload::walk`].
 pub const SHIPPED_NODE_CAP: u64 = 1 << 20;
 
-/// Facts for a shipped kernel by name, or `None` for kernels this module
-/// does not know (the lint pass reports those as unbounded).
+/// The design-cap walk behind [`shipped_facts`]: every count at
+/// [`SHIPPED_NODE_CAP`], a traversal of at least one and at most
+/// `2 · SHIPPED_NODE_CAP` steps.
+const CAP_WALK: Walk = Walk {
+    slowest_visits: 1,
+    max_visits: SHIPPED_NODE_CAP,
+    max_steps: 2 * SHIPPED_NODE_CAP,
+    nodes: SHIPPED_NODE_CAP,
+    items: SHIPPED_NODE_CAP,
+};
+
+/// Facts for a shipped kernel by name over `CAP_WALK`, or `None` for
+/// kernels this module does not know (the lint pass reports those as
+/// unbounded).
 pub fn shipped_facts(kernel_name: &str, gpu: &GpuConfig) -> Option<CostFacts> {
-    let n = SHIPPED_NODE_CAP;
     // Step cost under the most general shipped platform (baseline RTA
     // covers TTA/TTA+ structurally; exact per-platform values come from
     // `step_cost_upper` in the predictors).
     let step = step_cost_upper(gpu, &Platform::BaselineRta(RtaConfig::baseline()));
-    let trav = TraversalFact {
-        min_steps: 1,
-        max_steps: 2 * n,
-        step_cost_upper: step,
-    };
-    Some(match kernel_name {
-        "btree_search" | "bplus_search" => CostFacts {
-            trips: vec![
-                TripFact::new(1, n * (MAX_KEYS as u64 + 1)),
-                TripFact::new(1, n + 1),
-            ],
-            traversal: None,
-        },
-        "nbody_force" => CostFacts {
-            trips: vec![
-                TripFact::new(0, 2 * n),
-                TripFact::new(0, 2 * n),
-                TripFact::new(1, n + 1),
-            ],
-            traversal: None,
-        },
-        "nbody_integrate" => CostFacts {
-            trips: vec![INTEGRATE_TRIPS],
-            traversal: None,
-        },
-        "bvh_trace" => CostFacts {
-            trips: vec![TripFact::new(0, 2 * n), TripFact::new(1, n + 1)],
-            traversal: None,
-        },
-        "rtree_range" => CostFacts {
-            trips: vec![
-                TripFact::new(0, n * (RTREE_FANOUT as u64 + 1)),
-                TripFact::new(0, n * (RTREE_FANOUT as u64 + 1)),
-                TripFact::new(1, n + 1),
-            ],
-            traversal: None,
-        },
-        "traverse_only" => CostFacts {
-            trips: Vec::new(),
-            traversal: Some(trav),
-        },
-        "nbody_merged" => CostFacts {
-            trips: vec![INTEGRATE_TRIPS],
-            traversal: Some(trav),
-        },
-        name if name.starts_with("rt_pipeline") => CostFacts {
-            trips: Vec::new(),
-            traversal: Some(trav),
-        },
-        _ => return None,
-    })
+    kernel_facts(kernel_name, &CAP_WALK, step)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::btree::{traverse_only_kernel, BTreeExperiment};
+    use crate::kernels::{btree_search_kernel, bvh_trace_kernel, nbody_force_kernel};
+    use crate::lumibench::rt_kernel_for;
+    use crate::nbody::merged_traverse_integrate_kernel;
+    use crate::rtree::rtree_range_kernel;
 
     #[test]
     fn step_cost_covers_every_platform() {
@@ -526,6 +312,20 @@ mod tests {
             assert!(shipped_facts(name, &gpu).is_some(), "{name}");
         }
         assert!(shipped_facts("nonesuch", &gpu).is_none());
+    }
+
+    #[test]
+    fn cap_walk_keeps_the_design_traversal_caps() {
+        let step = 500;
+        for name in ["traverse_only", "nbody_merged", "rt_pipeline1"] {
+            let t = kernel_facts(name, &CAP_WALK, step).unwrap().traversal;
+            let t = t.expect("a traversal kernel");
+            assert_eq!(t.min_steps, 1, "{name}");
+            assert_eq!(t.max_steps, 2 * SHIPPED_NODE_CAP, "{name}");
+            assert_eq!(t.step_cost_upper, step, "{name}");
+        }
+        let trips = kernel_facts("btree_search", &CAP_WALK, step).unwrap().trips;
+        assert_eq!((trips[1].min, trips[1].max), (1, SHIPPED_NODE_CAP + 1));
     }
 
     #[test]

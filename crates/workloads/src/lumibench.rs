@@ -78,6 +78,17 @@ impl RtWorkload {
     pub fn uses_spheres(self) -> bool {
         matches!(self, RtWorkload::WkndPt)
     }
+
+    /// Secondary passes after a primary pass that hits something: SHIP_SH
+    /// casts shadow rays toward four lights, one pass each; every other
+    /// workload runs one pass.
+    pub fn secondary_rounds(self) -> usize {
+        if self == RtWorkload::ShipSh {
+            4
+        } else {
+            1
+        }
+    }
 }
 
 impl std::fmt::Display for RtWorkload {

@@ -15,6 +15,7 @@ use tta::nbody_sem::{self, BarnesHutSemantics, QUERY_RECORD_SIZE};
 use tta::programs::UopProgram;
 
 use crate::cacheable::CacheableExperiment;
+use crate::cost::Walk;
 use crate::gen;
 use crate::kernels::{nbody_force_kernel, params, THREAD_STACK_BYTES};
 use crate::query::QueryWorkload;
@@ -230,6 +231,19 @@ impl QueryWorkload for ForceQueries {
 
     fn simt_kernel(&self) -> Kernel {
         nbody_force_kernel()
+    }
+
+    /// Every particle lives in exactly one leaf, so one query's leaf
+    /// rounds are bounded by the whole particle set.
+    fn walk(&self, queries: &[Vec3]) -> Walk {
+        let tree = &self.inputs.tree;
+        let visits = queries
+            .iter()
+            .map(|&p| tree.force_on_counted(p, self.theta).1 as u64)
+            .max()
+            .unwrap_or(1);
+        let bodies = self.inputs.particles.len() as u64;
+        Walk::new(visits, visits, tree.node_count() as u64, bodies)
     }
 
     fn write(&self, gmem: &mut GlobalMemory, addr: u64, pos: Vec3) {

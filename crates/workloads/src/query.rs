@@ -19,6 +19,7 @@ use trace::TraceHandle;
 use trees::image::MemoryImage;
 
 use crate::btree::traverse_only_kernel;
+use crate::cost::Walk;
 use crate::runner::{attach_platform, build_gpu, Platform};
 
 /// What one tree-query workload contributes to a [`QueryDevice`].
@@ -53,6 +54,9 @@ pub trait QueryWorkload {
     fn semantics(&self, platform: &Platform, tree_base: u64) -> Box<dyn TraversalSemantics>;
     /// The kernel the SIMT cores run on a platform without an accelerator.
     fn simt_kernel(&self) -> Kernel;
+    /// Walks the host oracle over `queries` for the bounds the cost model
+    /// derives every kernel's facts from.
+    fn walk(&self, queries: &[Self::Query]) -> Walk;
     /// Writes `q` into the record at `addr` and clears its result fields.
     fn write(&self, gmem: &mut GlobalMemory, addr: u64, q: Self::Query);
     /// Checks the result in the record at `addr` against the oracle's

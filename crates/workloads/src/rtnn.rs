@@ -26,6 +26,7 @@ use tta::radius_sem::{self, RadiusSearchSemantics};
 
 use crate::btree::traverse_only_kernel;
 use crate::cacheable::CacheableExperiment;
+use crate::cost::Walk;
 use crate::gen;
 use crate::query::QueryWorkload;
 use crate::runner::{Platform, RunResult};
@@ -237,6 +238,15 @@ impl QueryWorkload for RadiusQueries {
     /// ray-tracing accelerator.
     fn simt_kernel(&self) -> Kernel {
         traverse_only_kernel(Self::RECORD_SIZE as u32)
+    }
+
+    /// The host radius search counts no visits, so the walk is the
+    /// structural cap: one query can visit every node and test every
+    /// point.
+    fn walk(&self, _: &[Vec3]) -> Walk {
+        let bvh = &self.inputs.bvh;
+        let nodes = bvh.node_count() as u64;
+        Walk::new(1, nodes, nodes, bvh.primitives().len() as u64)
     }
 
     fn write(&self, gmem: &mut GlobalMemory, addr: u64, point: Vec3) {

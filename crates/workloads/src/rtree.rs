@@ -18,11 +18,12 @@ use rand::{Rng, SeedableRng};
 use rta::engine::TraversalSemantics;
 use rta::units::TestKind;
 use trees::image::MemoryImage;
-use trees::rtree::{RTree, RTreeEntry, SerializedRTree, ENTRY_STRIDE};
+use trees::rtree::{RTree, RTreeEntry, SerializedRTree, ENTRY_STRIDE, RTREE_FANOUT};
 use tta::programs::UopProgram;
 use tta::rtree_sem::{read_range_result, write_range_record, RTreeSemantics, QUERY_RECORD_SIZE};
 
 use crate::cacheable::CacheableExperiment;
+use crate::cost::Walk;
 use crate::kernels::{params, THREAD_STACK_BYTES};
 use crate::query::QueryWorkload;
 use crate::runner::{Platform, RunResult};
@@ -205,6 +206,19 @@ impl QueryWorkload for RTreeRanges {
 
     fn simt_kernel(&self) -> Kernel {
         rtree_range_kernel()
+    }
+
+    /// Each visited node tests at most a fanout of children or leaf
+    /// entries on top of its own fetch.
+    fn walk(&self, queries: &[Aabb]) -> Walk {
+        let tree = &self.0.tree;
+        let visits = queries
+            .iter()
+            .map(|q| tree.range_query_counted(q).1 as u64)
+            .max()
+            .unwrap_or(1);
+        let items = visits * RTREE_FANOUT as u64;
+        Walk::new(visits, visits, tree.node_count() as u64, items)
     }
 
     fn write(&self, gmem: &mut GlobalMemory, addr: u64, q: Aabb) {

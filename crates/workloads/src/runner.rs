@@ -50,6 +50,44 @@ impl Platform {
     pub fn is_tta_plus(&self) -> bool {
         matches!(self, Platform::TtaPlus(..) | Platform::TtaPlusWith(..))
     }
+
+    /// The configuration the platform's traversal engine runs under:
+    /// `TtaPlus` uses the baseline RTA's. `None` without an accelerator.
+    pub(crate) fn engine_config(&self) -> Option<RtaConfig> {
+        match self {
+            Platform::BaselineGpu => None,
+            Platform::BaselineRta(c) | Platform::TtaPlusWith(c, ..) => Some(c.clone()),
+            Platform::Tta(c) => Some(c.rta.clone()),
+            Platform::TtaPlus(..) => Some(RtaConfig::baseline()),
+        }
+    }
+}
+
+/// A `--scale` workload-size multiplier that is not a finite number
+/// above 0; carries the rejected text.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ScaleError(pub String);
+
+impl std::fmt::Display for ScaleError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "--scale needs a finite number above 0, got `{}`", self.0)
+    }
+}
+
+impl std::error::Error for ScaleError {}
+
+/// Parses a `--scale` workload-size multiplier. An infinite scale would
+/// size a sweep without end; a NaN, zero or negative one would silently
+/// shrink every size to its floor.
+///
+/// # Errors
+///
+/// [`ScaleError`] unless `v` is a finite number above 0.
+pub fn parse_scale(v: &str) -> Result<f64, ScaleError> {
+    v.parse::<f64>()
+        .ok()
+        .filter(|s| s.is_finite() && *s > 0.0)
+        .ok_or_else(|| ScaleError(v.to_owned()))
 }
 
 /// Aggregated accelerator-side report (summed over the per-SM engines).
@@ -331,56 +369,24 @@ pub fn attach_platform<F>(gpu: &mut Gpu, platform: &Platform, make_semantics: F)
 where
     F: Fn() -> Vec<Box<dyn TraversalSemantics>>,
 {
-    match platform {
-        Platform::BaselineGpu => {}
-        Platform::BaselineRta(rta_cfg) => {
-            let rta_cfg = rta_cfg.clone();
-            gpu.attach_accelerators(move |_| {
-                let backend = Box::new(FixedFunctionBackend::new(&rta_cfg));
-                Box::new(TraversalEngine::new(
-                    rta_cfg.clone(),
-                    backend,
-                    make_semantics(),
-                ))
-            });
-        }
-        Platform::Tta(tta_cfg) => {
-            let tta_cfg = tta_cfg.clone();
-            gpu.attach_accelerators(move |_| {
-                let backend = Box::new(TtaBackend::new(tta_cfg.clone()));
-                Box::new(TraversalEngine::new(
-                    tta_cfg.rta.clone(),
-                    backend,
-                    make_semantics(),
-                ))
-            });
-        }
-        Platform::TtaPlus(plus_cfg, programs) => {
-            let plus_cfg = plus_cfg.clone();
-            let programs = programs.clone();
-            gpu.attach_accelerators(move |_| {
-                let backend = Box::new(TtaPlusBackend::new(plus_cfg.clone(), programs.clone()));
-                Box::new(TraversalEngine::new(
-                    RtaConfig::baseline(),
-                    backend,
-                    make_semantics(),
-                ))
-            });
-        }
-        Platform::TtaPlusWith(rta_cfg, plus_cfg, programs) => {
-            let rta_cfg = rta_cfg.clone();
-            let plus_cfg = plus_cfg.clone();
-            let programs = programs.clone();
-            gpu.attach_accelerators(move |_| {
-                let backend = Box::new(TtaPlusBackend::new(plus_cfg.clone(), programs.clone()));
-                Box::new(TraversalEngine::new(
-                    rta_cfg.clone(),
-                    backend,
-                    make_semantics(),
-                ))
-            });
-        }
-    }
+    let Some(engine) = platform.engine_config() else {
+        return;
+    };
+    let platform = platform.clone();
+    gpu.attach_accelerators(move |_| {
+        let backend: Box<dyn IntersectionBackend> = match &platform {
+            Platform::Tta(c) => Box::new(TtaBackend::new(c.clone())),
+            Platform::TtaPlus(plus, programs) | Platform::TtaPlusWith(_, plus, programs) => {
+                Box::new(TtaPlusBackend::new(plus.clone(), programs.clone()))
+            }
+            _ => Box::new(FixedFunctionBackend::new(&engine)),
+        };
+        Box::new(TraversalEngine::new(
+            engine.clone(),
+            backend,
+            make_semantics(),
+        ))
+    });
 }
 
 /// Harvests the accelerator report from every SM of a finished run.

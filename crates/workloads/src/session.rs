@@ -155,9 +155,12 @@ struct SessionSpec<'a> {
 /// launches of the device kernel; N-Body steps through its
 /// traverse/integrate plan.
 pub struct QuerySession<W: QueryWorkload> {
-    dev: QueryDevice<W>,
-    queries: Vec<W::Query>,
-    plan: Vec<(Kernel, usize, [u32; 4])>,
+    pub(crate) dev: QueryDevice<W>,
+    pub(crate) queries: Vec<W::Query>,
+    /// The platform as the experiment gives it (before
+    /// [`QueryWorkload::platform`]), which the cost model charges.
+    pub(crate) platform: Platform,
+    pub(crate) plan: Vec<(Kernel, usize, [u32; 4])>,
     cursor: usize,
     parts: Vec<SimStats>,
     key: String,
@@ -185,6 +188,7 @@ impl<W: QueryWorkload> QuerySession<W> {
         QuerySession {
             dev,
             queries,
+            platform: spec.platform.clone(),
             plan: Vec::new(),
             cursor: 0,
             parts: Vec::new(),
@@ -436,13 +440,13 @@ impl NBodyExperiment {
 /// ray records they were read from, so they cannot be recovered from
 /// memory after round 1.
 pub struct RtSession {
-    exp: RtExperiment,
-    inputs: Arc<RtInputs>,
-    gpu: Gpu,
+    pub(crate) exp: RtExperiment,
+    pub(crate) inputs: Arc<RtInputs>,
+    pub(crate) gpu: Gpu,
     qbase: u64,
     launch_params: [u32; 4],
     is_simt: bool,
-    primary: Vec<Ray>,
+    pub(crate) primary: Vec<Ray>,
     surfels: Option<Vec<(Vec3, Vec3, Vec3)>>,
     cursor: usize,
     parts: Vec<SimStats>,
@@ -579,11 +583,18 @@ impl RtSession {
         let surfels = self.surfels.as_ref()?;
         Some(if surfels.is_empty() {
             0
-        } else if self.exp.workload == RtWorkload::ShipSh {
-            4
         } else {
-            1
+            self.exp.workload.secondary_rounds()
         })
+    }
+
+    /// The kernel a pass on traversal pipeline `pipeline` launches.
+    pub(crate) fn kernel(&self, pipeline: u16) -> Kernel {
+        if self.is_simt {
+            bvh_trace_kernel()
+        } else {
+            rt_kernel_for(pipeline)
+        }
     }
 
     fn step_primary(&mut self) {
@@ -594,11 +605,7 @@ impl RtSession {
                 r,
             );
         }
-        let kernel = if self.is_simt {
-            bvh_trace_kernel()
-        } else {
-            rt_kernel_for(0)
-        };
+        let kernel = self.kernel(0);
         let n = self.primary.len();
         self.parts
             .push(self.gpu.launch(&kernel, n, &self.launch_params));
@@ -641,11 +648,7 @@ impl RtSession {
                 r,
             );
         }
-        let kernel = if self.is_simt {
-            bvh_trace_kernel()
-        } else {
-            rt_kernel_for(pipeline)
-        };
+        let kernel = self.kernel(pipeline);
         self.parts
             .push(self.gpu.launch(&kernel, rays.len(), &self.launch_params));
     }

@@ -28,7 +28,7 @@ use tta::ttaplus::TtaPlusConfig;
 use tta_workloads::btree::BTreeExperiment;
 use tta_workloads::cost;
 use tta_workloads::lumibench::{RtExperiment, RtWorkload};
-use tta_workloads::nbody::NBodyExperiment;
+use tta_workloads::nbody::{NBodyExperiment, PostProcess};
 use tta_workloads::rtnn::{LeafPath, RtnnExperiment};
 use tta_workloads::rtree::RTreeExperiment;
 use tta_workloads::runner::Platform;
@@ -92,7 +92,7 @@ fn btree_measured_cycles_stay_inside_static_bounds() {
         let mut e = BTreeExperiment::new(BTreeFlavor::BTree, 2000, 256, p);
         e.gpu = GpuConfig::small_test();
         e.inputs = Some(Arc::new(e.build_inputs()));
-        let bounds = cost::predict_btree(&e);
+        let bounds = cost::predict(&e.session(1));
         let r = e.run();
         assert_sound(&format!("btree/{name}"), bounds, r.stats.cycles, ceiling);
     }
@@ -116,13 +116,19 @@ fn nbody_measured_cycles_stay_inside_static_bounds() {
             ACCEL_RATIO_CEILING,
         ),
     ];
+    // Every launch plan: traversal only, a separate integrate launch, and
+    // the merged traverse-integrate kernel.
     for (name, p, ceiling) in platforms {
-        let mut e = NBodyExperiment::new(3, 800, p);
-        e.gpu = GpuConfig::small_test();
-        e.inputs = Some(Arc::new(e.build_inputs()));
-        let bounds = cost::predict_nbody(&e);
-        let r = e.run();
-        assert_sound(&format!("nbody/{name}"), bounds, r.stats.cycles, ceiling);
+        for post in [PostProcess::None, PostProcess::Split, PostProcess::Merged] {
+            let mut e = NBodyExperiment::new(3, 800, p.clone());
+            e.gpu = GpuConfig::small_test();
+            e.post = post;
+            e.inputs = Some(Arc::new(e.build_inputs()));
+            let bounds = cost::predict(&e.session());
+            let r = e.run();
+            let label = format!("nbody/{name}/{post:?}");
+            assert_sound(&label, bounds, r.stats.cycles, ceiling);
+        }
     }
 }
 
@@ -142,7 +148,7 @@ fn rtnn_measured_cycles_stay_inside_static_bounds() {
         let mut e = RtnnExperiment::new(3000, 128, p, LeafPath::Shader);
         e.gpu = GpuConfig::small_test();
         e.inputs = Some(Arc::new(e.build_inputs()));
-        let bounds = cost::predict_rtnn(&e);
+        let bounds = cost::predict(&e.session(1));
         let r = e.run();
         assert_sound(
             &format!("rtnn/{name}"),
@@ -175,7 +181,7 @@ fn rtree_measured_cycles_stay_inside_static_bounds() {
         let mut e = RTreeExperiment::new(4_000, 256, p);
         e.gpu = GpuConfig::small_test();
         e.inputs = Some(Arc::new(e.build_inputs()));
-        let bounds = cost::predict_rtree(&e);
+        let bounds = cost::predict(&e.session(1));
         let r = e.run();
         assert_sound(&format!("rtree/{name}"), bounds, r.stats.cycles, ceiling);
     }
@@ -197,7 +203,7 @@ fn rt_measured_cycles_stay_inside_static_bounds() {
         e.height = 24;
         e.detail = 0.05;
         e.inputs = Some(Arc::new(e.build_inputs()));
-        let bounds = cost::predict_rt(&e);
+        let bounds = cost::predict_rt(&e.session());
         let r = e.run();
         assert_sound(
             &format!("rt/{name}"),

@@ -111,6 +111,9 @@ run cargo run "${CARGO_FLAGS[@]}" -p tta-lint --bin tta-cost -- --threads 1 --ou
 run cargo run "${CARGO_FLAGS[@]}" -q -p tta-lint --bin tta-cost -- --threads 4 --out results/tta-cost.threads4.json --quiet
 run cmp results/tta-cost.journal.json results/tta-cost.threads4.json
 rm -f results/tta-cost.threads4.json
+# The regenerated report must also equal the committed one, so a model
+# change cannot silently overwrite it.
+run git diff --exit-code -- results/tta-cost.journal.json
 
 # Tier-1: exactly what the repository gate runs.
 run cargo build "${CARGO_FLAGS[@]}" --release

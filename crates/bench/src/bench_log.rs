@@ -20,7 +20,7 @@
 //! Parsing goes through [`trace::json`], the workspace's one JSON reader
 //! (no serde in the workspace).
 
-use trace::json::{escape, parse, Value};
+use trace::json::{parse, Array, Fixed, Object, Value, PRETTY, SPACED};
 
 /// The measurement modes a trajectory entry may carry.
 pub const MODES: [&str; 5] = [
@@ -142,36 +142,52 @@ impl BenchLog {
         format!("{mode}-{n}")
     }
 
-    /// Serializes back to the canonical on-disk form.
+    /// Serializes back to the canonical on-disk form. Seconds keep
+    /// millisecond precision: wall-clock noise below that is meaningless
+    /// and would churn the committed file.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
-        out.push_str("{\n  \"schema\": 1,\n");
-        out.push_str(&format!("  \"bench\": {},\n", escape(&self.bench)));
-        out.push_str("  \"entries\": [");
-        for (i, e) in self.entries.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{\"id\": {}, \"mode\": {}, \"threads\": {}, \
-                 \"wall_seconds\": {}, \"date\": {}, \"note\": {}}}",
-                escape(&e.id),
-                escape(&e.mode),
-                e.threads,
-                format_seconds(e.wall_seconds),
-                escape(&e.date),
-                escape(&e.note),
-            ));
+        let mut doc = Object::new(&mut out, PRETTY[0]);
+        doc.field("schema", &1u32).field("bench", &self.bench);
+        let mut entries = Array::new(doc.key("entries"), PRETTY[1]);
+        for e in &self.entries {
+            let mut o = Object::new(entries.slot(), SPACED);
+            o.field("id", &e.id)
+                .field("mode", &e.mode)
+                .field("threads", &e.threads)
+                .field("wall_seconds", &Fixed(e.wall_seconds, 3))
+                .field("date", &e.date)
+                .field("note", &e.note);
+            o.end();
         }
-        out.push_str("\n  ]\n}\n");
+        entries.end();
+        doc.end();
+        out.push('\n');
         out
     }
-}
 
-/// Seconds with millisecond precision (wall-clock noise below that is
-/// meaningless and churns the committed file).
-fn format_seconds(s: f64) -> String {
-    format!("{s:.3}")
+    /// Parses and validates a committed log, which must also be in
+    /// canonical form: exactly the text [`Self::to_json`] writes for it.
+    ///
+    /// # Errors
+    ///
+    /// A parse or schema error, or the first line that differs from the
+    /// canonical form.
+    pub fn validate(text: &str) -> Result<BenchLog, String> {
+        let log = BenchLog::parse(text)?;
+        let canonical = log.to_json();
+        let (got, want): (Vec<&str>, Vec<&str>) =
+            (text.split('\n').collect(), canonical.split('\n').collect());
+        match (0..=got.len()).find(|&i| got.get(i) != want.get(i)) {
+            None => Ok(log),
+            Some(i) => Err(format!(
+                "line {} is not in canonical form:\n  found:    {}\n  expected: {}",
+                i + 1,
+                got.get(i).copied().unwrap_or_default(),
+                want.get(i).copied().unwrap_or_default(),
+            )),
+        }
+    }
 }
 
 /// Reads `wall_seconds` out of a sweep timing sidecar
@@ -249,6 +265,20 @@ mod tests {
     fn reads_timing_sidecar() {
         let t = r#"{"sweep": "fig13", "threads": 1, "wall_seconds": 2.354, "runs": []}"#;
         assert_eq!(sweep_wall_seconds(t).unwrap(), 2.354);
+    }
+
+    #[test]
+    fn committed_logs_are_canonical() {
+        for text in [
+            include_str!("../../../BENCH_fig13.json"),
+            include_str!("../../../BENCH_fleet.json"),
+        ] {
+            let log = BenchLog::validate(text).unwrap();
+            let spaced = text.replacen("\"mode\": ", "\"mode\":  ", 1);
+            let err = BenchLog::validate(&spaced).unwrap_err();
+            assert!(err.starts_with("line 5 "), "{err}");
+            assert_eq!(BenchLog::parse(&spaced).unwrap(), log);
+        }
     }
 
     #[test]

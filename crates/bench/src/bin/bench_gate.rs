@@ -2,7 +2,8 @@
 //!
 //! Three subcommands (see `tta_bench::bench_log` for the file format):
 //!
-//! * `validate <log.json>` — parse + schema-check the committed log.
+//! * `validate <log.json>` — parse + schema-check the committed log and
+//!   require it in the canonical form `record` writes.
 //! * `record <log.json> --mode <m> --date <YYYY-MM-DD> (--timing <sidecar>
 //!   | --wall-seconds <s>) [--threads <n>] [--note <text>]` — append one
 //!   measurement (wall-clock from a sweep timing sidecar or given
@@ -109,10 +110,10 @@ fn required_mode(o: &Opts) -> String {
     mode
 }
 
-fn load(path: &str) -> BenchLog {
+fn load(path: &str, parse: fn(&str) -> Result<BenchLog, String>) -> BenchLog {
     let text =
         std::fs::read_to_string(path).unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
-    BenchLog::parse(&text).unwrap_or_else(|e| fail(&format!("{path}: {e}")))
+    parse(&text).unwrap_or_else(|e| fail(&format!("{path}: {e}")))
 }
 
 fn main() {
@@ -127,7 +128,7 @@ fn main() {
 
     match cmd {
         "validate" => {
-            let log = load(&log_path);
+            let log = load(&log_path, BenchLog::validate);
             println!(
                 "bench_gate: {log_path} ok — bench {:?}, {} entries",
                 log.bench,
@@ -138,7 +139,7 @@ fn main() {
             let o = parse_opts(&rest);
             let mode = required_mode(&o);
             let date = o.date.clone().unwrap_or_else(|| fail("--date is required"));
-            let mut log = load(&log_path);
+            let mut log = load(&log_path, BenchLog::parse);
             let entry = BenchEntry {
                 id: log.next_id(&mode),
                 mode,
@@ -162,7 +163,7 @@ fn main() {
         "check" => {
             let o = parse_opts(&rest);
             let mode = required_mode(&o);
-            let log = load(&log_path);
+            let log = load(&log_path, BenchLog::parse);
             let Some(baseline) = log.latest(&mode) else {
                 fail(&format!("{log_path} has no {mode:?} entry to gate against"));
             };

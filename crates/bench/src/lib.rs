@@ -55,20 +55,26 @@ pub const USAGE: &str = "usage: [--scale <f>] [--quick] [--threads <n>] [--trace
 
 impl Args {
     /// Parses `std::env::args`, printing a clear error (exit code 2) on
-    /// malformed input instead of a panic backtrace.
+    /// malformed input instead of a panic backtrace. The `--trace`
+    /// directory is created here, before any run starts, so an unusable
+    /// path also exits 2 instead of failing after the sweep.
     pub fn parse() -> Self {
         let argv: Vec<String> = std::env::args().skip(1).collect();
         if argv.iter().any(|a| a == "--help" || a == "-h") {
             eprintln!("{USAGE}");
             std::process::exit(0);
         }
-        match Self::parse_from(argv.into_iter()) {
-            Ok(args) => args,
-            Err(e) => {
-                eprintln!("error: {e}\n{USAGE}");
+        let args = Self::parse_from(argv.into_iter()).unwrap_or_else(|e| {
+            eprintln!("error: {e}\n{USAGE}");
+            std::process::exit(2)
+        });
+        if let Some(dir) = &args.trace {
+            if let Err(e) = std::fs::create_dir_all(dir) {
+                eprintln!("error: cannot create trace dir {}: {e}", dir.display());
                 std::process::exit(2);
             }
         }
+        args
     }
 
     /// Parses an argument list (without the program name).

@@ -97,6 +97,10 @@ impl ProgramStats {
     }
 }
 
+trace::json_fields! {
+    ProgramStats { invocations, total_latency, icnt_cycles };
+}
+
 /// The TTA+ backend.
 #[derive(Debug)]
 pub struct TtaPlusBackend {

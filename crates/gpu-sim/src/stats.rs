@@ -214,58 +214,21 @@ impl SimStats {
         attribution,
         warp_completions,
     }
-
-    /// Serializes the raw counters as a JSON object with a stable field
-    /// order and integer-only values, so equal stats always produce
-    /// byte-identical text (the run-journal determinism contract).
-    /// Derived metrics ([`Self::simt_efficiency`] etc.) are intentionally
-    /// not included here; journal writers add them alongside.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"warp_size\":{},\"cycles\":{},\"warp_instrs\":{},\"lane_instrs\":{},\
-             \"mix\":{{\"alu\":{},\"control\":{},\"memory\":{},\"traverse\":{}}},\
-             \"flops\":{},\
-             \"l1\":{{\"hits\":{},\"misses\":{},\"mshr_merges\":{}}},\
-             \"l2\":{{\"hits\":{},\"misses\":{},\"mshr_merges\":{}}},\
-             \"dram\":{{\"bytes_read\":{},\"bytes_written\":{},\"bytes_requested\":{},\
-             \"busy_channel_cycles\":{},\"transactions\":{}}},\
-             \"dram_channels\":{},\"traversals_offloaded\":{},\"sm_active_cycles\":{},\
-             \"attribution\":{},\
-             \"warp_completions\":[{}]}}",
-            self.warp_size,
-            self.cycles,
-            self.warp_instrs,
-            self.lane_instrs,
-            self.mix.alu,
-            self.mix.control,
-            self.mix.memory,
-            self.mix.traverse,
-            self.flops,
-            self.l1.hits,
-            self.l1.misses,
-            self.l1.mshr_merges,
-            self.l2.hits,
-            self.l2.misses,
-            self.l2.mshr_merges,
-            self.dram.bytes_read,
-            self.dram.bytes_written,
-            self.dram.bytes_requested,
-            self.dram.busy_channel_cycles,
-            self.dram.transactions,
-            self.dram_channels,
-            self.traversals_offloaded,
-            self.sm_active_cycles,
-            self.attribution.to_json(),
-            self.warp_completions
-                .iter()
-                .map(u64::to_string)
-                .collect::<Vec<_>>()
-                .join(","),
-        )
-    }
 }
 
 crate::snap_state!(SimStats);
+
+// The journal's `"stats"` section: the raw counters only; journal writers
+// add derived metrics such as [`SimStats::simt_efficiency`] alongside.
+trace::json_fields! {
+    SimStats {
+        warp_size, cycles, warp_instrs, lane_instrs, mix, flops, l1, l2, dram, dram_channels,
+        traversals_offloaded, sm_active_cycles, attribution, warp_completions,
+    };
+    InstrMix { alu, control, memory, traverse };
+    CacheStats { hits, misses, mshr_merges };
+    DramStats { bytes_read, bytes_written, bytes_requested, busy_channel_cycles, transactions };
+}
 
 // Fixed-arity counter rows, in field order.
 crate::snap_row! {
@@ -286,6 +249,7 @@ crate::snap_row! {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use trace::json::to_string;
 
     #[test]
     fn mix_accumulates() {
@@ -373,7 +337,7 @@ mod tests {
     }
 
     #[test]
-    fn to_json_is_stable_and_complete() {
+    fn json_is_stable_and_complete() {
         let mut s = SimStats {
             cycles: 42,
             warp_instrs: 7,
@@ -382,8 +346,8 @@ mod tests {
         };
         s.mix.alu = 150;
         s.dram.bytes_read = 4096;
-        let a = s.to_json();
-        let b = s.clone().to_json();
+        let a = to_string(&s);
+        let b = to_string(&s.clone());
         assert_eq!(a, b, "equal stats must serialize byte-identically");
         for key in [
             "\"cycles\":42",
@@ -452,14 +416,14 @@ mod tests {
     }
 
     #[test]
-    fn to_json_includes_warp_completions() {
+    fn json_includes_warp_completions() {
         let s = SimStats {
             warp_completions: vec![7, 11],
             ..Default::default()
         };
-        assert!(s.to_json().contains("\"warp_completions\":[7,11]"));
+        assert!(to_string(&s).contains("\"warp_completions\":[7,11]"));
         let none = SimStats::default();
-        assert!(none.to_json().contains("\"warp_completions\":[]"));
+        assert!(to_string(&none).contains("\"warp_completions\":[]"));
     }
 
     #[test]
@@ -487,7 +451,7 @@ mod tests {
         let mut back = SimStats::default();
         back.import_state(&s.export_state()).unwrap();
         assert_eq!(back, s);
-        assert_eq!(back.to_json(), s.to_json());
+        assert_eq!(to_string(&back), to_string(&s));
     }
 
     #[test]

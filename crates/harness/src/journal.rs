@@ -1,19 +1,19 @@
 //! Deterministic JSON run journals.
 //!
 //! One journal per sweep, one entry per run, replacing the ad-hoc printlns
-//! the fig binaries used to rely on. The serialization is hand-rolled (no
-//! registry access → no `serde`) and **deterministic**: stable field
-//! order, integer counters verbatim, floats via Rust's shortest-roundtrip
-//! `Display` (`NaN`/infinities become `null` — JSON has no spelling for
-//! them). Equal result lists therefore serialize to byte-identical text,
-//! which is what the 1-thread-vs-N-thread determinism test asserts.
+//! the fig binaries used to rely on. The text is written by
+//! [`trace::json`] and is **deterministic**: stable field order, integer
+//! counters verbatim, floats via Rust's shortest-roundtrip `Display`
+//! (`NaN`/infinities become `null`). Equal result lists therefore
+//! serialize to byte-identical text, which is what the 1-thread-vs-N-thread
+//! determinism test asserts.
 //!
 //! Wall-clock timings are deliberately **not** part of the journal — they
 //! differ run to run and would break byte-identity. [`crate::sweep`]
 //! writes them to a separate `.timing.json` sidecar.
 
-use trace::json::escape;
-use workloads::{AccelReport, RunResult, ServeSummary};
+use trace::json::{Array, Object, PRETTY, SPACED};
+use workloads::RunResult;
 
 /// Journal schema version (bump on breaking shape changes).
 ///
@@ -33,231 +33,30 @@ pub const SCHEMA_VERSION: u32 = 4;
 /// Serializes a finished sweep as the journal JSON document.
 pub fn journal_json(sweep: &str, results: &[RunResult]) -> String {
     let mut out = String::with_capacity(4096);
-    out.push_str("{\n");
-    out.push_str(&format!("  \"schema\": {SCHEMA_VERSION},\n"));
-    out.push_str(&format!("  \"sweep\": {},\n", escape(sweep)));
-    out.push_str(&format!("  \"run_count\": {},\n", results.len()));
-    out.push_str("  \"runs\": [");
-    for (i, r) in results.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('\n');
-        out.push_str(&run_json(r));
+    let mut doc = Object::new(&mut out, PRETTY[0]);
+    doc.field("schema", &SCHEMA_VERSION)
+        .field("sweep", sweep)
+        .field("run_count", &results.len());
+    let mut runs = Array::new(doc.key("runs"), PRETTY[1]);
+    for r in results {
+        let mut run = Object::new(runs.slot(), PRETTY[2]);
+        run.field("label", &r.label)
+            .field("cycles", &r.stats.cycles)
+            .field("simt_efficiency", &r.stats.simt_efficiency())
+            .field("dram_utilization", &r.stats.dram_utilization())
+            .field("arithmetic_intensity", &r.stats.arithmetic_intensity())
+            .field("core_instructions", &r.core_instructions())
+            .field("stats", &r.stats)
+            .field("attribution", &r.stats.attribution)
+            .field("serve", &r.serve)
+            .field("fleet", &r.fleet)
+            .field("accel", &r.accel);
+        run.end();
     }
-    if !results.is_empty() {
-        out.push('\n');
-    }
-    out.push_str("  ]\n}\n");
+    runs.end();
+    doc.end();
+    out.push('\n');
     out
-}
-
-fn run_json(r: &RunResult) -> String {
-    let mut out = String::with_capacity(1024);
-    out.push_str("    {\n");
-    out.push_str(&format!("      \"label\": {},\n", escape(&r.label)));
-    out.push_str(&format!("      \"cycles\": {},\n", r.stats.cycles));
-    out.push_str(&format!(
-        "      \"simt_efficiency\": {},\n",
-        num(r.stats.simt_efficiency())
-    ));
-    out.push_str(&format!(
-        "      \"dram_utilization\": {},\n",
-        num(r.stats.dram_utilization())
-    ));
-    out.push_str(&format!(
-        "      \"arithmetic_intensity\": {},\n",
-        num(r.stats.arithmetic_intensity())
-    ));
-    out.push_str(&format!(
-        "      \"core_instructions\": {},\n",
-        r.core_instructions()
-    ));
-    out.push_str(&format!("      \"stats\": {},\n", r.stats.to_json()));
-    out.push_str(&format!(
-        "      \"attribution\": {},\n",
-        r.stats.attribution.to_json()
-    ));
-    match &r.serve {
-        Some(s) => out.push_str(&format!("      \"serve\": {},\n", serve_json(s))),
-        None => out.push_str("      \"serve\": null,\n"),
-    }
-    match &r.fleet {
-        Some(f) => out.push_str(&format!("      \"fleet\": {},\n", fleet_json(f))),
-        None => out.push_str("      \"fleet\": null,\n"),
-    }
-    match &r.accel {
-        Some(a) => out.push_str(&format!("      \"accel\": {}\n", accel_json(a))),
-        None => out.push_str("      \"accel\": null\n"),
-    }
-    out.push_str("    }");
-    out
-}
-
-/// The serving-metrics journal section: one flat object, stable field
-/// order, integer cycle counters verbatim, rates via [`num`] — the same
-/// determinism contract as the rest of the journal.
-fn serve_json(s: &ServeSummary) -> String {
-    format!(
-        "{{\"policy\":{},\"backend\":{},\"arrival_mean_cycles\":{},\
-         \"offered\":{},\"admitted\":{},\"dropped\":{},\"completed\":{},\
-         \"batches\":{},\
-         \"p50_latency\":{},\"p95_latency\":{},\"p99_latency\":{},\"max_latency\":{},\
-         \"throughput_qpkc\":{},\"max_queue_depth\":{},\"makespan_cycles\":{},\
-         \"queue_wait_cycles\":{},\"idle_cycles\":{},\"horizon_cycles\":{}}}",
-        escape(&s.policy),
-        escape(&s.backend),
-        num(s.arrival_mean_cycles),
-        s.offered,
-        s.admitted,
-        s.dropped,
-        s.completed,
-        s.batches,
-        s.p50_latency,
-        s.p95_latency,
-        s.p99_latency,
-        s.max_latency,
-        num(s.throughput_qpkc),
-        s.max_queue_depth,
-        s.makespan_cycles,
-        s.queue_wait_cycles,
-        s.idle_cycles,
-        s.horizon_cycles,
-    )
-}
-
-/// The fleet-metrics journal section (schema v4): one object with nested
-/// `per_device` / `per_class` arrays, stable field order, integer cycle
-/// counters verbatim, rates via [`num`] — the same determinism contract as
-/// the rest of the journal.
-fn fleet_json(f: &workloads::FleetSummary) -> String {
-    let devices: Vec<String> = f
-        .per_device
-        .iter()
-        .map(|d| {
-            format!(
-                "{{\"device\":{},\"batches\":{},\"completed\":{},\"dropped\":{},\
-                 \"busy_cycles\":{},\"queue_wait_cycles\":{},\"idle_cycles\":{},\
-                 \"max_queue_depth\":{},\"shard_misses\":{},\"cold_starts\":{}}}",
-                d.device,
-                d.batches,
-                d.completed,
-                d.dropped,
-                d.busy_cycles,
-                d.queue_wait_cycles,
-                d.idle_cycles,
-                d.max_queue_depth,
-                d.shard_misses,
-                d.cold_starts,
-            )
-        })
-        .collect();
-    let classes: Vec<String> = f
-        .per_class
-        .iter()
-        .map(|c| {
-            format!(
-                "{{\"class\":{},\"deadline_cycles\":{},\"offered\":{},\"completed\":{},\
-                 \"dropped\":{},\"slo_misses\":{},\"p50_latency\":{},\"p99_latency\":{},\
-                 \"max_latency\":{}}}",
-                escape(&c.class),
-                c.deadline_cycles,
-                c.offered,
-                c.completed,
-                c.dropped,
-                c.slo_misses,
-                c.p50_latency,
-                c.p99_latency,
-                c.max_latency,
-            )
-        })
-        .collect();
-    format!(
-        "{{\"router\":{},\"backend\":{},\"policy\":{},\"devices\":{},\"shards\":{},\
-         \"replication\":{},\"shard_miss_penalty\":{},\"arrival_mean_cycles\":{},\
-         \"offered\":{},\"admitted\":{},\"dropped\":{},\"completed\":{},\"batches\":{},\
-         \"p50_latency\":{},\"p95_latency\":{},\"p99_latency\":{},\"max_latency\":{},\
-         \"throughput_qpkc\":{},\"slo_misses\":{},\"shard_hits\":{},\"shard_misses\":{},\
-         \"cold_starts\":{},\"makespan_cycles\":{},\"horizon_cycles\":{},\
-         \"per_device\":[{}],\"per_class\":[{}]}}",
-        escape(&f.router),
-        escape(&f.backend),
-        escape(&f.policy),
-        f.devices,
-        f.shards,
-        f.replication,
-        f.shard_miss_penalty,
-        num(f.arrival_mean_cycles),
-        f.offered,
-        f.admitted,
-        f.dropped,
-        f.completed,
-        f.batches,
-        f.p50_latency,
-        f.p95_latency,
-        f.p99_latency,
-        f.max_latency,
-        num(f.throughput_qpkc),
-        f.slo_misses,
-        f.shard_hits,
-        f.shard_misses,
-        f.cold_starts,
-        f.makespan_cycles,
-        f.horizon_cycles,
-        devices.join(","),
-        classes.join(","),
-    )
-}
-
-fn accel_json(a: &AccelReport) -> String {
-    let e = &a.engine;
-    let units: Vec<String> = a
-        .units
-        .iter()
-        .map(|(name, s)| {
-            format!(
-                "{{\"name\":{},\"invocations\":{},\"busy_cycles\":{},\
-                 \"peak_in_flight\":{},\"total_latency\":{}}}",
-                escape(name),
-                s.invocations,
-                s.busy_cycles,
-                s.peak_in_flight,
-                s.total_latency
-            )
-        })
-        .collect();
-    let programs: Vec<String> = a
-        .programs
-        .iter()
-        .map(|(name, s)| {
-            format!(
-                "{{\"name\":{},\"invocations\":{},\"total_latency\":{},\"icnt_cycles\":{}}}",
-                escape(name),
-                s.invocations,
-                s.total_latency,
-                s.icnt_cycles
-            )
-        })
-        .collect();
-    format!(
-        "{{\"engine\":{{\"warps_accepted\":{},\"rays_completed\":{},\"node_fetches\":{},\
-         \"fetch_merges\":{},\"nodes_processed\":{},\"warp_buffer_accesses\":{},\
-         \"prefetches\":{},\"busy_cycles\":{}}},\
-         \"units\":[{}],\"programs\":[{}],\
-         \"shader_lane_instructions\":{},\"traversals\":{}}}",
-        e.warps_accepted,
-        e.rays_completed,
-        e.node_fetches,
-        e.fetch_merges,
-        e.nodes_processed,
-        e.warp_buffer_accesses,
-        e.prefetches,
-        e.busy_cycles,
-        units.join(","),
-        programs.join(","),
-        a.shader_lane_instructions,
-        a.traversals
-    )
 }
 
 /// Timing sidecar: wall-clock per run and for the whole sweep. Lives next
@@ -270,42 +69,27 @@ pub fn timing_json(
     runs: &[(String, f64)],
 ) -> String {
     let mut out = String::with_capacity(1024);
-    out.push_str("{\n");
-    out.push_str(&format!("  \"sweep\": {},\n", escape(sweep)));
-    out.push_str(&format!("  \"threads\": {threads},\n"));
-    out.push_str(&format!("  \"wall_seconds\": {},\n", num(wall_seconds)));
-    out.push_str("  \"runs\": [");
-    for (i, (label, secs)) in runs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"label\": {}, \"wall_seconds\": {}}}",
-            escape(label),
-            num(*secs)
-        ));
+    let mut doc = Object::new(&mut out, PRETTY[0]);
+    doc.field("sweep", sweep)
+        .field("threads", &threads)
+        .field("wall_seconds", &wall_seconds);
+    let mut items = Array::new(doc.key("runs"), PRETTY[1]);
+    for (label, secs) in runs {
+        let mut run = Object::new(items.slot(), SPACED);
+        run.field("label", label).field("wall_seconds", secs);
+        run.end();
     }
-    if !runs.is_empty() {
-        out.push('\n');
-    }
-    out.push_str("  ]\n}\n");
+    items.end();
+    doc.end();
+    out.push('\n');
     out
-}
-
-/// JSON number: finite floats via shortest-roundtrip `Display`,
-/// non-finite as `null`.
-fn num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_owned()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use gpu_sim::SimStats;
+    use workloads::ServeSummary;
 
     fn result(label: &str, cycles: u64) -> RunResult {
         let mut stats = SimStats {
@@ -459,22 +243,9 @@ mod tests {
     }
 
     #[test]
-    fn non_finite_metrics_become_null() {
-        assert_eq!(num(f64::NAN), "null");
-        assert_eq!(num(f64::INFINITY), "null");
-        assert_eq!(num(0.25), "0.25");
-    }
-
-    #[test]
-    fn strings_are_escaped() {
-        assert_eq!(escape("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
-        assert_eq!(escape("\u{1}"), "\"\\u0001\"");
-    }
-
-    #[test]
     fn empty_sweep_is_valid() {
         let j = journal_json("empty", &[]);
-        assert!(j.contains("\"runs\": [  ]\n") || j.contains("\"runs\": []"));
+        assert!(j.contains("\"runs\": []\n"), "{j}");
         let t = timing_json("empty", 4, 0.0, &[]);
         assert!(t.contains("\"threads\": 4"));
     }

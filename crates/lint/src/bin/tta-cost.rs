@@ -19,15 +19,18 @@
 //! is derived from the static analyses alone (no clocks, no RNG). CI
 //! diffs the journal across two thread counts to enforce this.
 
-use std::io::Write as _;
-
-use gpu_sim::absint::{coalescing, cycle_bounds, divergence, CostReport, Divergence};
-use trace::json::escape;
+use gpu_sim::absint::{coalescing, cycle_bounds, divergence, Divergence};
+use trace::json::{Array, Object, ALIGNED, COMPACT, PRETTY};
 use tta::ttaplus::TtaPlusConfig;
 use tta_lint::{shipped_kernel_inventory, shipped_programs};
 
 fn usage() -> ! {
     eprintln!("usage: tta-cost [--threads N] [--out <path>] [--quiet]");
+    std::process::exit(2);
+}
+
+fn fail(msg: &str) -> ! {
+    eprintln!("tta-cost: {msg}");
     std::process::exit(2);
 }
 
@@ -39,7 +42,8 @@ enum Item {
     Program(tta::programs::UopProgram),
 }
 
-fn kernel_fragment(s: &tta_lint::ShippedKernel, gpu: &gpu_sim::GpuConfig) -> String {
+/// A kernel's journal fragment, and whether it has finite cycle bounds.
+fn kernel_fragment(s: &tta_lint::ShippedKernel, gpu: &gpu_sim::GpuConfig) -> (String, bool) {
     let div = divergence(&s.kernel, s.bounds);
     let coal = coalescing(&s.kernel, s.bounds, gpu);
     let (uniform, may, proved) =
@@ -50,60 +54,70 @@ fn kernel_fragment(s: &tta_lint::ShippedKernel, gpu: &gpu_sim::GpuConfig) -> Str
                 Divergence::MayDiverge => (acc.0, acc.1 + 1, acc.2),
                 Divergence::Divergent => (acc.0, acc.1, acc.2 + 1),
             });
-    let sites: Vec<String> = coal
-        .sites
-        .iter()
-        .map(|site| {
-            format!(
-                "{{\"pc\":{},\"kind\":\"{}\",\"class\":\"{}\",\"lines_min\":{},\"lines_max\":{},\"misaligned\":{}}}",
-                site.pc,
-                if site.is_store { "store" } else { "load" },
-                site.class,
-                site.lines_min,
-                site.lines_max,
-                site.misaligned,
-            )
-        })
-        .collect();
+    let mut out = String::new();
+    let mut k = Object::new(&mut out, ALIGNED);
+    k.field("kernel", &s.kernel.name);
+
+    let mut d = Object::new(k.key("divergence"), COMPACT);
+    d.field("branches", &div.branches.len())
+        .field("uniform", &uniform)
+        .field("may_diverge", &may)
+        .field("divergent", &proved)
+        .field("proved_uniform", &div.proved_uniform());
+    d.end();
+
     let (lines_lo, lines_hi) = coal.lines_bracket();
-    let facts = workloads::cost::shipped_facts(&s.kernel.name, gpu);
-    let (bounds_json, issues) = match &facts {
+    let mut c = Object::new(k.key("coalescing"), COMPACT);
+    c.field("lines_bracket", &[lines_lo, lines_hi][..]);
+    let mut sites = Array::new(c.key("sites"), COMPACT);
+    for site in &coal.sites {
+        let mut o = Object::new(sites.slot(), COMPACT);
+        o.field("pc", &site.pc)
+            .field("kind", if site.is_store { "store" } else { "load" })
+            .field("class", &site.class.to_string())
+            .field("lines_min", &site.lines_min)
+            .field("lines_max", &site.lines_max)
+            .field("misaligned", &site.misaligned);
+        o.end();
+    }
+    sites.end();
+    c.end();
+
+    let (bounds, issues) = match workloads::cost::shipped_facts(&s.kernel.name, gpu) {
         Some(facts) => {
-            let rep: CostReport = cycle_bounds(&s.kernel, s.bounds, gpu, facts);
-            let bounds_json = match rep.bounds {
-                Some(b) => format!(
-                    "{{\"lower\":{},\"upper\":{},\"ratio\":\"{:.4}\"}}",
-                    b.lower,
-                    b.upper,
-                    b.ratio()
-                ),
-                None => "null".to_string(),
-            };
-            let issues: Vec<String> = rep.issues.iter().map(|i| escape(&i.to_string())).collect();
-            (bounds_json, issues)
+            let rep = cycle_bounds(&s.kernel, s.bounds, gpu, &facts);
+            let issues = rep.issues.iter().map(ToString::to_string).collect();
+            (rep.bounds, issues)
         }
-        None => (
-            "null".to_string(),
-            vec!["\"no declared cost facts\"".to_string()],
-        ),
+        None => (None, vec!["no declared cost facts".to_string()]),
     };
-    format!(
-        "    {{\"kernel\":\"{}\",\n     \"divergence\":{{\"branches\":{},\"uniform\":{uniform},\"may_diverge\":{may},\"divergent\":{proved},\"proved_uniform\":{}}},\n     \"coalescing\":{{\"lines_bracket\":[{lines_lo},{lines_hi}],\"sites\":[{}]}},\n     \"cycle_bounds\":{bounds_json},\n     \"issues\":[{}]}}",
-        s.kernel.name,
-        div.branches.len(),
-        div.proved_uniform(),
-        sites.join(","),
-        issues.join(","),
-    )
+    match &bounds {
+        Some(b) => {
+            let mut o = Object::new(k.key("cycle_bounds"), COMPACT);
+            o.field("lower", &b.lower)
+                .field("upper", &b.upper)
+                .field("ratio", &format!("{:.4}", b.ratio()));
+            o.end();
+        }
+        None => {
+            k.field("cycle_bounds", &None::<u64>);
+        }
+    }
+    k.field("issues", &issues);
+    k.end();
+    (out, bounds.is_some())
 }
 
 fn program_fragment(p: &tta::programs::UopProgram, hop: u64) -> String {
     let (lo, hi) = p.latency_bounds(hop);
-    format!(
-        "    {{\"program\":\"{}\",\"uops\":{},\"critical_path\":{lo},\"serial_upper\":{hi}}}",
-        p.name(),
-        p.len(),
-    )
+    let mut out = String::new();
+    let mut o = Object::new(&mut out, COMPACT);
+    o.field("program", p.name())
+        .field("uops", &p.len())
+        .field("critical_path", &lo)
+        .field("serial_upper", &hi);
+    o.end();
+    out
 }
 
 fn main() {
@@ -151,21 +165,21 @@ fn main() {
     // Round-robin sharding with index-ordered reassembly: fragment `i` is
     // identical no matter which worker computed it, so the joined journal
     // is byte-stable across --threads values.
-    let mut fragments: Vec<Option<String>> = (0..items.len()).map(|_| None).collect();
+    let mut fragments: Vec<Option<(String, bool)>> = (0..items.len()).map(|_| None).collect();
     std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for worker in 0..threads.min(items.len().max(1)) {
             let items = &items;
             let gpu = &gpu;
             handles.push(scope.spawn(move || {
-                let mut done: Vec<(usize, String)> = Vec::new();
+                let mut done: Vec<(usize, (String, bool))> = Vec::new();
                 for (i, item) in items.iter().enumerate() {
                     if i % threads != worker {
                         continue;
                     }
                     let frag = match item {
                         Item::Kernel(s) => kernel_fragment(s, gpu),
-                        Item::Program(p) => program_fragment(p, hop),
+                        Item::Program(p) => (program_fragment(p, hop), false),
                     };
                     done.push((i, frag));
                 }
@@ -178,35 +192,42 @@ fn main() {
             }
         }
     });
-    let fragments: Vec<String> = fragments
+    let fragments: Vec<(String, bool)> = fragments
         .into_iter()
         .map(|f| f.expect("every item analyzed"))
         .collect();
 
-    let journal = format!(
-        "{{\n  \"schema\": 1,\n  \"report\": \"tta-cost\",\n  \"gpu\": \"vulkan_sim_default\",\n  \"launch_bounds\": 1024,\n  \"crossbar_hop_latency\": {hop},\n  \"kernels\": [\n{}\n  ],\n  \"programs\": [\n{}\n  ]\n}}\n",
-        fragments[..n_kernels].join(",\n"),
-        fragments[n_kernels..].join(",\n"),
-    );
-
-    if let Some(dir) = out.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create journal directory");
+    let mut journal = String::new();
+    let mut doc = Object::new(&mut journal, PRETTY[0]);
+    doc.field("schema", &1u32)
+        .field("report", "tta-cost")
+        .field("gpu", "vulkan_sim_default")
+        .field("launch_bounds", &1024u32)
+        .field("crossbar_hop_latency", &hop);
+    let (kernels, programs) = fragments.split_at(n_kernels);
+    for (key, frags) in [("kernels", kernels), ("programs", programs)] {
+        let mut items = Array::new(doc.key(key), PRETTY[1]);
+        for (frag, _) in frags {
+            items.slot().push_str(frag);
         }
+        items.end();
     }
-    let mut f = std::fs::File::create(&out).expect("create journal");
-    f.write_all(journal.as_bytes()).expect("write journal");
+    doc.end();
+    journal.push('\n');
+
+    // `create_dir_all("")` is a no-op, so a bare file name needs no special case.
+    let dir = out.parent().unwrap_or(std::path::Path::new(""));
+    std::fs::create_dir_all(dir)
+        .and_then(|()| std::fs::write(&out, journal))
+        .unwrap_or_else(|e| fail(&format!("cannot write {}: {e}", out.display())));
 
     if !quiet {
-        let with_bounds = fragments[..n_kernels]
-            .iter()
-            .filter(|f| !f.contains("\"cycle_bounds\":null"))
-            .count();
+        let with_bounds = kernels.iter().filter(|(_, bounded)| *bounded).count();
         println!(
             "tta-cost: {} kernels analyzed ({} with finite cycle bounds), {} programs; journal at {}",
             n_kernels,
             with_bounds,
-            fragments.len() - n_kernels,
+            programs.len(),
             out.display(),
         );
     }

@@ -91,7 +91,7 @@ fn main() {
 
     if json {
         for d in &diags {
-            println!("{}", d.to_json());
+            println!("{}", trace::json::to_string(d));
         }
     } else if !quiet {
         for d in &diags {

@@ -30,7 +30,7 @@
 use gpu_sim::absint::{LaunchBounds, MemContract, MemIssue, RaceIssue};
 use gpu_sim::kernel::Kernel;
 use gpu_sim::verify::KernelIssue;
-use trace::json::escape;
+use trace::json::{Json, Object, COMPACT};
 use tta::dataflow::ProgramIssue;
 use tta::pipeline::{AcceleratorGen, PipelineIssue, TraversalPipeline};
 use tta::programs::UopProgram;
@@ -79,17 +79,16 @@ impl std::fmt::Display for Diagnostic {
     }
 }
 
-impl Diagnostic {
-    /// Renders as one machine-readable JSON object (for `tta-lint --json`):
-    /// `{"severity":...,"pass":...,"location":...,"message":...}`.
-    pub fn to_json(&self) -> String {
-        format!(
-            r#"{{"severity":"{}","pass":{},"location":{},"message":{}}}"#,
-            self.severity,
-            escape(self.pass),
-            escape(&self.location),
-            escape(&self.message),
-        )
+/// One machine-readable object per diagnostic (for `tta-lint --json`):
+/// `{"severity":...,"pass":...,"location":...,"message":...}`.
+impl Json for Diagnostic {
+    fn write_json(&self, out: &mut String) {
+        let mut obj = Object::new(out, COMPACT);
+        obj.field("severity", &self.severity.to_string())
+            .field("pass", self.pass)
+            .field("location", &self.location)
+            .field("message", &self.message);
+        obj.end();
     }
 }
 

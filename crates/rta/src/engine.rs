@@ -135,6 +135,13 @@ pub struct EngineStats {
     pub busy_cycles: u64,
 }
 
+trace::json_fields! {
+    EngineStats {
+        warps_accepted, rays_completed, node_fetches, fetch_merges, nodes_processed,
+        warp_buffer_accesses, prefetches, busy_cycles,
+    };
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum EventKind {
     FetchDone,

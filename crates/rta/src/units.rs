@@ -68,6 +68,10 @@ impl UnitStats {
     }
 }
 
+trace::json_fields! {
+    UnitStats { invocations, busy_cycles, peak_in_flight, total_latency };
+}
+
 /// A pipelined unit: fixed latency, configurable initiation interval
 /// (default 1), and an in-flight tracker for peak-occupancy statistics.
 #[derive(Debug, Clone)]

@@ -1,7 +1,7 @@
 //! Chrome `trace_event` JSON serialization.
 //!
-//! One event per line, hand-formatted (no serde in this workspace), so
-//! traces diff cleanly and golden files stay reviewable. The mapping:
+//! One event per line, written by [`crate::json`], so traces diff cleanly
+//! and golden files stay reviewable. The mapping:
 //!
 //! | [`EventKind`]          | Chrome `ph`        |
 //! |------------------------|--------------------|
@@ -17,68 +17,93 @@
 //! them microseconds; ignore the unit).
 
 use crate::event::{EventKind, TraceEvent, Track};
+use crate::json::{Array, Json, Object, COMPACT, LINES};
 
 /// Serializes events to a Chrome `trace_event` "JSON object format"
 /// document. Deterministic: byte-identical for identical event lists.
 #[must_use]
 pub fn to_chrome_json(events: &[TraceEvent]) -> String {
     let mut out = String::with_capacity(events.len() * 96 + 256);
-    out.push_str("{\"schema\":\"tta-trace-v1\",\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n");
+    let mut doc = Object::new(&mut out, COMPACT);
+    doc.field("schema", "tta-trace-v1")
+        .field("displayTimeUnit", "ns");
+    let mut rows = Array::new(doc.key("traceEvents"), LINES);
 
     // Metadata rows from the sorted distinct track set.
     let mut tracks: Vec<Track> = events.iter().map(|e| e.track).collect();
     tracks.sort_unstable();
     tracks.dedup();
-    let mut first = true;
     let mut last_pid = u32::MAX;
     for t in &tracks {
         let (pid, tid) = (t.category_id(), t.index());
         if pid != last_pid {
             last_pid = pid;
-            push_line(&mut out, &mut first, &format!(
-                "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\"args\":{{\"name\":\"{}\"}}}}",
-                t.category()
-            ));
+            let row = begin(&mut rows, "process_name", None, "M");
+            finish(row, (pid, 0), Some(("name", &t.category().to_owned())));
         }
-        push_line(&mut out, &mut first, &format!(
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"args\":{{\"name\":\"{} {}\"}}}}",
-            t.category(),
-            tid
-        ));
+        let name = format!("{} {tid}", t.category());
+        let row = begin(&mut rows, "thread_name", None, "M");
+        finish(row, (pid, tid), Some(("name", &name)));
     }
 
     for ev in events {
-        let (pid, tid) = (ev.track.category_id(), ev.track.index());
-        let cat = ev.track.category();
+        let cat = Some(ev.track.category());
+        let at = (ev.track.category_id(), ev.track.index());
         let ts = ev.cycle;
-        let line = match ev.kind {
-            EventKind::Span { name, end, arg } => format!(
-                "{{\"name\":\"{name}\",\"cat\":\"{cat}\",\"ph\":\"X\",\"ts\":{ts},\"dur\":{},\"pid\":{pid},\"tid\":{tid},\"args\":{{\"arg\":{arg}}}}}",
-                end - ts
-            ),
-            EventKind::Async { name, id, end, arg } => format!(
-                "{{\"name\":\"{name}\",\"cat\":\"{cat}\",\"ph\":\"b\",\"id\":{id},\"ts\":{ts},\"pid\":{pid},\"tid\":{tid},\"args\":{{\"arg\":{arg}}}}},\n{{\"name\":\"{name}\",\"cat\":\"{cat}\",\"ph\":\"e\",\"id\":{id},\"ts\":{end},\"pid\":{pid},\"tid\":{tid},\"args\":{{}}}}"
-            ),
-            EventKind::Instant { name, arg } => format!(
-                "{{\"name\":\"{name}\",\"cat\":\"{cat}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{ts},\"pid\":{pid},\"tid\":{tid},\"args\":{{\"arg\":{arg}}}}}"
-            ),
-            EventKind::Counter { bucket, cycles } => format!(
-                "{{\"name\":\"attribution\",\"cat\":\"{cat}\",\"ph\":\"C\",\"ts\":{ts},\"pid\":{pid},\"tid\":{tid},\"args\":{{\"{}\":{cycles}}}}}",
-                bucket.name()
-            ),
-        };
-        push_line(&mut out, &mut first, &line);
+        match ev.kind {
+            EventKind::Span { name, end, arg } => {
+                let mut row = begin(&mut rows, name, cat, "X");
+                row.field("ts", &ts).field("dur", &(end - ts));
+                finish(row, at, Some(("arg", &arg)));
+            }
+            EventKind::Async { name, id, end, arg } => {
+                let mut row = begin(&mut rows, name, cat, "b");
+                row.field("id", &id).field("ts", &ts);
+                finish(row, at, Some(("arg", &arg)));
+                let mut row = begin(&mut rows, name, cat, "e");
+                row.field("id", &id).field("ts", &end);
+                finish(row, at, None);
+            }
+            EventKind::Instant { name, arg } => {
+                let mut row = begin(&mut rows, name, cat, "i");
+                row.field("s", "t").field("ts", &ts);
+                finish(row, at, Some(("arg", &arg)));
+            }
+            EventKind::Counter { bucket, cycles } => {
+                let mut row = begin(&mut rows, "attribution", cat, "C");
+                row.field("ts", &ts);
+                finish(row, at, Some((bucket.name(), &cycles)));
+            }
+        }
     }
-    out.push_str("\n]}\n");
+    rows.end();
+    doc.end();
+    out.push('\n');
     out
 }
 
-fn push_line(out: &mut String, first: &mut bool, line: &str) {
-    if !*first {
-        out.push_str(",\n");
+/// Starts a row with its `name`, `cat` (metadata rows have none) and
+/// `ph` fields; the caller adds the phase's own fields and [`finish`]es
+/// it.
+fn begin<'a>(rows: &'a mut Array<'_>, name: &str, cat: Option<&str>, ph: &str) -> Object<'a> {
+    let mut row = Object::new(rows.slot(), COMPACT);
+    row.field("name", name);
+    if let Some(cat) = cat {
+        row.field("cat", cat);
     }
-    *first = false;
-    out.push_str(line);
+    row.field("ph", ph);
+    row
+}
+
+/// Ends a row with its `pid`, `tid` and `args` (one entry, or none).
+fn finish(mut row: Object<'_>, (pid, tid): (u32, u32), arg: Option<(&str, &dyn Json)>) {
+    row.field("pid", &pid).field("tid", &tid);
+    let mut args = Object::new(row.key("args"), COMPACT);
+    if let Some((key, value)) = arg {
+        args.field(key, value);
+    }
+    args.end();
+    row.end();
 }
 
 #[cfg(test)]

@@ -7,6 +7,8 @@
 //! across hosts and across harness worker-thread counts (the same
 //! contract the run journal keeps).
 
+use crate::json::{Json, Object, COMPACT};
+
 /// The simulated resource an event belongs to.
 ///
 /// Tracks map onto rows in a Chrome trace viewer: the category (variant)
@@ -300,17 +302,17 @@ impl CycleAttribution {
             self.add(b, other.get(b));
         }
     }
+}
 
-    /// Stable JSON object (`{"simt_busy":…,…,"total":…}`), keys in
-    /// [`Bucket::ALL`] order.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{");
+/// One field per bucket in [`Bucket::ALL`] order, then `total`.
+impl Json for CycleAttribution {
+    fn write_json(&self, out: &mut String) {
+        let mut obj = Object::new(out, COMPACT);
         for b in Bucket::ALL {
-            s.push_str(&format!("\"{}\":{},", b.name(), self.get(b)));
+            obj.field(b.name(), &self.get(b));
         }
-        s.push_str(&format!("\"total\":{}}}", self.total()));
-        s
+        obj.field("total", &self.total());
+        obj.end();
     }
 }
 
@@ -330,7 +332,7 @@ mod tests {
         b.add(Bucket::QueueWait, 4);
         b.merge(&a);
         assert_eq!(b.total(), 20);
-        let json = b.to_json();
+        let json = crate::json::to_string(&b);
         assert!(json.starts_with("{\"simt_busy\":11,"));
         assert!(json.ends_with("\"total\":20}"));
         for bucket in Bucket::ALL {

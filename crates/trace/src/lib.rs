@@ -21,14 +21,14 @@
 //! * [`TraceEvent`] / [`Track`] / [`EventKind`] — the event model.
 //! * [`TraceHandle`] — the cheap `Clone` handle the simulator carries;
 //!   the default handle is disabled and costs one branch per call site.
-//! * [`TraceSink`] implementations: [`NullSink`] (discard),
-//!   [`CountingSink`] (cycle-attribution histogram),
-//!   [`ChromeTraceSink`] (Chrome `trace_event` JSON for
-//!   `chrome://tracing` / Perfetto).
+//! * [`TraceSink`], implemented by [`ChromeTraceSink`] (Chrome
+//!   `trace_event` JSON for `chrome://tracing` / Perfetto).
 //! * [`CycleAttribution`] / [`Bucket`] — the always-on histogram stored
 //!   in `SimStats`: every simulated cycle lands in exactly one bucket.
 //! * [`validate_chrome_json`] / [`check_events`] — schema and invariant
 //!   checkers backing the test suites and the `tta-trace-check` binary.
+//! * [`json`] — the workspace's one JSON reader and writer, which every
+//!   journal, trace, log and report goes through.
 
 pub mod chrome;
 mod event;
@@ -37,7 +37,5 @@ mod sink;
 mod validate;
 
 pub use event::{Bucket, CycleAttribution, EventKind, TraceEvent, Track};
-pub use sink::{
-    file_name_for_label, ChromeTraceSink, CountingSink, NullSink, TraceHandle, TraceSink,
-};
+pub use sink::{file_name_for_label, ChromeTraceSink, TraceHandle, TraceSink};
 pub use validate::{check_events, validate_chrome_json, EventCheck, TraceCheck};

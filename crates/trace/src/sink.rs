@@ -2,7 +2,6 @@
 //! threads through its hot loops.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use crate::chrome;
@@ -16,79 +15,6 @@ use crate::event::{Bucket, CycleAttribution, EventKind, TraceEvent, Track};
 pub trait TraceSink: std::fmt::Debug {
     /// Consumes one event. Called only while tracing is enabled.
     fn record(&mut self, ev: &TraceEvent);
-}
-
-/// Discards every event. Attaching a `NullSink` exercises the emission
-/// paths (useful for overhead measurement); the even cheaper option is a
-/// default [`TraceHandle`], which skips event construction entirely.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn record(&mut self, _ev: &TraceEvent) {}
-}
-
-/// Aggregates events into a cycle-attribution histogram plus per-name
-/// span-cycle totals, without retaining the events themselves.
-#[derive(Debug, Default)]
-pub struct CountingSink {
-    events: u64,
-    attribution: CycleAttribution,
-    span_cycles: BTreeMap<&'static str, u64>,
-}
-
-impl CountingSink {
-    /// Total events seen.
-    #[must_use]
-    pub fn events(&self) -> u64 {
-        self.events
-    }
-
-    /// The attribution histogram accumulated from [`EventKind::Counter`]
-    /// events.
-    #[must_use]
-    pub fn attribution(&self) -> CycleAttribution {
-        self.attribution
-    }
-
-    /// Cycles covered by (sync or async) spans, keyed by span name.
-    #[must_use]
-    pub fn span_cycles(&self) -> &BTreeMap<&'static str, u64> {
-        &self.span_cycles
-    }
-
-    /// Deterministic one-object JSON summary of the histogram.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut s = format!(
-            "{{\"events\":{},\"attribution\":{},\"span_cycles\":{{",
-            self.events,
-            self.attribution.to_json()
-        );
-        let mut first = true;
-        for (name, cycles) in &self.span_cycles {
-            if !first {
-                s.push(',');
-            }
-            first = false;
-            s.push_str(&format!("\"{name}\":{cycles}"));
-        }
-        s.push_str("}}");
-        s
-    }
-}
-
-impl TraceSink for CountingSink {
-    fn record(&mut self, ev: &TraceEvent) {
-        self.events += 1;
-        match ev.kind {
-            EventKind::Span { name, end, .. } | EventKind::Async { name, end, .. } => {
-                *self.span_cycles.entry(name).or_insert(0) += end.saturating_sub(ev.cycle);
-            }
-            EventKind::Instant { .. } => {}
-            EventKind::Counter { bucket, cycles } => self.attribution.add(bucket, cycles),
-        }
-    }
 }
 
 /// Retains every event and serializes them as Chrome `trace_event` JSON
@@ -311,28 +237,6 @@ mod tests {
         h.span(Track::Gpu, "launch", 0, 10);
         h.instant(Track::Sm(0), "issue_alu", 1, 32);
         h.counter(Track::Gpu, Bucket::SimtBusy, 5, 10);
-    }
-
-    #[test]
-    fn counting_sink_aggregates_spans_and_counters() {
-        let sink = Rc::new(RefCell::new(CountingSink::default()));
-        let h = TraceHandle::shared(sink.clone());
-        assert!(h.enabled());
-        h.span(Track::Accel(0), "busy", 10, 25);
-        h.span(Track::Accel(1), "busy", 0, 5);
-        h.async_span(Track::Mem(0), "read_miss", 7, 100, 160, 128);
-        h.instant(Track::Sm(0), "issue_alu", 3, 32);
-        h.counter(Track::Gpu, Bucket::SimtBusy, 40, 200);
-        h.counter(Track::Gpu, Bucket::AccelStarved, 9, 200);
-        let s = sink.borrow();
-        assert_eq!(s.events(), 6);
-        assert_eq!(s.span_cycles()["busy"], 20);
-        assert_eq!(s.span_cycles()["read_miss"], 60);
-        assert_eq!(s.attribution().get(Bucket::SimtBusy), 40);
-        assert_eq!(s.attribution().total(), 49);
-        let json = s.to_json();
-        assert!(json.contains("\"events\":6"));
-        assert!(json.contains("\"busy\":20"));
     }
 
     #[test]

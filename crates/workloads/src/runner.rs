@@ -276,6 +276,30 @@ pub struct FleetSummary {
     pub per_class: Vec<FleetClassSummary>,
 }
 
+// The journal's field lists, in journal order.
+trace::json_fields! {
+    AccelReport { engine, units, programs, shader_lane_instructions, traversals };
+    ServeSummary {
+        policy, backend, arrival_mean_cycles, offered, admitted, dropped, completed, batches,
+        p50_latency, p95_latency, p99_latency, max_latency, throughput_qpkc, max_queue_depth,
+        makespan_cycles, queue_wait_cycles, idle_cycles, horizon_cycles,
+    };
+    FleetDeviceSummary {
+        device, batches, completed, dropped, busy_cycles, queue_wait_cycles, idle_cycles,
+        max_queue_depth, shard_misses, cold_starts,
+    };
+    FleetClassSummary {
+        class, deadline_cycles, offered, completed, dropped, slo_misses, p50_latency,
+        p99_latency, max_latency,
+    };
+    FleetSummary {
+        router, backend, policy, devices, shards, replication, shard_miss_penalty,
+        arrival_mean_cycles, offered, admitted, dropped, completed, batches, p50_latency,
+        p95_latency, p99_latency, max_latency, throughput_qpkc, slo_misses, shard_hits,
+        shard_misses, cold_starts, makespan_cycles, horizon_cycles, per_device, per_class,
+    };
+}
+
 /// The outcome of one experiment run.
 #[derive(Debug, Clone)]
 pub struct RunResult {

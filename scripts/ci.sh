@@ -24,8 +24,9 @@
 #      and the fleet cluster grid — the latter two assert their own
 #      batching/routing claims internally), checking that each run
 #      journal lands under results/
-#   7. traced --quick sweeps (fig13 and the fleet grid), with every
-#      emitted Chrome trace validated by the tta-trace-check binary
+#   7. traced --quick sweeps (fig13, the serving grid and the fleet
+#      grid), with every emitted Chrome trace validated by the
+#      tta-trace-check binary
 #   8. the snapshot/restore smoke: a cold --quick fig13 populates a
 #      snapshot store, a warm --resume rerun restores every run's final
 #      state without re-simulating, and the two journals must be
@@ -38,7 +39,8 @@
 #      abstraction, and that no two warps conflict on a global-memory
 #      word within a launch
 #  10. the perf-trajectory gates: BENCH_fig13.json and BENCH_fleet.json
-#      must parse against their schema; the wall-clock of step 9 must not
+#      must parse against their schema and be in the canonical form
+#      bench_gate record writes; the wall-clock of step 9 must not
 #      regress more than 25% against the latest committed quick-shadow
 #      fig13 entry, and the untraced fleet smoke of step 6 not more than
 #      100% against the latest committed quick fleet entry (the fleet
@@ -135,10 +137,15 @@ test -s results/fig15.timing.json || { echo "missing results/fig15.timing.json" 
 
 # Smoke the online-serving grid (the binary itself asserts that continuous
 # batching beats size-triggered batching on p99 at the saturating arrival
-# rate) and verify its journal appears.
-run cargo run "${CARGO_FLAGS[@]}" --release -p tta-bench --bin serve -- --quick --threads 2
+# rate) and verify its journal appears. The run is traced, and every
+# trace (the queue and device tracks of each serving point) is validated
+# by the checker binary.
+rm -rf results/trace-smoke-serve
+run cargo run "${CARGO_FLAGS[@]}" --release -p tta-bench --bin serve -- --quick --threads 2 --trace results/trace-smoke-serve
 test -s results/serve.journal.json || { echo "missing results/serve.journal.json" >&2; exit 1; }
 test -s results/serve.timing.json || { echo "missing results/serve.timing.json" >&2; exit 1; }
+ls results/trace-smoke-serve/*.trace.json >/dev/null 2>&1 || { echo "no traces under results/trace-smoke-serve" >&2; exit 1; }
+run cargo run "${CARGO_FLAGS[@]}" --release -p tta-trace --bin tta-trace-check -- results/trace-smoke-serve/*.trace.json
 
 # Smoke the fleet cluster grid (the binary asserts power-of-two-choices
 # beats round-robin on p99 on every backend, locality routing beats JSQ

@@ -12,6 +12,9 @@
 //!
 //! All six studies share one sweep (and therefore one journal and one
 //! input cache — every B-Tree study reuses the same cached tree build).
+//!
+//! Expectation (asserted below): the prefetch row of study 3 reports the
+//! prefetches it issued, and the no-prefetch row reports none.
 
 use trees::BTreeFlavor;
 use tta::op_unit::OpUnit;
@@ -205,6 +208,14 @@ fn report_prefetch(idx: &[usize; 3], results: &[RunResult]) {
         fx(plain.cycles() as f64 / pf.cycles() as f64),
     ]);
     rep.finish();
+
+    let prefetches = |r: &RunResult| r.accel.as_ref().map_or(0, |a| a.engine.prefetches);
+    assert_eq!(
+        prefetches(plain),
+        0,
+        "the no-prefetch row issued prefetches"
+    );
+    assert!(prefetches(pf) > 0, "the prefetch row reports no prefetches");
 }
 
 // --- Ablation 4: DRAM bandwidth scaling ---------------------------------

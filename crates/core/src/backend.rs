@@ -95,12 +95,6 @@ impl TtaBackend {
         &self.cfg
     }
 
-    /// Lane-instructions executed by intersection-shader callbacks on the
-    /// general-purpose cores.
-    pub fn shader_lane_instructions(&self) -> u64 {
-        self.shader_calls * self.cfg.rta.shader_instructions
-    }
-
     /// Query-Key comparisons executed (Fig. 15 bookkeeping).
     pub fn query_key_tests(&self) -> u64 {
         self.query_key_tests
@@ -143,27 +137,20 @@ impl IntersectionBackend for TtaBackend {
         }
     }
 
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
     fn unit_stats(&self) -> Vec<(String, UnitStats)> {
-        let fold = |units: &[PipelinedUnit]| {
-            let mut s = UnitStats::default();
-            for u in units {
-                s.invocations += u.stats.invocations;
-                s.busy_cycles += u.stats.busy_cycles;
-                s.peak_in_flight = s.peak_in_flight.max(u.stats.peak_in_flight);
-                s.total_latency += u.stats.total_latency;
-            }
-            s
-        };
         vec![
-            ("RayBox/QueryKey".to_owned(), fold(&self.box_units)),
-            ("RayTriangle/PointToPoint".to_owned(), fold(&self.tri_units)),
+            ("RayBox/QueryKey".to_owned(), UnitStats::of(&self.box_units)),
+            (
+                "RayTriangle/PointToPoint".to_owned(),
+                UnitStats::of(&self.tri_units),
+            ),
             ("Transform".to_owned(), self.xform_unit.stats.clone()),
             ("IntersectionShader".to_owned(), self.shader.stats.clone()),
         ]
+    }
+
+    fn shader_lane_instructions(&self) -> u64 {
+        self.shader_calls * self.cfg.rta.shader_instructions
     }
 
     gpu_sim::snap_fields! {

@@ -11,7 +11,9 @@
 use std::collections::HashMap;
 
 use gpu_sim::snapshot::{load_each, save_each, BagError, Snap, SnapValue, StateBag};
-use rta::units::{IntersectionBackend, PipelinedUnit, TestKind, UnitStats, UnsupportedTest};
+use rta::units::{
+    IntersectionBackend, PipelinedUnit, ProgramStats, TestKind, UnitStats, UnsupportedTest,
+};
 
 use crate::op_unit::OpUnit;
 use crate::programs::UopProgram;
@@ -73,32 +75,6 @@ impl Default for TtaPlusConfig {
     fn default() -> Self {
         Self::default_paper()
     }
-}
-
-/// Per-program latency statistics (Fig. 18 bottom).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ProgramStats {
-    /// Executions of this program.
-    pub invocations: u64,
-    /// Total latency (arrival to final μop retirement), cycles.
-    pub total_latency: u64,
-    /// Cycles spent in crossbar transfers.
-    pub icnt_cycles: u64,
-}
-
-impl ProgramStats {
-    /// Average end-to-end intersection latency.
-    pub fn avg_latency(&self) -> f64 {
-        if self.invocations == 0 {
-            0.0
-        } else {
-            self.total_latency as f64 / self.invocations as f64
-        }
-    }
-}
-
-trace::json_fields! {
-    ProgramStats { invocations, total_latency, icnt_cycles };
 }
 
 /// The TTA+ backend.
@@ -183,31 +159,6 @@ impl TtaPlusBackend {
         &self.cfg
     }
 
-    /// Statistics for custom program `id`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range; see [`TtaPlusBackend::try_program_stats`].
-    pub fn program_stats(&self, id: u16) -> &ProgramStats {
-        &self.program_stats[id as usize]
-    }
-
-    /// Statistics for custom program `id`, or `None` past the end.
-    pub fn try_program_stats(&self, id: u16) -> Option<&ProgramStats> {
-        self.program_stats.get(id as usize)
-    }
-
-    /// Statistics for the built-in program handling `kind`, if any ran.
-    pub fn builtin_stats(&self, name: &str) -> Option<&ProgramStats> {
-        let i = BUILTIN_TRACE_ORDER.iter().position(|&n| n == name)?;
-        Some(&self.builtin_stats[i]).filter(|s| s.invocations > 0)
-    }
-
-    /// Lane-instructions executed by shader callbacks.
-    pub fn shader_lane_instructions(&self) -> u64 {
-        self.shader_calls * self.cfg.shader_instructions
-    }
-
     fn run_program_indexed(&mut self, which: ProgramRef, now: u64) -> u64 {
         let program = match which {
             ProgramRef::Custom(i) => self.programs[i].clone(),
@@ -260,7 +211,7 @@ impl TtaPlusBackend {
 }
 
 /// Stable ordering of the built-in Table III programs: trace tracks,
-/// `builtin`/`builtin_stats` slots and snapshot rows.
+/// `builtin`/`builtin_stats` slots, snapshot rows and reported programs.
 const BUILTIN_TRACE_ORDER: [&str; 5] = [
     "ray_box",
     "ray_triangle",
@@ -303,35 +254,36 @@ impl IntersectionBackend for TtaPlusBackend {
         self.trace = trace;
     }
 
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
+    fn unit_stats(&self) -> Vec<(String, UnitStats)> {
+        let pools = OpUnit::ALL
+            .into_iter()
+            .filter_map(|u| Some((u.name().to_owned(), UnitStats::of(self.units.0.get(&u)?))));
+        pools
+            .chain([
+                ("ICNT".to_owned(), UnitStats::of(&self.crossbar)),
+                ("IntersectionShader".to_owned(), self.shader.stats.clone()),
+            ])
+            .collect()
     }
 
-    fn unit_stats(&self) -> Vec<(String, UnitStats)> {
-        let mut out: Vec<(String, UnitStats)> = Vec::new();
-        for u in OpUnit::ALL {
-            let Some(pool) = self.units.0.get(&u) else {
-                continue;
-            };
-            let mut s = UnitStats::default();
-            for unit in pool {
-                s.invocations += unit.stats.invocations;
-                s.busy_cycles += unit.stats.busy_cycles;
-                s.peak_in_flight = s.peak_in_flight.max(unit.stats.peak_in_flight);
-                s.total_latency += unit.stats.total_latency;
-            }
-            out.push((u.name().to_owned(), s));
-        }
-        let mut xb = UnitStats::default();
-        for lane in &self.crossbar {
-            xb.invocations += lane.stats.invocations;
-            xb.busy_cycles += lane.stats.busy_cycles;
-            xb.peak_in_flight = xb.peak_in_flight.max(lane.stats.peak_in_flight);
-            xb.total_latency += lane.stats.total_latency;
-        }
-        out.push(("ICNT".to_owned(), xb));
-        out.push(("IntersectionShader".to_owned(), self.shader.stats.clone()));
-        out
+    fn shader_lane_instructions(&self) -> u64 {
+        self.shader_calls * self.cfg.shader_instructions
+    }
+
+    /// The builtins that ran, in [`BUILTIN_TRACE_ORDER`], then every
+    /// custom program as `program_{i}`.
+    fn program_stats(&self) -> Vec<(String, ProgramStats)> {
+        let builtins = BUILTIN_TRACE_ORDER
+            .iter()
+            .zip(&self.builtin_stats)
+            .filter(|(_, s)| s.invocations > 0)
+            .map(|(name, s)| ((*name).to_owned(), s.clone()));
+        let custom = self
+            .program_stats
+            .iter()
+            .enumerate()
+            .map(|(i, s)| (format!("program_{i}"), s.clone()));
+        builtins.chain(custom).collect()
     }
 
     gpu_sim::snap_fields! {
@@ -374,12 +326,6 @@ impl Snap for UnitPools {
     }
 }
 
-gpu_sim::snap_row!(ProgramStats {
-    invocations,
-    total_latency,
-    icnt_cycles
-});
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -413,7 +359,10 @@ mod tests {
         let mut b = TtaPlusBackend::new(TtaPlusConfig::default_paper(), vec![p]);
         let done = b.schedule(TestKind::Program(0), 0).unwrap();
         assert!(done > 0);
-        let s = b.program_stats(0);
+        let stats = b.program_stats();
+        assert_eq!(stats.len(), 1, "no builtin ran: {stats:?}");
+        let (name, s) = &stats[0];
+        assert_eq!(name, "program_0");
         assert_eq!(s.invocations, 1);
         assert!(s.icnt_cycles > 0, "crossbar time must be accounted");
         assert!(b.schedule(TestKind::Program(7), 0).is_err());
@@ -462,11 +411,11 @@ mod tests {
         let mut fresh = TtaPlusBackend::new(TtaPlusConfig::default_paper(), vec![p]);
         fresh.import_state(&snap).expect("snapshot fits");
         assert_eq!(fresh.export_state(), snap, "export/import is lossless");
-        assert_eq!(fresh.program_stats(0), b.program_stats(0));
-        assert_eq!(fresh.builtin_stats("ray_box"), b.builtin_stats("ray_box"));
+        assert_eq!(fresh.program_stats(), b.program_stats());
+        let names: Vec<String> = fresh.program_stats().into_iter().map(|(n, _)| n).collect();
         assert_eq!(
-            fresh.builtin_stats("transform"),
-            None,
+            names,
+            ["ray_box", "program_0"],
             "never-ran builtins stay absent after restore"
         );
         // Structural hazards replay identically from the restored stamps.

@@ -232,55 +232,11 @@ impl FleetExperiment {
         RunResult {
             label,
             stats: sum_stats(&all_stats),
-            accel: merge_accel(services.iter().filter_map(|s| s.accel_report())),
+            accel: AccelReport::merge(services.iter().filter_map(|s| s.accel_report())),
             serve: None,
             fleet: Some(summary),
         }
     }
-}
-
-/// Sums accelerator reports across the fleet's devices (the same fold
-/// `harvest_accel` applies across SMs, one level up).
-fn merge_accel(reports: impl Iterator<Item = AccelReport>) -> Option<AccelReport> {
-    let mut acc: Option<AccelReport> = None;
-    for r in reports {
-        let Some(a) = acc.as_mut() else {
-            acc = Some(r);
-            continue;
-        };
-        a.engine.warps_accepted += r.engine.warps_accepted;
-        a.engine.rays_completed += r.engine.rays_completed;
-        a.engine.node_fetches += r.engine.node_fetches;
-        a.engine.fetch_merges += r.engine.fetch_merges;
-        a.engine.nodes_processed += r.engine.nodes_processed;
-        a.engine.warp_buffer_accesses += r.engine.warp_buffer_accesses;
-        a.engine.prefetches += r.engine.prefetches;
-        a.engine.busy_cycles += r.engine.busy_cycles;
-        a.shader_lane_instructions += r.shader_lane_instructions;
-        a.traversals += r.traversals;
-        for (name, s) in r.units {
-            match a.units.iter_mut().find(|(n, _)| *n == name) {
-                Some((_, t)) => {
-                    t.invocations += s.invocations;
-                    t.busy_cycles += s.busy_cycles;
-                    t.peak_in_flight = t.peak_in_flight.max(s.peak_in_flight);
-                    t.total_latency += s.total_latency;
-                }
-                None => a.units.push((name, s)),
-            }
-        }
-        for (name, s) in r.programs {
-            match a.programs.iter_mut().find(|(n, _)| *n == name) {
-                Some((_, t)) => {
-                    t.invocations += s.invocations;
-                    t.total_latency += s.total_latency;
-                    t.icnt_cycles += s.icnt_cycles;
-                }
-                None => a.programs.push((name, s)),
-            }
-        }
-    }
-    acc
 }
 
 impl CacheableExperiment for FleetExperiment {

@@ -25,7 +25,8 @@ use gpu_sim::mem::GlobalMemory;
 use gpu_sim::snapshot::BagError;
 
 use crate::config::RtaConfig;
-use crate::units::{IntersectionBackend, TestKind, UnitStats};
+use crate::report::AccelReport;
+use crate::units::{IntersectionBackend, TestKind};
 
 /// Number of 32-bit ray registers in a warp-buffer entry (Fig. 7: RR0–RR15).
 pub const RAY_REGS: usize = 16;
@@ -135,6 +136,20 @@ pub struct EngineStats {
     pub busy_cycles: u64,
 }
 
+impl EngineStats {
+    /// Adds `other`'s counters to these.
+    pub fn absorb(&mut self, other: &EngineStats) {
+        self.warps_accepted += other.warps_accepted;
+        self.rays_completed += other.rays_completed;
+        self.node_fetches += other.node_fetches;
+        self.fetch_merges += other.fetch_merges;
+        self.nodes_processed += other.nodes_processed;
+        self.warp_buffer_accesses += other.warp_buffer_accesses;
+        self.prefetches += other.prefetches;
+        self.busy_cycles += other.busy_cycles;
+    }
+}
+
 trace::json_fields! {
     EngineStats {
         warps_accepted, rays_completed, node_fetches, fetch_merges, nodes_processed,
@@ -237,14 +252,16 @@ impl TraversalEngine {
         }
     }
 
-    /// Unit statistics from the backend (Fig. 15 / Fig. 18).
-    pub fn unit_stats(&self) -> Vec<(String, UnitStats)> {
-        self.backend.unit_stats()
-    }
-
-    /// The configured backend (for backend-specific statistics).
-    pub fn backend(&self) -> &dyn IntersectionBackend {
-        self.backend.as_ref()
+    /// This engine's counters together with its backend's unit, program
+    /// and shader statistics (Fig. 15 / Fig. 18).
+    pub fn report(&self) -> AccelReport {
+        AccelReport {
+            engine: self.stats.clone(),
+            units: self.backend.unit_stats(),
+            programs: self.backend.program_stats(),
+            shader_lane_instructions: self.backend.shader_lane_instructions(),
+            traversals: self.traversals,
+        }
     }
 
     /// Engine configuration.

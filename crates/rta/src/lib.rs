@@ -11,6 +11,9 @@
 //!   [`units::FixedFunctionBackend`] provides 4 sets of Ray-Box (13-cycle)
 //!   and Ray-Triangle (37-cycle) pipelines, the R-XFORM unit, and the
 //!   intersection-shader callback path for procedural geometry.
+//! * [`report::AccelReport`] — a run's engine, unit, program and shader
+//!   counters, reported by each engine through its backend and folded
+//!   over SMs by [`AccelReport::harvest`].
 //! * [`bvh_semantics::BvhSemantics`] — the fixed-function *meaning* of a
 //!   ray-tracing traversal: Ray-Box at inner nodes, Ray-Triangle (or a
 //!   shader'd Ray-Sphere) at leaves, closest-hit and any-hit modes — plus
@@ -42,9 +45,11 @@
 pub mod bvh_semantics;
 pub mod config;
 pub mod engine;
+pub mod report;
 pub mod two_level_semantics;
 pub mod units;
 
 pub use config::RtaConfig;
 pub use engine::{EngineStats, RayState, StepAction, TraversalEngine, TraversalSemantics};
-pub use units::{FixedFunctionBackend, IntersectionBackend, TestKind, UnitStats};
+pub use report::AccelReport;
+pub use units::{FixedFunctionBackend, IntersectionBackend, ProgramStats, TestKind, UnitStats};

@@ -66,11 +66,64 @@ impl UnitStats {
             self.busy_cycles as f64 / elapsed as f64
         }
     }
+
+    /// Adds `other`'s counters to these; the peak is the larger of the two.
+    pub fn absorb(&mut self, other: &UnitStats) {
+        self.invocations += other.invocations;
+        self.busy_cycles += other.busy_cycles;
+        self.peak_in_flight = self.peak_in_flight.max(other.peak_in_flight);
+        self.total_latency += other.total_latency;
+    }
+
+    /// The statistics of a pool of interchangeable units, folded into one.
+    pub fn of(units: &[PipelinedUnit]) -> Self {
+        let mut s = UnitStats::default();
+        for u in units {
+            s.absorb(&u.stats);
+        }
+        s
+    }
+}
+
+/// Per-program latency statistics of a TTA+ μop program (Fig. 18 bottom).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ProgramStats {
+    /// Executions of this program.
+    pub invocations: u64,
+    /// Total latency (arrival to final μop retirement), cycles.
+    pub total_latency: u64,
+    /// Cycles spent in crossbar transfers.
+    pub icnt_cycles: u64,
+}
+
+impl ProgramStats {
+    /// Average end-to-end intersection latency.
+    pub fn avg_latency(&self) -> f64 {
+        if self.invocations == 0 {
+            0.0
+        } else {
+            self.total_latency as f64 / self.invocations as f64
+        }
+    }
+
+    /// Adds `other`'s counters to these.
+    pub fn absorb(&mut self, other: &ProgramStats) {
+        self.invocations += other.invocations;
+        self.total_latency += other.total_latency;
+        self.icnt_cycles += other.icnt_cycles;
+    }
 }
 
 trace::json_fields! {
     UnitStats { invocations, busy_cycles, peak_in_flight, total_latency };
+    ProgramStats { invocations, total_latency, icnt_cycles };
 }
+
+gpu_sim::snap_row!(ProgramStats {
+    invocations,
+    total_latency,
+    icnt_cycles
+});
 
 /// A pipelined unit: fixed latency, configurable initiation interval
 /// (default 1), and an in-flight tracker for peak-occupancy statistics.
@@ -167,8 +220,16 @@ pub trait IntersectionBackend: std::fmt::Debug {
     /// Per-kind statistics snapshot: (kind, stats) pairs.
     fn unit_stats(&self) -> Vec<(String, UnitStats)>;
 
-    /// Downcast support for harvesting backend-specific statistics.
-    fn as_any(&self) -> &dyn std::any::Any;
+    /// Lane-instructions executed by intersection-shader callbacks (these
+    /// run on the general-purpose cores and belong in the core
+    /// instruction mix).
+    fn shader_lane_instructions(&self) -> u64;
+
+    /// Per-program statistics: (program name, stats) pairs. The default
+    /// has none; only TTA+ runs μop programs.
+    fn program_stats(&self) -> Vec<(String, ProgramStats)> {
+        Vec::new()
+    }
 
     /// Installs a trace handle. The default ignores it; backends that
     /// emit per-program spans (TTA+) override this.
@@ -247,12 +308,6 @@ impl FixedFunctionBackend {
             .min_by_key(|u| u.next_free(now))
             .expect("at least one unit per kind")
     }
-
-    /// Total lane-instructions executed by intersection shaders (these run
-    /// on the general-purpose cores and belong in the core instruction mix).
-    pub fn shader_lane_instructions(&self) -> u64 {
-        self.shader_calls * self.shader_instructions_per_call
-    }
 }
 
 impl IntersectionBackend for FixedFunctionBackend {
@@ -271,27 +326,17 @@ impl IntersectionBackend for FixedFunctionBackend {
         }
     }
 
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
+    fn unit_stats(&self) -> Vec<(String, UnitStats)> {
+        vec![
+            ("RayBox".to_owned(), UnitStats::of(&self.box_units)),
+            ("RayTriangle".to_owned(), UnitStats::of(&self.tri_units)),
+            ("Transform".to_owned(), self.xform_unit.stats.clone()),
+            ("IntersectionShader".to_owned(), self.shader.stats.clone()),
+        ]
     }
 
-    fn unit_stats(&self) -> Vec<(String, UnitStats)> {
-        let mut out = Vec::new();
-        let fold = |units: &[PipelinedUnit]| {
-            let mut s = UnitStats::default();
-            for u in units {
-                s.invocations += u.stats.invocations;
-                s.busy_cycles += u.stats.busy_cycles;
-                s.peak_in_flight = s.peak_in_flight.max(u.stats.peak_in_flight);
-                s.total_latency += u.stats.total_latency;
-            }
-            s
-        };
-        out.push(("RayBox".to_owned(), fold(&self.box_units)));
-        out.push(("RayTriangle".to_owned(), fold(&self.tri_units)));
-        out.push(("Transform".to_owned(), self.xform_unit.stats.clone()));
-        out.push(("IntersectionShader".to_owned(), self.shader.stats.clone()));
-        out
+    fn shader_lane_instructions(&self) -> u64 {
+        self.shader_calls * self.shader_instructions_per_call
     }
 
     gpu_sim::snap_fields! {
@@ -317,6 +362,29 @@ mod tests {
         assert_eq!(u.stats.invocations, 3);
         assert_eq!(u.stats.busy_cycles, 39);
         assert!(u.stats.peak_in_flight >= 2);
+    }
+
+    #[test]
+    fn unit_stats_absorb_sums_counters_and_keeps_the_peak() {
+        let mut a = UnitStats {
+            invocations: 3,
+            busy_cycles: 39,
+            peak_in_flight: 5,
+            total_latency: 40,
+        };
+        a.absorb(&UnitStats {
+            invocations: 1,
+            busy_cycles: 13,
+            peak_in_flight: 2,
+            total_latency: 20,
+        });
+        let want = UnitStats {
+            invocations: 4,
+            busy_cycles: 52,
+            peak_in_flight: 5,
+            total_latency: 60,
+        };
+        assert_eq!(a, want);
     }
 
     #[test]

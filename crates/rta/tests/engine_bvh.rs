@@ -11,7 +11,7 @@ use tta_rta::bvh_semantics::{
     read_ray_result, write_ray_record, BvhSemantics, LeafGeometry, RayQueryMode, RAY_RECORD_SIZE,
 };
 use tta_rta::units::FixedFunctionBackend;
-use tta_rta::{RtaConfig, TraversalEngine};
+use tta_rta::{AccelReport, RtaConfig, TraversalEngine};
 
 /// Kernel: each thread computes its record address and offloads a traversal.
 fn traverse_kernel() -> Kernel {
@@ -304,12 +304,8 @@ fn child_prefetching_helps_and_stays_correct() {
                 "prefetch={prefetch} ray {i}"
             );
         }
-        let prefetches: u64 = (0..gpu.cfg.num_sms)
-            .filter_map(|i| gpu.accelerator(i))
-            .filter_map(|a| a.as_any().downcast_ref::<TraversalEngine>())
-            .map(|e| e.stats.prefetches)
-            .sum();
-        (stats.cycles, prefetches)
+        let report = AccelReport::harvest(&gpu).expect("engines attached");
+        (stats.cycles, report.engine.prefetches)
     };
 
     let (plain, p0) = run(false);

@@ -10,7 +10,7 @@ use trees::BvhPrimitive;
 use tta_rta::bvh_semantics::{read_ray_result, write_ray_record, RAY_RECORD_SIZE};
 use tta_rta::two_level_semantics::TwoLevelSemantics;
 use tta_rta::units::{FixedFunctionBackend, TestKind};
-use tta_rta::{RtaConfig, TraversalEngine};
+use tta_rta::{AccelReport, RtaConfig, TraversalEngine};
 
 fn traverse_kernel() -> Kernel {
     let mut k = KernelBuilder::new("trace2l");
@@ -113,21 +113,8 @@ fn two_level_traversal_matches_oracle_and_uses_rxform() {
     assert!(hits >= 16, "scene misconfigured: only {hits} hits");
 
     // The transform unit must have run (instance entry + restore per visit).
-    let mut xform_ops = 0;
-    for sm in 0..gpu.cfg.num_sms {
-        let Some(acc) = gpu.accelerator(sm) else {
-            continue;
-        };
-        let engine = acc
-            .as_any()
-            .downcast_ref::<TraversalEngine>()
-            .expect("engine");
-        for (name, s) in engine.unit_stats() {
-            if name == "Transform" {
-                xform_ops += s.invocations;
-            }
-        }
-    }
+    let report = AccelReport::harvest(&gpu).expect("engines attached");
+    let xform_ops = report.unit("Transform").expect("R-XFORM unit").invocations;
     assert!(xform_ops > 0, "R-XFORM never exercised");
     assert_eq!(
         xform_ops % 2,

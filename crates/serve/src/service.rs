@@ -17,7 +17,6 @@ use tta::backend::TtaConfig;
 use tta::programs::UopProgram;
 use tta::ttaplus::TtaPlusConfig;
 use workloads::query::{QueryDevice, QueryWorkload};
-use workloads::runner::harvest_accel;
 use workloads::{AccelReport, Platform};
 
 use crate::engine::BatchService;
@@ -106,7 +105,7 @@ impl<W: QueryWorkload> BatchService for QueryService<W> {
     }
 
     fn accel_report(&self) -> Option<AccelReport> {
-        harvest_accel(&self.dev.gpu)
+        AccelReport::harvest(&self.dev.gpu)
     }
 
     fn set_trace(&mut self, trace: trace::TraceHandle) {

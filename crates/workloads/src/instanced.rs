@@ -13,12 +13,13 @@ use rand::{Rng, SeedableRng};
 use rta::bvh_semantics::{read_ray_result, write_ray_record, RAY_RECORD_SIZE};
 use rta::two_level_semantics::TwoLevelSemantics;
 use rta::units::TestKind;
+use rta::AccelReport;
 use trees::two_level::{Instance, TwoLevelScene};
 use trees::BvhPrimitive;
 
 use crate::gen;
 use crate::lumibench::rt_kernel_for;
-use crate::runner::{attach_platform, build_gpu, harvest_accel, Platform, RunResult};
+use crate::runner::{attach_platform, build_gpu, Platform, RunResult};
 
 /// One instanced-scene experiment.
 #[derive(Debug, Clone)]
@@ -147,7 +148,7 @@ impl InstancedExperiment {
                 self.platform.label()
             ),
             stats,
-            accel: harvest_accel(&gpu),
+            accel: AccelReport::harvest(&gpu),
             serve: None,
             fleet: None,
         }
@@ -184,6 +185,15 @@ mod tests {
         e.height = 24;
         let r = e.run();
         assert!(r.stats.cycles > 0);
+        let accel = r.accel.expect("TTA+ reports");
+        assert!(
+            accel
+                .programs
+                .iter()
+                .any(|(n, s)| n == "transform" && s.invocations > 0),
+            "the R-XFORM builtin must be reported: {:?}",
+            accel.programs
+        );
     }
 
     #[test]

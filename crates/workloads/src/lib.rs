@@ -35,8 +35,8 @@ pub mod runner;
 pub mod session;
 
 pub use cacheable::CacheableExperiment;
+pub use rta::AccelReport;
 pub use runner::{
-    AccelReport, FleetClassSummary, FleetDeviceSummary, FleetSummary, Platform, RunResult,
-    ServeSummary,
+    FleetClassSummary, FleetDeviceSummary, FleetSummary, Platform, RunResult, ServeSummary,
 };
 pub use session::RunSession;

@@ -376,6 +376,27 @@ mod tests {
     }
 
     #[test]
+    fn prefetches_reach_the_accelerator_report() {
+        let prefetches = |prefetch_children: bool| {
+            let cfg = RtaConfig {
+                prefetch_children,
+                ..RtaConfig::baseline()
+            };
+            let r = small(RtExperiment::new(
+                RtWorkload::BlobPt,
+                Platform::BaselineRta(cfg),
+            ))
+            .run();
+            r.accel.expect("the RTA reports").engine.prefetches
+        };
+        assert_eq!(prefetches(false), 0);
+        assert!(
+            prefetches(true) > 0,
+            "the prefetcher's count must be harvested"
+        );
+    }
+
+    #[test]
     fn ttaplus_slowdown_is_moderate_on_triangles() {
         let base = small(RtExperiment::new(
             RtWorkload::BlobPt,

@@ -6,13 +6,13 @@ use std::path::Path;
 use std::rc::Rc;
 
 use gpu_sim::{Gpu, GpuConfig, SimStats};
-use rta::engine::{EngineStats, TraversalEngine, TraversalSemantics};
-use rta::units::{FixedFunctionBackend, IntersectionBackend, UnitStats};
-use rta::RtaConfig;
+use rta::engine::{TraversalEngine, TraversalSemantics};
+use rta::units::{FixedFunctionBackend, IntersectionBackend};
+use rta::{AccelReport, RtaConfig};
 use trace::{ChromeTraceSink, TraceHandle};
 use tta::backend::{TtaBackend, TtaConfig};
 use tta::programs::UopProgram;
-use tta::ttaplus::{ProgramStats, TtaPlusBackend, TtaPlusConfig};
+use tta::ttaplus::{TtaPlusBackend, TtaPlusConfig};
 
 /// Which hardware configuration executes the workload.
 #[derive(Debug, Clone, PartialEq)]
@@ -88,28 +88,6 @@ pub fn parse_scale(v: &str) -> Result<f64, ScaleError> {
         .ok()
         .filter(|s| s.is_finite() && *s > 0.0)
         .ok_or_else(|| ScaleError(v.to_owned()))
-}
-
-/// Aggregated accelerator-side report (summed over the per-SM engines).
-#[derive(Debug, Clone, Default)]
-pub struct AccelReport {
-    /// Engine counters summed across SMs.
-    pub engine: EngineStats,
-    /// Unit statistics summed by unit name.
-    pub units: Vec<(String, UnitStats)>,
-    /// Per-program average latencies (TTA+ only): (name, stats).
-    pub programs: Vec<(String, ProgramStats)>,
-    /// Lane-instructions spent in intersection-shader callbacks.
-    pub shader_lane_instructions: u64,
-    /// Total `traverseTree` instructions executed.
-    pub traversals: u64,
-}
-
-impl AccelReport {
-    /// Finds a unit's stats by name.
-    pub fn unit(&self, name: &str) -> Option<&UnitStats> {
-        self.units.iter().find(|(n, _)| n == name).map(|(_, s)| s)
-    }
 }
 
 /// Aggregated metrics of one *online-serving* run (produced by the
@@ -278,7 +256,6 @@ pub struct FleetSummary {
 
 // The journal's field lists, in journal order.
 trace::json_fields! {
-    AccelReport { engine, units, programs, shader_lane_instructions, traversals };
     ServeSummary {
         policy, backend, arrival_mean_cycles, offered, admitted, dropped, completed, batches,
         p50_latency, p95_latency, p99_latency, max_latency, throughput_qpkc, max_queue_depth,
@@ -411,82 +388,6 @@ where
             make_semantics(),
         ))
     });
-}
-
-/// Harvests the accelerator report from every SM of a finished run.
-pub fn harvest_accel(gpu: &Gpu) -> Option<AccelReport> {
-    let mut report = AccelReport::default();
-    let mut any = false;
-    for sm in 0..gpu.cfg.num_sms {
-        let Some(acc) = gpu.accelerator(sm) else {
-            continue;
-        };
-        any = true;
-        report.traversals += acc.traverse_instructions();
-        let Some(engine) = acc.as_any().downcast_ref::<TraversalEngine>() else {
-            continue;
-        };
-        let e = &engine.stats;
-        report.engine.warps_accepted += e.warps_accepted;
-        report.engine.rays_completed += e.rays_completed;
-        report.engine.node_fetches += e.node_fetches;
-        report.engine.fetch_merges += e.fetch_merges;
-        report.engine.nodes_processed += e.nodes_processed;
-        report.engine.warp_buffer_accesses += e.warp_buffer_accesses;
-        report.engine.busy_cycles += e.busy_cycles;
-        for (name, stats) in engine.unit_stats() {
-            match report.units.iter_mut().find(|(n, _)| *n == name) {
-                Some((_, s)) => {
-                    s.invocations += stats.invocations;
-                    s.busy_cycles += stats.busy_cycles;
-                    s.peak_in_flight = s.peak_in_flight.max(stats.peak_in_flight);
-                    s.total_latency += stats.total_latency;
-                }
-                None => report.units.push((name, stats)),
-            }
-        }
-        let backend: &dyn IntersectionBackend = engine.backend();
-        if let Some(b) = backend.as_any().downcast_ref::<FixedFunctionBackend>() {
-            report.shader_lane_instructions += b.shader_lane_instructions();
-        } else if let Some(b) = backend.as_any().downcast_ref::<TtaBackend>() {
-            report.shader_lane_instructions += b.shader_lane_instructions();
-        } else if let Some(b) = backend.as_any().downcast_ref::<TtaPlusBackend>() {
-            report.shader_lane_instructions += b.shader_lane_instructions();
-            for name in [
-                "ray_box",
-                "ray_triangle",
-                "query_key_inner",
-                "point_to_point",
-            ] {
-                if let Some(s) = b.builtin_stats(name) {
-                    merge_program(&mut report.programs, name, s);
-                }
-            }
-            for id in 0..u16::MAX {
-                // Custom programs are dense from 0; stop at the first gap.
-                let Some(s) = b_program(b, id) else { break };
-                merge_program(&mut report.programs, &format!("program_{id}"), s);
-            }
-        }
-    }
-    any.then_some(report)
-}
-
-fn b_program(b: &TtaPlusBackend, id: u16) -> Option<&ProgramStats> {
-    // program_stats panics past the end; probe via catch-free length check
-    // by relying on the public accessor contract: ids are dense.
-    b.try_program_stats(id)
-}
-
-fn merge_program(list: &mut Vec<(String, ProgramStats)>, name: &str, s: &ProgramStats) {
-    match list.iter_mut().find(|(n, _)| n == name) {
-        Some((_, acc)) => {
-            acc.invocations += s.invocations;
-            acc.total_latency += s.total_latency;
-            acc.icnt_cycles += s.icnt_cycles;
-        }
-        None => list.push((name.to_owned(), s.clone())),
-    }
 }
 
 /// Sums the stats of several sequential launches into one.

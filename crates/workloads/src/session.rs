@@ -33,6 +33,7 @@ use rta::bvh_semantics::{
     read_ray_result, write_ray_record, BvhSemantics, LeafGeometry, RayQueryMode, RAY_RECORD_SIZE,
 };
 use rta::units::TestKind;
+use rta::AccelReport;
 use trace::ChromeTraceSink;
 use trees::bvh::PrimitiveKind;
 
@@ -45,7 +46,7 @@ use crate::nbody::{merged_traverse_integrate_kernel, ForceQueries, NBodyExperime
 use crate::query::{QueryDevice, QueryWorkload};
 use crate::rtnn::{LeafPath, RadiusQueries, RtnnExperiment};
 use crate::rtree::{RTreeExperiment, RTreeRanges};
-use crate::runner::{attach_platform, build_gpu, harvest_accel, sum_stats, Platform, RunResult};
+use crate::runner::{attach_platform, build_gpu, sum_stats, Platform, RunResult};
 
 /// A resumable experiment run: a fixed sequence of launches with snapshot
 /// points between them.
@@ -260,7 +261,7 @@ impl<W: QueryWorkload> RunSession for QuerySession<W> {
         let result = RunResult {
             stats: sum_stats(&self.parts),
             label: self.label,
-            accel: harvest_accel(&self.dev.gpu),
+            accel: AccelReport::harvest(&self.dev.gpu),
             serve: None,
             fleet: None,
         };
@@ -667,7 +668,7 @@ impl RtSession {
                 self.exp.platform.label()
             ),
             stats: sum_stats(&self.parts),
-            accel: harvest_accel(&self.gpu),
+            accel: AccelReport::harvest(&self.gpu),
             serve: None,
             fleet: None,
         }

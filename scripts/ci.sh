@@ -21,9 +21,9 @@
 #      service drive must write the same journal bytes as plain run(),
 #      and its seed-0 rows must match results/fig13.journal.json
 #   6. --quick smoke runs of the sweep binaries (fig15, the serving grid,
-#      and the fleet cluster grid — the latter two assert their own
-#      batching/routing claims internally), checking that each run
-#      journal lands under results/
+#      the fleet cluster grid and the ablation studies — the latter three
+#      assert their own batching, routing and prefetch claims
+#      internally), checking that each run journal lands under results/
 #   7. traced --quick sweeps (fig13, the serving grid and the fleet
 #      grid), with every emitted Chrome trace validated by the
 #      tta-trace-check binary
@@ -166,6 +166,12 @@ test -s results/fleet.timing.json || { echo "missing results/fleet.timing.json" 
 run cargo run "${CARGO_FLAGS[@]}" --release -q -p tta-bench --bin bench_gate -- validate BENCH_fleet.json
 run cargo run "${CARGO_FLAGS[@]}" --release -q -p tta-bench --bin bench_gate -- \
     check BENCH_fleet.json --mode quick --timing results/fleet.timing.json --max-regress 1.0
+
+# Smoke the ablation studies (the binary asserts that the child-prefetch
+# row reports the prefetches it issued and the no-prefetch row reports
+# none) and verify its journal appears.
+run cargo run "${CARGO_FLAGS[@]}" --release -p tta-bench --bin ablation -- --quick --threads 2
+test -s results/ablation.journal.json || { echo "missing results/ablation.journal.json" >&2; exit 1; }
 
 # Trace smoke: rerun the Fig. 13 sweep with tracing on and validate every
 # emitted Chrome trace (schema, span nesting, async balance, monotone SM

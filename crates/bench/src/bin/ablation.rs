@@ -26,7 +26,7 @@ use workloads::rtree::RTreeExperiment;
 use workloads::{Platform, RunResult};
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&[]);
     let cache = InputCache::new();
     let mut sweep = args.sweep("ablation");
 

@@ -16,7 +16,7 @@ use workloads::runner::RunResult;
 use workloads::Platform;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&[]);
     let cache = InputCache::new();
     let mut sweep = args.sweep("fig01");
 

@@ -41,7 +41,7 @@ struct RtnnPoint {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&[]);
     let cache = InputCache::new();
     let mut sweep = args.sweep("fig12");
     let btree = queue_btree(&args, &cache, &mut sweep);

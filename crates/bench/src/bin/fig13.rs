@@ -15,7 +15,7 @@ use workloads::rtnn::{LeafPath, RtnnExperiment};
 use workloads::Platform;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["--trace", "--snapshot-dir", "--resume"]);
     let cache = InputCache::new();
     let mut sweep = args.sweep("fig13");
     // With --snapshot-dir, runs go through the snapshot store: cold runs

@@ -17,7 +17,7 @@ const WARPS: [usize; 6] = [1, 2, 4, 8, 16, 32];
 const LATENCIES: [u64; 3] = [3, 13, 130];
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&[]);
     let keys = args.sized(32_000);
     let queries = args.sized(16_384);
 

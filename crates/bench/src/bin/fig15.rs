@@ -14,7 +14,7 @@ use workloads::rtnn::{LeafPath, RtnnExperiment};
 use workloads::RunResult;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&[]);
     let cache = InputCache::new();
     let mut sweep = args.sweep("fig15");
 

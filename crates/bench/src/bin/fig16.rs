@@ -13,7 +13,7 @@ use workloads::lumibench::{RtExperiment, RtWorkload};
 use workloads::Platform;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&[]);
     let cache = InputCache::new();
     let mut sweep = args.sweep("fig16");
 

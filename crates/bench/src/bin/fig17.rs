@@ -9,7 +9,7 @@ use tta_bench::{fx, platform_ttaplus, prepare, Args, InputCache, Report};
 use workloads::lumibench::{RtExperiment, RtWorkload};
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&[]);
     let cache = InputCache::new();
     let mut sweep = args.sweep("fig17");
 

@@ -14,7 +14,7 @@ use workloads::nbody::NBodyExperiment;
 use workloads::rtnn::{LeafPath, RtnnExperiment};
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&[]);
     let cache = InputCache::new();
     let mut sweep = args.sweep("fig18");
 

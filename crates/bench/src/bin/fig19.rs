@@ -21,7 +21,7 @@ use workloads::{Platform, RunResult};
 type Apps = Vec<(String, usize, Vec<(&'static str, usize)>)>;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&[]);
     let cache = InputCache::new();
     let mut sweep = args.sweep("fig19");
 

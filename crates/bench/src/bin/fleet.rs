@@ -94,7 +94,7 @@ fn replicated(
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["--trace"]);
     let cache = &InputCache::new();
     let mut sweep = args.sweep("fleet");
     let offered = args.sized(512);

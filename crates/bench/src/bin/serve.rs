@@ -36,7 +36,7 @@ fn policies() -> Vec<BatchPolicy> {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["--trace"]);
     let cache = &InputCache::new();
     let mut sweep = args.sweep("serve");
 

@@ -11,7 +11,7 @@ use tta_bench::{Args, Report};
 fn main() {
     // No simulations here — run an empty sweep so the binary still leaves
     // a (run_count: 0) journal under results/ like every other harness bin.
-    Args::parse().sweep("table3").run();
+    Args::parse(&[]).sweep("table3").run();
     let mut rep = Report::new(
         "table3",
         "Table III: TTA+ intersection test statistics (μops per test)",

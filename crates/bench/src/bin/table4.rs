@@ -8,7 +8,7 @@ use tta_bench::{Args, Report};
 fn main() {
     // No simulations here — run an empty sweep so the binary still leaves
     // a (run_count: 0) journal under results/ like every other harness bin.
-    Args::parse().sweep("table4").run();
+    Args::parse(&[]).sweep("table4").run();
     let mut rep = Report::new(
         "table4",
         "Table IV: area comparison (FreePDK45, um^2)",

@@ -8,11 +8,13 @@
 //!   larger values approach the paper's sizes), `--quick` shrinks runs for
 //!   smoke testing, `--threads <n>` sets the sweep worker count (default:
 //!   available parallelism, capped at 8; results are byte-identical at any
-//!   value), `--trace <dir>` writes one Chrome trace per run into `<dir>`
-//!   (see DESIGN.md §10; traces are byte-identical at any thread count),
-//!   `--snapshot-dir <dir>` keeps a [`SnapshotStore`] of final run states
-//!   so reruns restore instead of re-simulating (`--resume` makes a miss
-//!   fatal; see DESIGN.md §15).
+//!   value). Each binary names the optional flags it honours at its
+//!   [`Args::parse`] call, and any other flag exits 2: `--trace <dir>`
+//!   writes one Chrome trace per run into `<dir>` (see DESIGN.md §10;
+//!   traces are byte-identical at any thread count), `--snapshot-dir
+//!   <dir>` keeps a [`SnapshotStore`] of final run states so reruns
+//!   restore instead of re-simulating (`--resume` makes a miss fatal; see
+//!   DESIGN.md §15).
 //! * [`sweep`] — starts a [`harness::Sweep`] sized from the parsed args;
 //!   every binary runs its independent experiment points through it and
 //!   gets `results/<name>.journal.json` (+ `.timing.json`) for free.
@@ -50,22 +52,38 @@ pub struct Args {
     pub resume: bool,
 }
 
-/// One-line usage string shared by `--help` and parse errors.
-pub const USAGE: &str = "usage: [--scale <f>] [--quick] [--threads <n>] [--trace <dir>] [--snapshot-dir <dir>] [--resume]";
+/// The optional flags a binary may honour on top of `--scale`, `--quick`
+/// and `--threads`, each with its usage text.
+const OPTIONAL: [(&str, &str); 3] = [
+    ("--trace", " [--trace <dir>]"),
+    ("--snapshot-dir", " [--snapshot-dir <dir>]"),
+    ("--resume", " [--resume]"),
+];
+
+/// The one-line usage string of a binary honouring the optional flags
+/// `honoured`, shared by `--help` and parse errors.
+pub fn usage(honoured: &[&str]) -> String {
+    let optional = OPTIONAL.iter().filter(|(flag, _)| honoured.contains(flag));
+    let optional: String = optional.map(|(_, text)| *text).collect();
+    format!("usage: [--scale <f>] [--quick] [--threads <n>]{optional}")
+}
 
 impl Args {
-    /// Parses `std::env::args`, printing a clear error (exit code 2) on
-    /// malformed input instead of a panic backtrace. The `--trace`
-    /// directory is created here, before any run starts, so an unusable
-    /// path also exits 2 instead of failing after the sweep.
-    pub fn parse() -> Self {
+    /// Parses `std::env::args` for a binary that honours the optional
+    /// flags `honoured`, printing a clear error and the binary's usage
+    /// line (exit code 2) on malformed input or an optional flag it does
+    /// not honour, instead of a panic backtrace or a silent no-op. The
+    /// `--trace` directory is created here, before any run starts, so
+    /// an unusable path also exits 2 instead of failing after the sweep.
+    pub fn parse(honoured: &[&str]) -> Self {
+        let usage = usage(honoured);
         let argv: Vec<String> = std::env::args().skip(1).collect();
         if argv.iter().any(|a| a == "--help" || a == "-h") {
-            eprintln!("{USAGE}");
+            eprintln!("{usage}");
             std::process::exit(0);
         }
-        let args = Self::parse_from(argv.into_iter()).unwrap_or_else(|e| {
-            eprintln!("error: {e}\n{USAGE}");
+        let args = Self::parse_from(honoured, argv.into_iter()).unwrap_or_else(|e| {
+            eprintln!("error: {e}\n{usage}");
             std::process::exit(2)
         });
         if let Some(dir) = &args.trace {
@@ -77,15 +95,19 @@ impl Args {
         args
     }
 
-    /// Parses an argument list (without the program name).
+    /// Parses an argument list (without the program name) for a binary
+    /// that honours the optional flags `honoured`.
     ///
     /// # Errors
     ///
-    /// Returns a human-readable message on an unknown flag, a missing
-    /// value, or an invalid value — notably `--threads 0`, which is
-    /// rejected here rather than silently clamped to 1 deep inside
-    /// [`harness::pool::run_ordered`].
-    pub fn parse_from(mut it: impl Iterator<Item = String>) -> Result<Self, String> {
+    /// Returns a human-readable message on an unknown or unhonoured flag,
+    /// a missing value, or an invalid value — notably `--threads 0`,
+    /// which is rejected here rather than silently clamped to 1 deep
+    /// inside [`harness::pool::run_ordered`].
+    pub fn parse_from(
+        honoured: &[&str],
+        mut it: impl Iterator<Item = String>,
+    ) -> Result<Self, String> {
         let mut args = Args {
             scale: 1.0,
             quick: false,
@@ -95,6 +117,9 @@ impl Args {
             resume: false,
         };
         while let Some(a) = it.next() {
+            if OPTIONAL.iter().any(|(f, _)| *f == a) && !honoured.contains(&a.as_str()) {
+                return Err(format!("this binary does not honour `{a}`"));
+            }
             match a.as_str() {
                 "--scale" => {
                     let v = it.next().ok_or("--scale needs a value")?;
@@ -312,7 +337,8 @@ mod tests {
 
     #[test]
     fn parse_from_rejects_zero_threads_with_clear_error() {
-        let parse = |argv: &[&str]| Args::parse_from(argv.iter().map(|s| (*s).to_owned()));
+        let all = ["--trace", "--snapshot-dir", "--resume"];
+        let parse = |argv: &[&str]| Args::parse_from(&all, argv.iter().map(|s| (*s).to_owned()));
         let err = parse(&["--threads", "0"]).unwrap_err();
         assert!(err.contains("positive integer"), "unhelpful error: {err}");
         assert!(parse(&["--threads", "-2"]).is_err());
@@ -345,6 +371,23 @@ mod tests {
         assert!(parse(&["--snapshot-dir"]).is_err());
         let err = parse(&["--resume"]).unwrap_err();
         assert!(err.contains("--snapshot-dir"), "unhelpful error: {err}");
+    }
+
+    #[test]
+    fn parse_from_rejects_flags_the_binary_does_not_honour() {
+        let parse = |honoured: &[&str], argv: &[&str]| {
+            Args::parse_from(honoured, argv.iter().map(|s| (*s).to_owned()))
+        };
+        for flag in ["--trace", "--snapshot-dir"] {
+            let err = parse(&[], &[flag, "d"]).unwrap_err();
+            assert!(err.contains(flag), "unhelpful error: {err}");
+        }
+        assert!(parse(&["--snapshot-dir"], &["--snapshot-dir", "d", "--resume"]).is_err());
+        assert!(parse(&["--trace"], &["--trace", "d"]).is_ok());
+        assert_eq!(
+            usage(&["--trace"]),
+            "usage: [--scale <f>] [--quick] [--threads <n>] [--trace <dir>]"
+        );
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The multi-device virtual-clock cluster loop.
 //!
-//! One global clock drives N [`DeviceEngine`]s (the per-device half of the
+//! One global clock, the serving [`Clock`](serve::session::Clock), drives
+//! N [`DeviceEngine`](serve::DeviceEngine)s (the per-device half of the
 //! `tta-serve` loop): arrivals are admitted (or dropped) by SLO class,
 //! routed to a warm device, batched by that device's policy, and executed
 //! on its persistent backend. Shard misses and cold starts are charged

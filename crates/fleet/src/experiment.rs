@@ -7,7 +7,8 @@ use std::path::Path;
 use std::sync::Arc;
 
 use gpu_sim::GpuConfig;
-use serve::{build_service, BatchPolicy, BatchService, ServeBackend, ServeInputs, ServeWorkload};
+use serve::session::drive_segments;
+use serve::{build_service, BatchPolicy, ServeBackend, ServeInputs, ServeWorkload};
 use workloads::runner::sum_stats;
 use workloads::{AccelReport, CacheableExperiment, RunResult};
 
@@ -92,20 +93,6 @@ impl FleetExperiment {
         }
     }
 
-    /// The equivalent single-device serve experiment — the fleet reuses
-    /// its input cache key and builder so one tree image feeds both.
-    fn serve_proxy(&self) -> serve::ServeExperiment {
-        let mut e = serve::ServeExperiment::new(
-            self.workload.clone(),
-            self.backend,
-            self.policy.clone(),
-            self.offered,
-            self.arrival_mean_cycles,
-        );
-        e.seed = self.seed;
-        e
-    }
-
     /// Runs the fleet experiment: stands up `devices` warm services over
     /// one shared tree image, generates the arrival stream and class mix,
     /// drives a [`FleetSession`] to completion (what [`run_fleet`] does),
@@ -122,24 +109,14 @@ impl FleetExperiment {
         self.run_segments(1, self.trace_dir.as_deref())
     }
 
-    /// Runs the fleet as `segments` horizon shards: the virtual horizon is
-    /// cut at evenly spaced cycles, and at each cut the full cluster state
-    /// (session clock/router/autoscaler/engines + every device's GPU) is
-    /// exported, **fresh** services and a fresh session are built from the
-    /// configuration, and the snapshot is restored onto them before
-    /// continuing. The result is identical to
-    /// [`run`](FleetExperiment::run) — the differential tests in
-    /// `tta-snap` assert journal byte-equality.
-    ///
-    /// Tracing is disabled in sharded mode (spans would split across
-    /// segments); `trace_dir` is ignored. `segments == 1` degenerates to a
-    /// straight-line run.
+    /// Runs the fleet as `segments` horizon shards through
+    /// [`drive_segments`], exactly as `ServeExperiment::run_sharded` does
+    /// for one device: the result is identical to
+    /// [`run`](FleetExperiment::run), and `trace_dir` is ignored.
     ///
     /// # Panics
     ///
-    /// Panics when `segments` is zero, when `verify` is set and a sampled
-    /// batch diverges from the host oracle, or when attached inputs
-    /// mismatch the workload.
+    /// Panics when `segments` is zero, or as [`run`](FleetExperiment::run).
     pub fn run_sharded(&self, segments: usize) -> RunResult {
         assert!(segments >= 1, "horizon sharding needs at least one segment");
         self.run_segments(segments, None)
@@ -151,21 +128,6 @@ impl FleetExperiment {
         let inputs = match &self.inputs {
             Some(i) => Arc::clone(i),
             None => Arc::new(self.build_inputs()),
-        };
-        let max_batch = self.policy.max_batch(self.gpu.warp_width);
-        let build_fleet = || -> Vec<Box<dyn BatchService>> {
-            (0..self.devices)
-                .map(|_| {
-                    build_service(
-                        &self.workload,
-                        self.backend,
-                        &inputs,
-                        &self.gpu,
-                        max_batch,
-                        self.verify,
-                    )
-                })
-                .collect()
         };
         let arrivals =
             workloads::gen::exponential_arrivals(self.offered, self.arrival_mean_cycles, self.seed);
@@ -183,32 +145,27 @@ impl FleetExperiment {
             autoscale: self.autoscale.clone(),
             trace,
         };
-        let mut services = build_fleet();
-        let mut session = FleetSession::new(
-            &mut services,
-            cfg.clone(),
-            arrivals.clone(),
-            classes.clone(),
+        let (mut services, session) = drive_segments(
+            segments,
+            &arrivals,
+            || {
+                let max_batch = self.policy.max_batch(self.gpu.warp_width);
+                let (w, b) = (&self.workload, self.backend);
+                let mut services: Vec<_> = (0..self.devices)
+                    .map(|_| build_service(w, b, &inputs, &self.gpu, max_batch, self.verify))
+                    .collect();
+                let session = FleetSession::new(
+                    &mut services,
+                    cfg.clone(),
+                    arrivals.clone(),
+                    classes.clone(),
+                );
+                (services, session)
+            },
+            FleetSession::run_until,
+            FleetSession::export_state,
+            FleetSession::import_state,
         );
-        let last = arrivals.last().copied().unwrap_or(0);
-        for k in 1..segments as u64 {
-            let stop = last * k / segments as u64;
-            if session.run_until(&mut services, Some(stop)) {
-                break;
-            }
-            let mut fresh = build_fleet();
-            let mut fresh_session =
-                FleetSession::new(&mut fresh, cfg.clone(), arrivals.clone(), classes.clone());
-            for (svc, old) in fresh.iter_mut().zip(&services) {
-                svc.import_state(&old.export_state())
-                    .expect("device snapshot fits an identically built backend");
-            }
-            fresh_session
-                .import_state(&session.export_state())
-                .expect("cluster snapshot fits an identical configuration");
-            services = fresh;
-            session = fresh_session;
-        }
         let outcome = session.finish(&mut services);
         let backend_label = services[0].label();
         let summary = summarize(&cfg, &backend_label, self.arrival_mean_cycles, &outcome);
@@ -243,11 +200,11 @@ impl CacheableExperiment for FleetExperiment {
     type Inputs = ServeInputs;
 
     fn inputs_key(&self) -> String {
-        self.serve_proxy().inputs_key()
+        self.workload.inputs_key(self.seed)
     }
 
     fn build_inputs(&self) -> ServeInputs {
-        self.serve_proxy().build_inputs()
+        self.workload.build_inputs(self.seed)
     }
 
     fn set_inputs(&mut self, inputs: Arc<ServeInputs>) {

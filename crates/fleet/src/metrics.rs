@@ -1,12 +1,12 @@
 //! Folds a [`FleetOutcome`] into the journal-facing
 //! [`workloads::FleetSummary`] (the schema-v4 `"fleet"` section).
 //!
-//! Percentiles are nearest-rank throughout (see `serve::metrics`): every
-//! reported pN is an observed latency, and p99 of a class with fewer than
-//! 100 completions is that class's max sample — which keeps tiny per-class
-//! rows well-defined.
+//! Latencies fold through [`LatencyFold`], the serve summary's fold:
+//! percentiles are nearest-rank, so every reported pN is an observed
+//! latency, and p99 of a class with fewer than 100 completions is that
+//! class's max sample — which keeps tiny per-class rows well-defined.
 
-use gpu_sim::stats::percentile;
+use serve::metrics::LatencyFold;
 use workloads::{FleetClassSummary, FleetDeviceSummary, FleetSummary};
 
 use crate::cluster::{FleetConfig, FleetOutcome};
@@ -20,16 +20,10 @@ pub fn summarize(
     arrival_mean_cycles: f64,
     out: &FleetOutcome,
 ) -> FleetSummary {
-    let latencies: Vec<u64> = out.queries.iter().filter_map(|q| q.latency()).collect();
-    let completed = latencies.len() as u64;
+    let lat = LatencyFold::of(out.queries.iter().filter_map(|q| q.latency()), out.makespan);
+    let completed = lat.completed;
     let offered = out.queries.len() as u64;
     let dropped = offered - completed;
-    let pct = |v: &[u64], p: f64| percentile(v, p).unwrap_or(0);
-    let throughput_qpkc = if out.makespan > 0 {
-        completed as f64 / out.makespan as f64 * 1000.0
-    } else {
-        0.0
-    };
     let slo_misses = out
         .queries
         .iter()
@@ -66,16 +60,17 @@ pub fn summarize(
         .map(|(c, sc)| {
             let qs: Vec<_> = out.queries.iter().filter(|q| q.class == c).collect();
             let lat: Vec<u64> = qs.iter().filter_map(|q| q.latency()).collect();
+            let fold = LatencyFold::of(lat.iter().copied(), out.makespan);
             FleetClassSummary {
                 class: sc.name.clone(),
                 deadline_cycles: sc.deadline_cycles,
                 offered: qs.len() as u64,
-                completed: lat.len() as u64,
-                dropped: (qs.len() - lat.len()) as u64,
+                completed: fold.completed,
+                dropped: qs.len() as u64 - fold.completed,
                 slo_misses: lat.iter().filter(|&&l| l > sc.deadline_cycles).count() as u64,
-                p50_latency: pct(&lat, 50.0),
-                p99_latency: pct(&lat, 99.0),
-                max_latency: lat.iter().copied().max().unwrap_or(0),
+                p50_latency: fold.p50,
+                p99_latency: fold.p99,
+                max_latency: fold.max,
             }
         })
         .collect();
@@ -94,11 +89,11 @@ pub fn summarize(
         dropped,
         completed,
         batches: out.per_device.iter().map(|d| d.batches).sum(),
-        p50_latency: pct(&latencies, 50.0),
-        p95_latency: pct(&latencies, 95.0),
-        p99_latency: pct(&latencies, 99.0),
-        max_latency: latencies.iter().copied().max().unwrap_or(0),
-        throughput_qpkc,
+        p50_latency: lat.p50,
+        p95_latency: lat.p95,
+        p99_latency: lat.p99,
+        max_latency: lat.max,
+        throughput_qpkc: lat.throughput_qpkc,
         slo_misses,
         shard_hits: completed - shard_misses,
         shard_misses,

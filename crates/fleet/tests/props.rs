@@ -8,7 +8,9 @@
 //!   `devices × horizon`;
 //! * shard accounting — `hits + misses == completed`, and full
 //!   replication with locality routing yields zero misses;
-//! * the run is a pure function of its inputs.
+//! * the run is a pure function of its inputs;
+//! * a one-device fleet without routing choices, penalties or scaling is
+//!   a single-device serve run: both drive the same serving clock.
 
 use gpu_sim::SimStats;
 use serve::{BatchPolicy, BatchService};
@@ -234,5 +236,52 @@ fn fleet_runs_are_pure_functions_of_their_inputs() {
     for (x, y) in a.per_device.iter().zip(&b.per_device) {
         assert_eq!(x.busy_cycles, y.busy_cycles);
         assert_eq!(x.routed, y.routed);
+    }
+}
+
+#[test]
+fn one_device_fleet_is_a_serve_run() {
+    let (arrivals, _) = stream(300, 40.0, &[1]);
+    let classes = vec![0; arrivals.len()];
+    for policy in [
+        BatchPolicy::SizeTriggered { batch: 8 },
+        BatchPolicy::DeadlineTriggered {
+            max_wait: 200,
+            max_batch: 16,
+        },
+        BatchPolicy::Continuous { max_warps: 4 },
+    ] {
+        let cfg = FleetConfig {
+            policy: policy.clone(),
+            router: RouterPolicy::RoundRobin,
+            router_seed: 0xf1ee7,
+            queue_capacity: None,
+            shards: ShardSpec::uniform(1, 1),
+            shard_miss_penalty: 0,
+            slo: SloConfig::single(u64::MAX),
+            autoscale: None,
+            trace: TraceHandle::default(),
+        };
+        let f = run_fleet(&mut fleet(1), &cfg, &arrivals, &classes);
+        let serve_cfg = serve::ServeConfig {
+            policy: policy.clone(),
+            queue_capacity: None,
+            trace: TraceHandle::default(),
+        };
+        let s = serve::serve(&mut FakeService { universe: 256 }, &serve_cfg, &arrivals);
+
+        let label = policy.label();
+        let fleet_done: Vec<_> = f.queries.iter().map(|q| q.completion).collect();
+        let serve_done: Vec<_> = s.queries.iter().map(|q| q.completion).collect();
+        assert_eq!(fleet_done, serve_done, "{label}: per-query completions");
+        let d = &f.per_device[0];
+        assert_eq!(d.batches, s.batches, "{label}: batch count");
+        assert_eq!(d.launch_stats, s.launch_stats, "{label}: launch stats");
+        assert_eq!(
+            (d.queue_wait_cycles, d.idle_cycles, f.horizon),
+            (s.queue_wait_cycles, s.idle_cycles, s.horizon),
+            "{label}: queue-wait, idle and horizon"
+        );
+        assert_eq!(f.makespan, s.makespan, "{label}: makespan");
     }
 }

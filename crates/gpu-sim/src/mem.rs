@@ -207,18 +207,6 @@ pub struct CacheStats {
     pub mshr_merges: u64,
 }
 
-impl CacheStats {
-    /// Hit rate in [0, 1]; zero when no accesses happened.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 /// DRAM activity statistics.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DramStats {
@@ -522,16 +510,6 @@ impl MemorySystem {
         let name = if is_fill { "dram_fill" } else { "dram_write" };
         self.trace_req(Track::Dram(channel as u32), name, now, done, bytes);
         done
-    }
-
-    /// Returns when the earliest pending DRAM channel frees (fast-forward
-    /// aid); `None` when everything is idle relative to `now`.
-    pub fn next_channel_free(&self, now: u64) -> Option<u64> {
-        self.dram_channel_busy
-            .iter()
-            .filter(|&&b| b > now as f64)
-            .map(|&b| b as u64 + 1)
-            .min()
     }
 }
 

@@ -162,40 +162,20 @@ fn main() {
         .filter(|i| matches!(i, Item::Kernel(_)))
         .count();
 
-    // Round-robin sharding with index-ordered reassembly: fragment `i` is
-    // identical no matter which worker computed it, so the joined journal
+    // Fragment `i` is identical no matter which worker computed it, and
+    // the pool returns results in submission order, so the joined journal
     // is byte-stable across --threads values.
-    let mut fragments: Vec<Option<(String, bool)>> = (0..items.len()).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for worker in 0..threads.min(items.len().max(1)) {
-            let items = &items;
+    let jobs: Vec<_> = items
+        .iter()
+        .map(|item| {
             let gpu = &gpu;
-            handles.push(scope.spawn(move || {
-                let mut done: Vec<(usize, (String, bool))> = Vec::new();
-                for (i, item) in items.iter().enumerate() {
-                    if i % threads != worker {
-                        continue;
-                    }
-                    let frag = match item {
-                        Item::Kernel(s) => kernel_fragment(s, gpu),
-                        Item::Program(p) => (program_fragment(p, hop), false),
-                    };
-                    done.push((i, frag));
-                }
-                done
-            }));
-        }
-        for h in handles {
-            for (i, frag) in h.join().expect("cost worker panicked") {
-                fragments[i] = Some(frag);
+            move || match item {
+                Item::Kernel(s) => kernel_fragment(s, gpu),
+                Item::Program(p) => (program_fragment(p, hop), false),
             }
-        }
-    });
-    let fragments: Vec<(String, bool)> = fragments
-        .into_iter()
-        .map(|f| f.expect("every item analyzed"))
+        })
         .collect();
+    let fragments = harness::pool::run_ordered(jobs, threads);
 
     let mut journal = String::new();
     let mut doc = Object::new(&mut journal, PRETTY[0]);

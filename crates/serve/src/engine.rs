@@ -132,10 +132,10 @@ pub struct ServeOutcome {
 /// One device's half of the serving loop: the admission queue, the
 /// batch-formation decision, the exclusive-device launch accounting, and
 /// the idle/queue-wait attribution — everything *except* the clock and the
-/// arrival stream, which the driver owns.
+/// arrival stream, which [`Clock`](crate::session::Clock) owns.
 ///
-/// [`serve`] drives exactly one engine; `tta-fleet` drives N of them from
-/// a single virtual clock. The event interface is explicit:
+/// [`serve`] drives exactly one engine and `tta-fleet` drives N of them,
+/// both on that one clock. The event interface is explicit:
 ///
 /// * [`on_arrival`](DeviceEngine::on_arrival) — a query reaches this
 ///   device (admitted or dropped by the queue bound);
@@ -149,6 +149,8 @@ pub struct ServeOutcome {
 /// * [`settle`](DeviceEngine::settle) — the run ended at a cluster-wide
 ///   horizon; extend the idle accounting so the per-device partition
 ///   `Σ batch + queue_wait + idle == horizon` holds.
+///
+/// `advance` and `settle` are the clock's to call, never a session's.
 #[derive(Debug)]
 pub struct DeviceEngine {
     policy: BatchPolicy,
@@ -224,11 +226,6 @@ impl DeviceEngine {
     /// Queries currently waiting.
     pub fn queue_len(&self) -> usize {
         self.queue.len()
-    }
-
-    /// Arrival cycle of the oldest waiting query, if any.
-    pub fn oldest_arrival(&self) -> Option<u64> {
-        self.queue.front().map(|&(_, t)| t)
     }
 
     /// The cycle at which the in-flight batch (if any) finishes.
@@ -391,21 +388,6 @@ impl DeviceEngine {
         self.max_queue_depth
     }
 
-    /// Device-busy cycles accumulated by launches so far.
-    pub fn busy_cycles(&self) -> u64 {
-        self.busy_cycles
-    }
-
-    /// Device-free cycles spent with a non-empty queue so far.
-    pub fn queue_wait_cycles(&self) -> u64 {
-        self.queue_wait_cycles
-    }
-
-    /// Device-free cycles spent with an empty queue so far.
-    pub fn idle_cycles(&self) -> u64 {
-        self.idle_cycles
-    }
-
     /// Per-launch simulator stats, in launch order (consumes the engine).
     pub fn into_launch_stats(self) -> Vec<SimStats> {
         self.launch_stats
@@ -445,9 +427,8 @@ gpu_sim::snap_state!(DeviceEngine);
 /// completion cycle inside the launch.
 ///
 /// Internally this drives a [`crate::session::ServeSession`] to
-/// completion; `tta-fleet` drives many [`DeviceEngine`]s from one clock.
-/// The journal bytes this produces are part of the determinism contract
-/// and did not change with either refactor.
+/// completion on the shared serving clock. The journal bytes this
+/// produces are part of the determinism contract.
 ///
 /// # Panics
 ///

@@ -18,7 +18,7 @@ use crate::engine::{BatchService, ServeConfig};
 use crate::metrics::summarize;
 use crate::policy::BatchPolicy;
 use crate::service::{QueryService, ServeBackend};
-use crate::session::ServeSession;
+use crate::session::{drive_segments, ServeSession};
 
 /// Which query workload the server hosts, with its tree parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,6 +61,72 @@ impl ServeWorkload {
             ServeWorkload::BTree { .. } => "btree",
             ServeWorkload::Rtnn { .. } => "rtnn",
             ServeWorkload::NBody { .. } => "nbody",
+        }
+    }
+
+    /// The cache key of this workload's inputs under `seed`. Namespaced
+    /// under `serve/` so keys never collide with the closed-batch
+    /// experiments' inputs in a shared cache; serve and fleet experiments
+    /// over the same workload and seed share one tree image.
+    pub fn inputs_key(&self, seed: u64) -> String {
+        match self {
+            ServeWorkload::BTree {
+                flavor,
+                keys,
+                universe,
+            } => format!("serve/btree/{flavor:?}/{keys}/{universe}/{seed:#x}"),
+            ServeWorkload::Rtnn {
+                points,
+                universe,
+                radius,
+            } => format!(
+                "serve/rtnn/{points}/{universe}/{:08x}/{seed:#x}",
+                radius.to_bits()
+            ),
+            ServeWorkload::NBody {
+                dims,
+                bodies,
+                theta,
+            } => format!(
+                "serve/nbody/{dims}d/{bodies}/{:08x}/{seed:#x}",
+                theta.to_bits()
+            ),
+        }
+    }
+
+    /// Builds this workload's inputs (generated data and serialized tree)
+    /// under `seed`.
+    pub fn build_inputs(&self, seed: u64) -> ServeInputs {
+        match self {
+            ServeWorkload::BTree {
+                flavor,
+                keys,
+                universe,
+            } => {
+                let mut e = BTreeExperiment::new(*flavor, *keys, *universe, Platform::BaselineGpu);
+                e.seed = seed;
+                ServeInputs::BTree(Arc::new(e.build_inputs()))
+            }
+            ServeWorkload::Rtnn {
+                points,
+                universe,
+                radius,
+            } => {
+                let mut e = RtnnExperiment::new(
+                    *points,
+                    *universe,
+                    Platform::BaselineGpu,
+                    LeafPath::Offloaded,
+                );
+                e.radius = *radius;
+                e.seed = seed;
+                ServeInputs::Rtnn(Arc::new(e.build_inputs()))
+            }
+            ServeWorkload::NBody { dims, bodies, .. } => {
+                let mut e = NBodyExperiment::new(*dims, *bodies, Platform::BaselineGpu);
+                e.seed = seed;
+                ServeInputs::NBody(Arc::new(e.build_inputs()))
+            }
         }
     }
 }
@@ -185,19 +251,6 @@ impl ServeExperiment {
         }
     }
 
-    /// Builds the backend service for this configuration.
-    fn build_service(&self, inputs: &ServeInputs) -> Box<dyn BatchService> {
-        let max_batch = self.policy.max_batch(self.gpu.warp_width);
-        build_service(
-            &self.workload,
-            self.backend,
-            inputs,
-            &self.gpu,
-            max_batch,
-            self.verify,
-        )
-    }
-
     /// Runs the serving experiment: generates the arrival stream, drives
     /// the virtual-clock engine, and folds the outcome into a
     /// [`RunResult`] whose `serve` section carries the latency summary.
@@ -211,23 +264,16 @@ impl ServeExperiment {
         self.run_segments(1, self.trace_dir.as_deref())
     }
 
-    /// Runs the experiment as `segments` horizon shards: the virtual
-    /// horizon is cut at evenly spaced cycles, and at each cut the full
-    /// state (session clock/queue/outcomes + backend GPU) is exported,
-    /// a **fresh** service and session are built from the configuration,
-    /// and the snapshot is restored onto them before continuing. The
-    /// result is identical to [`run`](ServeExperiment::run) — the
-    /// differential tests in `tta-snap` assert journal byte-equality.
-    ///
-    /// Tracing is disabled in sharded mode (spans would split across
-    /// segments); `trace_dir` is ignored. `segments == 1` degenerates to
-    /// a straight-line run.
+    /// Runs the experiment as `segments` horizon shards through
+    /// [`drive_segments`]: at each cut the session and backend state move
+    /// onto a **fresh** service and session built from configuration.
+    /// The result is identical to [`run`](ServeExperiment::run) (the
+    /// differential tests in `tta-snap` assert journal byte-equality).
+    /// Tracing is disabled in sharded mode; `trace_dir` is ignored.
     ///
     /// # Panics
     ///
-    /// Panics when `segments` is zero, when `verify` is set and a sampled
-    /// batch diverges from the host oracle, or when attached inputs
-    /// mismatch the configured workload.
+    /// Panics when `segments` is zero, or as [`run`](ServeExperiment::run).
     pub fn run_sharded(&self, segments: usize) -> RunResult {
         assert!(segments >= 1, "horizon sharding needs at least one segment");
         self.run_segments(segments, None)
@@ -248,28 +294,21 @@ impl ServeExperiment {
             queue_capacity: self.queue_capacity,
             trace,
         };
-        let mut svc = self.build_service(&inputs);
-        let mut session = ServeSession::new(svc.as_mut(), cfg.clone(), arrivals.clone());
-        // Cut the span of arrival stamps into `segments` equal slices; the
-        // final segment runs past the last arrival to completion.
-        let last = arrivals.last().copied().unwrap_or(0);
-        for k in 1..segments as u64 {
-            let stop = last * k / segments as u64;
-            if session.run_until(svc.as_mut(), Some(stop)) {
-                break;
-            }
-            let mut fresh_svc = self.build_service(&inputs);
-            let mut fresh_session =
-                ServeSession::new(fresh_svc.as_mut(), cfg.clone(), arrivals.clone());
-            fresh_svc
-                .import_state(&svc.export_state())
-                .expect("service snapshot fits an identically built backend");
-            fresh_session
-                .import_state(&session.export_state())
-                .expect("session snapshot fits an identical stream");
-            svc = fresh_svc;
-            session = fresh_session;
-        }
+        let (mut services, session) = drive_segments(
+            segments,
+            &arrivals,
+            || {
+                let max_batch = self.policy.max_batch(self.gpu.warp_width);
+                let (w, b) = (&self.workload, self.backend);
+                let mut svc = build_service(w, b, &inputs, &self.gpu, max_batch, self.verify);
+                let session = ServeSession::new(svc.as_mut(), cfg.clone(), arrivals.clone());
+                (vec![svc], session)
+            },
+            |s, svcs, stop| s.run_until(svcs[0].as_mut(), stop),
+            ServeSession::export_state,
+            ServeSession::import_state,
+        );
+        let svc = &mut services[0];
         let outcome = session.finish(svc.as_mut());
         let summary = summarize(
             &self.policy.label(),
@@ -301,67 +340,11 @@ impl CacheableExperiment for ServeExperiment {
     type Inputs = ServeInputs;
 
     fn inputs_key(&self) -> String {
-        // Namespaced under `serve/` so keys never collide with the
-        // closed-batch experiments' inputs in a shared cache.
-        match &self.workload {
-            ServeWorkload::BTree {
-                flavor,
-                keys,
-                universe,
-            } => format!("serve/btree/{flavor:?}/{keys}/{universe}/{:#x}", self.seed),
-            ServeWorkload::Rtnn {
-                points,
-                universe,
-                radius,
-            } => format!(
-                "serve/rtnn/{points}/{universe}/{:08x}/{:#x}",
-                radius.to_bits(),
-                self.seed
-            ),
-            ServeWorkload::NBody {
-                dims,
-                bodies,
-                theta,
-            } => format!(
-                "serve/nbody/{dims}d/{bodies}/{:08x}/{:#x}",
-                theta.to_bits(),
-                self.seed
-            ),
-        }
+        self.workload.inputs_key(self.seed)
     }
 
     fn build_inputs(&self) -> ServeInputs {
-        match &self.workload {
-            ServeWorkload::BTree {
-                flavor,
-                keys,
-                universe,
-            } => {
-                let mut e = BTreeExperiment::new(*flavor, *keys, *universe, Platform::BaselineGpu);
-                e.seed = self.seed;
-                ServeInputs::BTree(Arc::new(e.build_inputs()))
-            }
-            ServeWorkload::Rtnn {
-                points,
-                universe,
-                radius,
-            } => {
-                let mut e = RtnnExperiment::new(
-                    *points,
-                    *universe,
-                    Platform::BaselineGpu,
-                    LeafPath::Offloaded,
-                );
-                e.radius = *radius;
-                e.seed = self.seed;
-                ServeInputs::Rtnn(Arc::new(e.build_inputs()))
-            }
-            ServeWorkload::NBody { dims, bodies, .. } => {
-                let mut e = NBodyExperiment::new(*dims, *bodies, Platform::BaselineGpu);
-                e.seed = self.seed;
-                ServeInputs::NBody(Arc::new(e.build_inputs()))
-            }
-        }
+        self.workload.build_inputs(self.seed)
     }
 
     fn set_inputs(&mut self, inputs: Arc<ServeInputs>) {

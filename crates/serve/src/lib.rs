@@ -22,9 +22,13 @@
 //! * [`metrics`] — per-query latency folded into p50/p95/p99, throughput,
 //!   queue depth, and drop counters
 //!   ([`ServeSummary`](workloads::ServeSummary), journaled by the
-//!   harness).
-//! * [`session`] — the resumable serving loop: pause at any virtual
-//!   cycle, export engine + clock state into a
+//!   harness); `tta-fleet` folds latencies through the same
+//!   [`LatencyFold`](metrics::LatencyFold).
+//! * [`session`] — the one serving [`Clock`](session::Clock) (arrivals,
+//!   next event, exact pause split, horizon settle) that both this
+//!   crate's and `tta-fleet`'s loops run on, the resumable single-device
+//!   loop, and the horizon-shard loop of both experiments: pause at any
+//!   virtual cycle, export engine + clock state into a
 //!   [`StateBag`](gpu_sim::snapshot::StateBag), resume on a fresh host
 //!   with byte-identical journals (`tta-snap` asserts this).
 //! * [`experiment`] — the sweepable [`ServeExperiment`] tying it together.

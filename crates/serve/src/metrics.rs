@@ -6,11 +6,8 @@ use workloads::ServeSummary;
 
 use crate::engine::ServeOutcome;
 
-/// Summarizes a serving run into p50/p95/p99 latency, throughput, and
-/// queue/drop counters. `arrival_mean_cycles` is the offered stream's mean
-/// inter-arrival time (recorded, not recomputed). Throughput is completed
-/// queries per **kilocycle** of makespan — a rate that stays readable at
-/// simulator scale.
+/// The latency fold of one set of completed queries, shared by the serve
+/// and fleet summaries.
 ///
 /// Percentiles use **nearest-rank** semantics ([`percentile`]): the
 /// reported pN is always an *observed* latency, never an interpolation.
@@ -20,20 +17,56 @@ use crate::engine::ServeOutcome;
 /// better unbiased witness than the worst one) and is what makes tiny
 /// per-class percentile rows in fleet journals well-defined; see the
 /// `nearest_rank_*` tests below for the exact n = 1, 2, 99, 100 behavior.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LatencyFold {
+    /// Completed queries (latency samples).
+    pub completed: u64,
+    /// Median latency, in cycles.
+    pub p50: u64,
+    /// 95th-percentile latency.
+    pub p95: u64,
+    /// 99th-percentile latency.
+    pub p99: u64,
+    /// Worst latency.
+    pub max: u64,
+    /// Completed queries per **kilocycle** of makespan — a rate that
+    /// stays readable at simulator scale (0 for an empty makespan).
+    pub throughput_qpkc: f64,
+}
+
+impl LatencyFold {
+    /// Folds `latencies` (one per completed query) over a run whose last
+    /// completion is at `makespan`. An empty set yields zeroes, not NaNs.
+    pub fn of(latencies: impl IntoIterator<Item = u64>, makespan: u64) -> Self {
+        let latencies: Vec<u64> = latencies.into_iter().collect();
+        let completed = latencies.len() as u64;
+        let pct = |p: f64| percentile(&latencies, p).unwrap_or(0);
+        let throughput_qpkc = if makespan > 0 {
+            completed as f64 / makespan as f64 * 1000.0
+        } else {
+            0.0
+        };
+        LatencyFold {
+            completed,
+            p50: pct(50.0),
+            p95: pct(95.0),
+            p99: pct(99.0),
+            max: latencies.iter().copied().max().unwrap_or(0),
+            throughput_qpkc,
+        }
+    }
+}
+
+/// Summarizes a serving run into p50/p95/p99 latency ([`LatencyFold`]),
+/// throughput, and queue/drop counters. `arrival_mean_cycles` is the
+/// offered stream's mean inter-arrival time (recorded, not recomputed).
 pub fn summarize(
     policy: &str,
     backend: &str,
     arrival_mean_cycles: f64,
     out: &ServeOutcome,
 ) -> ServeSummary {
-    let latencies: Vec<u64> = out.queries.iter().filter_map(|q| q.latency()).collect();
-    let completed = latencies.len() as u64;
-    let pct = |p: f64| percentile(&latencies, p).unwrap_or(0);
-    let throughput_qpkc = if out.makespan > 0 {
-        completed as f64 / out.makespan as f64 * 1000.0
-    } else {
-        0.0
-    };
+    let lat = LatencyFold::of(out.queries.iter().filter_map(|q| q.latency()), out.makespan);
     ServeSummary {
         policy: policy.to_owned(),
         backend: backend.to_owned(),
@@ -41,13 +74,13 @@ pub fn summarize(
         offered: out.queries.len() as u64,
         admitted: out.queries.len() as u64 - out.dropped,
         dropped: out.dropped,
-        completed,
+        completed: lat.completed,
         batches: out.batches,
-        p50_latency: pct(50.0),
-        p95_latency: pct(95.0),
-        p99_latency: pct(99.0),
-        max_latency: latencies.iter().copied().max().unwrap_or(0),
-        throughput_qpkc,
+        p50_latency: lat.p50,
+        p95_latency: lat.p95,
+        p99_latency: lat.p99,
+        max_latency: lat.max,
+        throughput_qpkc: lat.throughput_qpkc,
         max_queue_depth: out.max_queue_depth as u64,
         makespan_cycles: out.makespan,
         queue_wait_cycles: out.queue_wait_cycles,

@@ -1,36 +1,198 @@
-//! The resumable serving loop: [`ServeSession`] owns the virtual clock,
-//! the arrival cursor, and the per-query outcomes of an in-progress
-//! serving run, and can pause at any virtual cycle, export its state into
-//! a [`StateBag`], and resume on a freshly built host.
+//! The one serving clock, the horizon-shard loop, and the resumable
+//! single-device loop.
 //!
-//! [`serve`](crate::serve) is a session driven to completion in one call,
-//! so the straight-line path and the snapshot/restore path share every
-//! line of event logic — journal parity between them is by construction,
-//! and the differential tests in `tta-snap` assert it byte-for-byte.
-//!
-//! Pausing is exact, not approximate: the clock only ever advances to the
-//! *next event* (an arrival, the device freeing, a policy deadline), and a
-//! pause at `stop` splits one clock advance `now → t` into `now → stop`
-//! and `stop → t`. [`DeviceEngine::advance`] is additive over such splits
+//! [`Clock`] owns the arrival stream, `now` and the arrival cursor;
+//! [`ServeSession`] runs it over one [`DeviceEngine`] and `tta-fleet`'s
+//! session over N. Pausing is exact: the clock only ever advances to the
+//! *next event* (an arrival, a device freeing, a policy deadline), and a
+//! pause at `stop` splits one advance `now → t` into `now → stop` and
+//! `stop → t`. [`DeviceEngine::advance`] is additive over such splits
 //! and no event can fire strictly inside `(now, t)`, so a resumed run
-//! replays the identical event sequence.
+//! replays the identical event sequence. [`serve`](crate::serve) and
+//! [`drive_segments`] share every line of event logic, so journal parity
+//! between straight-line and snapshot/restore runs is by construction
+//! (the differential tests in `tta-snap` assert it byte-for-byte).
 
-use gpu_sim::snapshot::fnv1a_64;
+use std::ops::ControlFlow;
+
+use gpu_sim::snapshot::{fnv1a_64, BagError, StateBag};
 use trace::Track;
 
 use crate::engine::{BatchService, DeviceEngine, QueryOutcome, ServeConfig, ServeOutcome};
 
+/// The virtual clock of a serving run. Its cursor fields are public so
+/// session field lists can snapshot them.
+#[derive(Debug)]
+pub struct Clock {
+    arrivals: Vec<u64>,
+    /// The current virtual cycle.
+    pub now: u64,
+    /// Stream index of the next arrival to admit.
+    pub next_arrival: usize,
+}
+
+impl Clock {
+    /// A clock at cycle 0 over `arrivals`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `arrivals` is not sorted ascending.
+    pub fn new(arrivals: Vec<u64>) -> Self {
+        assert!(
+            arrivals.windows(2).all(|w| w[0] <= w[1]),
+            "arrival stream must be sorted by cycle"
+        );
+        Clock {
+            arrivals,
+            now: 0,
+            next_arrival: 0,
+        }
+    }
+
+    /// The offered arrival stream, sorted ascending.
+    pub fn arrivals(&self) -> &[u64] {
+        &self.arrivals
+    }
+
+    /// Number of offered arrivals.
+    pub fn stream_len(&self) -> usize {
+        self.arrivals.len()
+    }
+
+    /// Identity hash of the stream followed by `tail` (a session's own
+    /// per-query inputs): guards a snapshot against different inputs.
+    pub fn stream_fnv(&self, tail: impl IntoIterator<Item = u64>) -> u64 {
+        let stream = self.arrivals.iter().copied().chain(tail);
+        fnv1a_64(&stream.flat_map(u64::to_le_bytes).collect::<Vec<u8>>())
+    }
+
+    /// Admits the next arrival due by `now` and returns its stream index.
+    /// The clock never steps past an arrival, so it is admitted at
+    /// exactly its own cycle.
+    pub fn admit(&mut self) -> Option<usize> {
+        let id = self.next_arrival;
+        let due = self.arrivals.get(id).is_some_and(|&t| t <= self.now);
+        due.then(|| {
+            self.next_arrival += 1;
+            id
+        })
+    }
+
+    /// Whether every arrival has been admitted.
+    pub fn drained(&self) -> bool {
+        self.next_arrival >= self.arrivals.len()
+    }
+
+    /// Whether the stream is drained and every engine's queue is empty.
+    pub fn done(&self, engines: &[DeviceEngine]) -> bool {
+        self.drained() && engines.iter().all(|e| e.queue_len() == 0)
+    }
+
+    /// Advances the clock and `engines` to the next event, or exactly to
+    /// `stop` when that event lies past it. Breaks with the session's
+    /// result: `false` on a pause, `true` when no event remains.
+    pub fn advance(
+        &mut self,
+        engines: &mut [DeviceEngine],
+        stop: Option<u64>,
+    ) -> ControlFlow<bool> {
+        let now = self.now;
+        let arrival = self.arrivals.get(self.next_arrival).copied();
+        let next = engines
+            .iter()
+            .filter_map(|e| e.next_event(now))
+            .chain(arrival)
+            .min();
+        // Unreachable in practice: a drained non-empty queue always
+        // triggers the flush rule. Defensive exit, not a hang.
+        let Some(t) = next else {
+            return ControlFlow::Break(true);
+        };
+        debug_assert!(t > now, "virtual clock must advance");
+        let to = stop.map_or(t, |s| t.min(s.max(now)));
+        for e in engines.iter_mut() {
+            e.advance(now, to);
+        }
+        self.now = to;
+        if to < t {
+            ControlFlow::Break(false)
+        } else {
+            ControlFlow::Continue(())
+        }
+    }
+
+    /// Ends the run at the horizon, the latest of `now` and every
+    /// device's quiet point: each engine is advanced to it and settled,
+    /// and its `(busy, queue_wait, idle)` buckets partition it exactly
+    /// (debug-asserted).
+    pub fn settle(&self, engines: &mut [DeviceEngine]) -> (u64, Vec<(u64, u64, u64)>) {
+        let horizon = engines
+            .iter()
+            .fold(self.now, |h, e| h.max(e.device_free_at()));
+        let mut buckets = Vec::with_capacity(engines.len());
+        for (d, e) in engines.iter_mut().enumerate() {
+            e.advance(self.now, horizon);
+            let (busy, wait, idle) = e.settle(horizon);
+            debug_assert_eq!(
+                busy + wait + idle,
+                horizon,
+                "device {d} must partition the horizon"
+            );
+            buckets.push((busy, wait, idle));
+        }
+        (horizon, buckets)
+    }
+}
+
+/// The horizon-shard loop of both serving experiments. `build` stands
+/// up fresh services and a session from configuration; `run_until`
+/// drives a session until done or paused. The horizon is cut at
+/// `last * k / segments` (`last` = the final arrival stamp); at each cut
+/// the services and the session are exported onto freshly built ones.
+/// The final segment is the caller's `finish`.
+///
+/// # Panics
+///
+/// Panics when a snapshot does not fit the freshly built host.
+pub fn drive_segments<S>(
+    segments: usize,
+    arrivals: &[u64],
+    build: impl Fn() -> (Vec<Box<dyn BatchService>>, S),
+    run_until: impl Fn(&mut S, &mut [Box<dyn BatchService>], Option<u64>) -> bool,
+    export: fn(&S) -> StateBag,
+    import: fn(&mut S, &StateBag) -> Result<(), BagError>,
+) -> (Vec<Box<dyn BatchService>>, S) {
+    let (mut services, mut session) = build();
+    let last = arrivals.last().copied().unwrap_or(0);
+    for k in 1..segments as u64 {
+        if run_until(
+            &mut session,
+            &mut services,
+            Some(last * k / segments as u64),
+        ) {
+            break;
+        }
+        let (mut fresh, mut fresh_session) = build();
+        for (svc, old) in fresh.iter_mut().zip(&services) {
+            svc.import_state(&old.export_state())
+                .expect("device snapshot fits an identically built backend");
+        }
+        import(&mut fresh_session, &export(&session))
+            .expect("session snapshot fits an identical stream and configuration");
+        (services, session) = (fresh, fresh_session);
+    }
+    (services, session)
+}
+
 /// An in-progress serving run over one device: the driver half of the
-/// loop ([`DeviceEngine`] is the device half), holding the virtual clock,
-/// the arrival cursor, and per-query completions.
+/// loop ([`DeviceEngine`] is the device half), holding the virtual clock
+/// and per-query completions.
 #[derive(Debug)]
 pub struct ServeSession {
-    arrivals: Vec<u64>,
+    clock: Clock,
     engine: DeviceEngine,
     queries: Vec<QueryOutcome>,
     makespan: u64,
-    now: u64,
-    next_arrival: usize,
 }
 
 impl ServeSession {
@@ -43,21 +205,19 @@ impl ServeSession {
     /// Panics if `arrivals` is not sorted ascending or the backend's query
     /// universe is empty.
     pub fn new(svc: &mut dyn BatchService, cfg: ServeConfig, arrivals: Vec<u64>) -> Self {
-        assert!(
-            arrivals.windows(2).all(|w| w[0] <= w[1]),
-            "arrival stream must be sorted by cycle"
-        );
+        let clock = Clock::new(arrivals);
         assert!(svc.query_count() > 0, "backend has an empty query universe");
         svc.set_trace(cfg.trace.clone());
         let engine = DeviceEngine::new(
-            cfg.policy.clone(),
+            cfg.policy,
             cfg.queue_capacity,
             svc.warp_width(),
-            cfg.trace.clone(),
+            cfg.trace,
             Track::Device,
             Track::Queue,
         );
-        let queries = arrivals
+        let queries = clock
+            .arrivals()
             .iter()
             .map(|&t| QueryOutcome {
                 arrival: t,
@@ -65,25 +225,23 @@ impl ServeSession {
             })
             .collect();
         ServeSession {
-            arrivals,
+            clock,
             engine,
             queries,
             makespan: 0,
-            now: 0,
-            next_arrival: 0,
         }
     }
 
     /// The current virtual cycle.
     pub fn now(&self) -> u64 {
-        self.now
+        self.clock.now
     }
 
     /// Whether the stream is drained and the queue empty (the in-flight
     /// batch, if any, is accounted via the horizon at
     /// [`finish`](ServeSession::finish)).
     pub fn done(&self) -> bool {
-        self.next_arrival >= self.arrivals.len() && self.engine.queue_len() == 0
+        self.clock.done(std::slice::from_ref(&self.engine))
     }
 
     /// Drives the loop until it is [`done`](ServeSession::done) or the
@@ -96,55 +254,25 @@ impl ServeSession {
     /// Panics when the backend reports fewer per-warp completion slots
     /// than a batch needs.
     pub fn run_until(&mut self, svc: &mut dyn BatchService, stop: Option<u64>) -> bool {
-        let stop = stop.map(|s| s.max(self.now));
         loop {
-            // Admit every arrival that has happened by `now`.
-            while self.next_arrival < self.arrivals.len()
-                && self.arrivals[self.next_arrival] <= self.now
-            {
-                self.engine
-                    .on_arrival(self.next_arrival, self.arrivals[self.next_arrival]);
-                self.next_arrival += 1;
+            while let Some(id) = self.clock.admit() {
+                self.engine.on_arrival(id, self.clock.now);
             }
-            let drained = self.next_arrival >= self.arrivals.len();
-            if drained && self.engine.queue_len() == 0 {
+            if self.done() {
                 return true;
             }
-
             // Launch if the device is free and the policy triggers.
-            if self.engine.wants_launch(self.now, drained) {
-                let completions = self.engine.launch(self.now, &mut |ids| svc.run_batch(ids));
-                for (qi, done) in completions {
+            let now = self.clock.now;
+            if self.engine.wants_launch(now, self.clock.drained()) {
+                for (qi, done) in self.engine.launch(now, &mut |ids| svc.run_batch(ids)) {
                     self.queries[qi].completion = Some(done);
                     self.makespan = self.makespan.max(done);
                 }
                 continue; // re-admit at the same `now` before advancing
             }
-
-            // Advance the clock to the next event: an arrival, the device
-            // becoming free, or a policy deadline.
-            let mut next: Option<u64> = (!drained).then(|| self.arrivals[self.next_arrival]);
-            if let Some(e) = self.engine.next_event(self.now) {
-                next = Some(next.map_or(e, |t| t.min(e)));
-            }
-            match next {
-                Some(t) => {
-                    debug_assert!(t > self.now, "virtual clock must advance");
-                    if let Some(s) = stop {
-                        if t > s {
-                            // Pause: split the advance at the stop cycle.
-                            self.engine.advance(self.now, s);
-                            self.now = s;
-                            return false;
-                        }
-                    }
-                    self.engine.advance(self.now, t);
-                    self.now = t;
-                }
-                // Unreachable in practice: a drained non-empty queue
-                // always triggers the flush rule above. Defensive exit,
-                // not a hang.
-                None => return true,
+            let engines = std::slice::from_mut(&mut self.engine);
+            if let ControlFlow::Break(done) = self.clock.advance(engines, stop) {
+                return done;
             }
         }
     }
@@ -158,13 +286,8 @@ impl ServeSession {
     /// partition the horizon — an accounting bug, never data-dependent.
     pub fn finish(mut self, svc: &mut dyn BatchService) -> ServeOutcome {
         self.run_until(svc, None);
-        let horizon = self.now.max(self.engine.device_free_at());
-        let (busy, queue_wait_cycles, idle_cycles) = self.engine.settle(horizon);
-        debug_assert_eq!(
-            busy + queue_wait_cycles + idle_cycles,
-            horizon,
-            "serve-side buckets must partition the horizon"
-        );
+        let (horizon, buckets) = self.clock.settle(std::slice::from_mut(&mut self.engine));
+        let (_, queue_wait_cycles, idle_cycles) = buckets[0];
         ServeOutcome {
             queries: self.queries,
             batches: self.engine.batches(),
@@ -184,20 +307,13 @@ impl ServeSession {
     // included — snapshot it separately via `BatchService::export_state`.
     gpu_sim::snap_fields! {
         pub fn export_state / import_state;
-        #[check] stream_len: arrivals.len(),
-        #[check] stream_fnv: stream_fnv(),
-        now,
-        next_arrival,
+        #[check] stream_len: clock.stream_len(),
+        #[check] stream_fnv: clock.stream_fnv(None),
+        now: clock.now,
+        next_arrival: clock.next_arrival,
         makespan,
         #[host] completions: queries[..].completion,
         engine,
-    }
-
-    /// Identity hash of the arrival stream — guards a session snapshot
-    /// against being resumed onto a different stream.
-    fn stream_fnv(&self) -> u64 {
-        let bytes: Vec<u8> = self.arrivals.iter().flat_map(|v| v.to_le_bytes()).collect();
-        fnv1a_64(&bytes)
     }
 }
 

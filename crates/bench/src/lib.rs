@@ -22,8 +22,6 @@
 //! * [`activity_of`] — adapts a [`workloads::RunResult`] into the energy
 //!   model's [`energy::ActivityCounts`].
 
-pub mod bench_log;
-
 use energy::ActivityCounts;
 use workloads::runner::parse_scale;
 use workloads::RunResult;

@@ -9,6 +9,7 @@ use std::sync::Arc;
 use gpu_sim::GpuConfig;
 use serve::session::drive_segments;
 use serve::{build_service, BatchPolicy, ServeBackend, ServeInputs, ServeWorkload};
+use workloads::cacheable::inputs_or_build;
 use workloads::runner::sum_stats;
 use workloads::{AccelReport, CacheableExperiment, RunResult};
 
@@ -125,10 +126,7 @@ impl FleetExperiment {
     /// The body of [`run`](FleetExperiment::run) (one segment, traced
     /// into `trace_dir`) and [`run_sharded`](FleetExperiment::run_sharded).
     fn run_segments(&self, segments: usize, trace_dir: Option<&Path>) -> RunResult {
-        let inputs = match &self.inputs {
-            Some(i) => Arc::clone(i),
-            None => Arc::new(self.build_inputs()),
-        };
+        let inputs = inputs_or_build(self, self.inputs.as_ref());
         let arrivals =
             workloads::gen::exponential_arrivals(self.offered, self.arrival_mean_cycles, self.seed);
         let classes =

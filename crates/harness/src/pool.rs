@@ -58,26 +58,16 @@ where
 
 /// A sensible default worker count: the machine's available parallelism,
 /// capped at 8 (simulator runs are memory-bound; more threads mostly add
-/// cache pressure). The `TTA_THREADS` environment variable overrides both
-/// the cap and the probed parallelism — set it on many-core hosts where
-/// the cap of 8 leaves throughput on the table, or to pin CI runs.
+/// cache pressure). Every sweep binary takes `--threads` to override it.
 pub fn default_threads() -> usize {
     let available = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-    threads_from(std::env::var("TTA_THREADS").ok().as_deref(), available)
+    threads_from(available)
 }
 
-/// Resolves the worker count from an optional `TTA_THREADS` override and
-/// the probed available parallelism. A valid override (a positive
-/// integer) wins outright; anything else warns and falls back to
-/// `min(available, 8)`. Split out from [`default_threads`] so the policy
-/// is testable without mutating process-global environment state.
-pub fn threads_from(env_override: Option<&str>, available: usize) -> usize {
-    if let Some(v) = env_override.map(str::trim).filter(|v| !v.is_empty()) {
-        match v.parse::<usize>() {
-            Ok(n) if n >= 1 => return n,
-            _ => eprintln!("warning: ignoring invalid TTA_THREADS={v:?} (want a positive integer)"),
-        }
-    }
+/// `min(available, 8)`, and at least 1. Split out from
+/// [`default_threads`] so the policy is testable at any probed
+/// parallelism.
+pub fn threads_from(available: usize) -> usize {
     available.clamp(1, 8)
 }
 
@@ -116,19 +106,10 @@ mod tests {
     }
 
     #[test]
-    fn threads_from_honors_override_and_falls_back() {
-        // No override: available parallelism capped at 8.
-        assert_eq!(threads_from(None, 4), 4);
-        assert_eq!(threads_from(None, 64), 8);
-        assert_eq!(threads_from(None, 0), 1);
-        // A valid TTA_THREADS wins over cap and probe alike.
-        assert_eq!(threads_from(Some("32"), 64), 32);
-        assert_eq!(threads_from(Some(" 2 "), 64), 2);
-        assert_eq!(threads_from(Some("1"), 64), 1);
-        // Invalid overrides fall back instead of panicking or clamping to 0.
-        for bad in ["0", "-3", "lots", "", "  "] {
-            assert_eq!(threads_from(Some(bad), 6), 6, "override {bad:?}");
-        }
+    fn threads_from_caps_the_probe() {
+        assert_eq!(threads_from(4), 4);
+        assert_eq!(threads_from(64), 8);
+        assert_eq!(threads_from(0), 1);
     }
 
     /// The wall-clock payoff of the pool. Jobs here *sleep* rather than

@@ -9,6 +9,7 @@ use gpu_sim::GpuConfig;
 use rta::RtaConfig;
 use trees::BTreeFlavor;
 use workloads::btree::{BTreeExperiment, BTreeInputs, BTreeLookups};
+use workloads::cacheable::inputs_or_build;
 use workloads::nbody::{ForceQueries, NBodyExperiment, NBodyInputs};
 use workloads::rtnn::{LeafPath, RadiusQueries, RtnnExperiment, RtnnInputs};
 use workloads::runner::sum_stats;
@@ -282,10 +283,7 @@ impl ServeExperiment {
     /// The body of [`run`](ServeExperiment::run) (one segment, traced
     /// into `trace_dir`) and [`run_sharded`](ServeExperiment::run_sharded).
     fn run_segments(&self, segments: usize, trace_dir: Option<&Path>) -> RunResult {
-        let inputs = match &self.inputs {
-            Some(i) => Arc::clone(i),
-            None => Arc::new(self.build_inputs()),
-        };
+        let inputs = inputs_or_build(self, self.inputs.as_ref());
         let arrivals =
             workloads::gen::exponential_arrivals(self.offered, self.arrival_mean_cycles, self.seed);
         let (trace, sink) = workloads::runner::trace_pair(trace_dir);

@@ -433,22 +433,6 @@ impl Json for f64 {
     }
 }
 
-/// A float with a fixed number of decimals (`null` when not finite), for
-/// a measurement whose precision is part of its file format.
-#[derive(Debug, Clone, Copy)]
-pub struct Fixed(pub f64, pub usize);
-
-impl Json for Fixed {
-    fn write_json(&self, out: &mut String) {
-        let Fixed(v, places) = *self;
-        if v.is_finite() {
-            let _ = write!(out, "{v:.places$}");
-        } else {
-            out.push_str("null");
-        }
-    }
-}
-
 impl Json for str {
     fn write_json(&self, out: &mut String) {
         escape(out, self);
@@ -569,11 +553,9 @@ mod tests {
     fn non_finite_floats_are_null() {
         for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             assert_eq!(to_string(&v), "null");
-            assert_eq!(to_string(&Fixed(v, 3)), "null");
         }
         assert_eq!(to_string(&0.25), "0.25");
         assert_eq!(to_string(&146928.0), "146928");
-        assert_eq!(to_string(&Fixed(1.27, 3)), "1.270");
     }
 
     #[test]

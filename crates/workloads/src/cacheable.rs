@@ -37,3 +37,12 @@ pub trait CacheableExperiment {
     /// what `build_inputs` on an equal-key experiment returned.
     fn set_inputs(&mut self, inputs: Arc<Self::Inputs>);
 }
+
+/// The inputs attached with [`CacheableExperiment::set_inputs`], or a
+/// fresh [`build_inputs`](CacheableExperiment::build_inputs) when none are.
+pub fn inputs_or_build<E: CacheableExperiment>(
+    exp: &E,
+    attached: Option<&Arc<E::Inputs>>,
+) -> Arc<E::Inputs> {
+    attached.map_or_else(|| Arc::new(exp.build_inputs()), Arc::clone)
+}

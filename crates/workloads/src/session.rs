@@ -38,7 +38,7 @@ use trace::ChromeTraceSink;
 use trees::bvh::PrimitiveKind;
 
 use crate::btree::{BTreeExperiment, BTreeLookups};
-use crate::cacheable::CacheableExperiment;
+use crate::cacheable::{inputs_or_build, CacheableExperiment};
 use crate::gen;
 use crate::kernels::{bvh_trace_kernel, nbody_integrate_kernel, THREAD_STACK_BYTES};
 use crate::lumibench::{rt_kernel_for, RtExperiment, RtInputs, RtWorkload};
@@ -277,10 +277,7 @@ impl BTreeExperiment {
     /// range into `chunks` launches. `run()` is exactly `session(1)`
     /// stepped to completion.
     pub fn session(&self, chunks: usize) -> QuerySession<BTreeLookups> {
-        let inputs = match &self.inputs {
-            Some(i) => Arc::clone(i),
-            None => Arc::new(self.build_inputs()),
-        };
+        let inputs = inputs_or_build(self, self.inputs.as_ref());
         let mut queries = inputs.queries.clone();
         if self.sort_queries {
             queries.sort_unstable();
@@ -311,10 +308,7 @@ impl RTreeExperiment {
     /// Opens a resumable session, splitting the query range into `chunks`
     /// launches. `run()` is exactly `session(1)` stepped to completion.
     pub fn session(&self, chunks: usize) -> QuerySession<RTreeRanges> {
-        let inputs = match &self.inputs {
-            Some(i) => Arc::clone(i),
-            None => Arc::new(self.build_inputs()),
-        };
+        let inputs = inputs_or_build(self, self.inputs.as_ref());
         let spec = SessionSpec {
             platform: &self.platform,
             gpu: &self.gpu,
@@ -340,10 +334,7 @@ impl RtnnExperiment {
     /// Opens a resumable session, splitting the query range into `chunks`
     /// launches. `run()` is exactly `session(1)` stepped to completion.
     pub fn session(&self, chunks: usize) -> QuerySession<RadiusQueries> {
-        let inputs = match &self.inputs {
-            Some(i) => Arc::clone(i),
-            None => Arc::new(self.build_inputs()),
-        };
+        let inputs = inputs_or_build(self, self.inputs.as_ref());
         let star = if self.leaf == LeafPath::Offloaded {
             "*"
         } else {
@@ -383,10 +374,7 @@ impl NBodyExperiment {
     /// `session(1)` stepped to completion — the chunk argument every other
     /// session takes does not apply here, so there is none.
     pub fn session(&self) -> QuerySession<ForceQueries> {
-        let inputs = match &self.inputs {
-            Some(i) => Arc::clone(i),
-            None => Arc::new(self.build_inputs()),
-        };
+        let inputs = inputs_or_build(self, self.inputs.as_ref());
         let spec = SessionSpec {
             platform: &self.platform,
             gpu: &self.gpu,
@@ -481,10 +469,7 @@ impl RtExperiment {
             "the baseline SIMT trace kernel supports triangle scenes only"
         );
 
-        let inputs = match &self.inputs {
-            Some(i) => Arc::clone(i),
-            None => Arc::new(self.build_inputs()),
-        };
+        let inputs = inputs_or_build(self, self.inputs.as_ref());
         let ser = &inputs.ser;
         let n = self.width * self.height;
         let mem =

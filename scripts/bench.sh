@@ -1,82 +1,34 @@
 #!/usr/bin/env bash
-# Perf-trajectory recorder: measure a sweep binary and append the result
-# to its committed BENCH_<name>.json log.
+# Records one host-time result set: tta-benchmark (benchmark/) on every
+# BENCHMARK.json workload at seeds 0, 1 and 2, with both runtime checkers
+# on, one result line per run in <dir>/<workload>.jsonl.
 #
-#   scripts/bench.sh [quick|quick-shadow|quick-snap-cold|quick-snap-warm|full]
-#                    [--bench fig13|fleet] [--note "<what changed>"]
+#   scripts/bench.sh <dir>
 #
-# The quick-snap-* modes measure the snapshot store (fig13 only):
-# quick-snap-cold is a --quick run that also saves every run's final
-# state, quick-snap-warm is the --resume rerun that restores instead of
-# simulating — the pair's wall-clock ratio is the warm-reuse speedup
-# quoted in EXPERIMENTS.md.
+# scripts/ci.sh records results/bench-ci and fails when
+# `tta-benchmark compare results/bench-baseline results/bench-ci` rates
+# any end-to-end metric `regressed`. To re-baseline after a deliberate
+# speed change, rerun this script into results/bench-baseline on the
+# machine CI runs on and commit the result.
 #
-# fig13 (the default) is the broadest harness binary (every workload ×
-# platform pair), so its wall-clock is the repository's
-# simulator-throughput benchmark. fleet is the multi-device cluster grid,
-# tracking the serving-loop overhead on top of the simulator. The script
-# runs the chosen binary single-threaded for stable numbers, reads the
-# wall-clock from the results/<bench>.timing.json sidecar, appends an
-# entry via `bench_gate record`, and restores whatever results/<bench>.*
-# artifacts the measurement run overwrote — the trajectory tracks time,
-# not artifacts, and the committed artifacts are full-scale.
-#
-# CI does not run this script; it only validates the BENCH_*.json logs
-# and gates its own smoke runs against the latest committed entries
-# (scripts/ci.sh). Record a new entry when you make the simulator (or the
-# cluster loop) faster — or deliberately slower — so the gates track
-# reality.
+# Three seeds, because `compare` rates a set of fewer than two values
+# `unresolved`, and `unresolved` never fails. Both checkers are on, so
+# one set gates the simulator, the serve and fleet loops and the
+# checkers' own host overhead.
 set -euo pipefail
-cd "$(dirname "$0")/.."
 
-MODE="${1:-quick}"
-[ $# -gt 0 ] && shift
-BENCH="fig13"
-NOTE=""
-while [ $# -gt 0 ]; do
-    case "$1" in
-        --bench) BENCH="$2"; shift 2;;
-        --note) NOTE="$2"; shift 2;;
-        *) echo "usage: scripts/bench.sh [quick|quick-shadow|quick-snap-cold|quick-snap-warm|full] [--bench fig13|fleet] [--note <text>]" >&2; exit 2;;
-    esac
+[ $# -eq 1 ] || { echo "usage: scripts/bench.sh <dir>" >&2; exit 2; }
+DIR="$1"
+ROOT="$(cd "$(dirname "$0")/.." && pwd)"
+
+cargo build --quiet --release --offline --manifest-path "$ROOT/benchmark/Cargo.toml"
+mkdir -p "$DIR"
+for workload in nbody3d raytrace index fleet; do
+    : >"$DIR/$workload.jsonl"
+    for seed in 0 1 2; do
+        echo "==> tta-benchmark --workload $workload --seed $seed --seconds 1 (checked)"
+        TTA_SHADOW_CHECK=1 TTA_RACE_CHECK=1 "$ROOT/benchmark/target/release/tta-benchmark" \
+            --workload "$workload" --seed "$seed" --seconds 1 --trace 0 |
+            tail -n 1 >>"$DIR/$workload.jsonl"
+    done
 done
-case "$BENCH" in
-    fig13|fleet) ;;
-    *) echo "unknown bench '$BENCH' (want fig13|fleet)" >&2; exit 2;;
-esac
-
-CARGO_FLAGS=()
-if [ "${CARGO_NET_OFFLINE:-}" = "true" ]; then
-    CARGO_FLAGS+=(--offline)
-fi
-cargo build "${CARGO_FLAGS[@]}" --release -p tta-bench --bin "$BENCH" --bin bench_gate
-
-SAVED=$(mktemp -d)
-trap 'rm -rf "$SAVED"' EXIT
-cp results/"$BENCH".journal.json results/"$BENCH".timing.json results/"$BENCH".csv "$SAVED"/ 2>/dev/null || true
-
-case "$MODE" in
-    quick)        ./target/release/"$BENCH" --quick --threads 1;;
-    quick-shadow) TTA_SHADOW_CHECK=1 TTA_RACE_CHECK=1 ./target/release/"$BENCH" --quick --threads 1;;
-    quick-snap-cold)
-        rm -rf results/snap-bench
-        ./target/release/"$BENCH" --quick --threads 1 --snapshot-dir results/snap-bench;;
-    quick-snap-warm)
-        # Populate a fresh store (unrecorded), then measure the warm
-        # --resume rerun that restores final states instead of simulating.
-        rm -rf results/snap-bench
-        ./target/release/"$BENCH" --quick --threads 1 --snapshot-dir results/snap-bench
-        ./target/release/"$BENCH" --quick --threads 1 --snapshot-dir results/snap-bench --resume;;
-    full)         ./target/release/"$BENCH" --threads 1;;
-    *) echo "unknown mode '$MODE' (want quick|quick-shadow|quick-snap-cold|quick-snap-warm|full)" >&2; exit 2;;
-esac
-
-./target/release/bench_gate record "BENCH_$BENCH.json" \
-    --mode "$MODE" --date "$(date +%F)" --threads 1 \
-    --timing results/"$BENCH".timing.json --note "$NOTE"
-./target/release/bench_gate validate "BENCH_$BENCH.json"
-
-# Put back the artifacts from before the measurement run.
-cp "$SAVED"/"$BENCH".* results/ 2>/dev/null || true
-
-echo "bench.sh: recorded a '$MODE' entry in BENCH_$BENCH.json"

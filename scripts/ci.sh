@@ -38,14 +38,13 @@
 #      register value and SIMT stack depth stays inside its static
 #      abstraction, and that no two warps conflict on a global-memory
 #      word within a launch
-#  10. the perf-trajectory gates: BENCH_fig13.json and BENCH_fleet.json
-#      must parse against their schema and be in the canonical form
-#      bench_gate record writes; the wall-clock of step 9 must not
-#      regress more than 25% against the latest committed quick-shadow
-#      fig13 entry, and the untraced fleet smoke of step 6 not more than
-#      100% against the latest committed quick fleet entry (the fleet
-#      check runs inline after its smoke, before tracing overwrites the
-#      timing sidecar; record new entries with scripts/bench.sh)
+#  10. the host-time gate: scripts/bench.sh records tta-benchmark
+#      (benchmark/) on its four workloads at seeds 0, 1 and 2 with both
+#      runtime checkers on into results/bench-ci, and `tta-benchmark
+#      compare` against the committed results/bench-baseline fails on
+#      any end-to-end metric worse than its BENCHMARK.json bound, or on
+#      any failed run (re-baseline with scripts/bench.sh
+#      results/bench-baseline)
 #
 # Offline-registry fallback: this workspace has NO crates.io dependencies —
 # every dependency is a path dependency inside the workspace (the `rand`
@@ -151,21 +150,10 @@ run cargo run "${CARGO_FLAGS[@]}" --release -p tta-trace --bin tta-trace-check -
 # beats round-robin on p99 on every backend, locality routing beats JSQ
 # under a shard-miss penalty, per-device horizon conservation, and that
 # the autoscale row pays real cold starts) and verify its journal
-# appears. The timing sidecar feeds the fleet perf gate below.
+# appears.
 run cargo run "${CARGO_FLAGS[@]}" --release -p tta-bench --bin fleet -- --quick --threads 2
 test -s results/fleet.journal.json || { echo "missing results/fleet.journal.json" >&2; exit 1; }
 test -s results/fleet.timing.json || { echo "missing results/fleet.timing.json" >&2; exit 1; }
-
-# Fleet perf-trajectory gate: checked here, before the traced rerun
-# below overwrites the timing sidecar with tracing overhead. The 100%
-# margin reflects the grid's small absolute wall-clock (tens of
-# milliseconds, where scheduler jitter under CI load is a large
-# relative effect) — this gate exists to catch gross cluster-loop
-# regressions (an accidentally quadratic router or admission scan),
-# which overshoot 2x immediately.
-run cargo run "${CARGO_FLAGS[@]}" --release -q -p tta-bench --bin bench_gate -- validate BENCH_fleet.json
-run cargo run "${CARGO_FLAGS[@]}" --release -q -p tta-bench --bin bench_gate -- \
-    check BENCH_fleet.json --mode quick --timing results/fleet.timing.json --max-regress 1.0
 
 # Smoke the ablation studies (the binary asserts that the child-prefetch
 # row reports the prefetches it issued and the no-prefetch row reports
@@ -210,19 +198,15 @@ done
 # shadow-checked against the abstract interpreter and race-checked by the
 # dynamic sanitizer. A register value or SIMT stack depth escaping its
 # static abstraction, or two warps conflicting on a global-memory word
-# within a launch, aborts the run. The sweep's own wall-clock (from the
-# timing sidecar, excluding cargo overhead) doubles as the
-# perf-trajectory measurement for step 10.
+# within a launch, aborts the run.
 echo "==> TTA_SHADOW_CHECK=1 TTA_RACE_CHECK=1 fig13 --quick (soundness gate)"
 TTA_SHADOW_CHECK=1 TTA_RACE_CHECK=1 cargo run "${CARGO_FLAGS[@]}" --release -p tta-bench --bin fig13 -- --quick --threads 2
 
-# Perf-trajectory gate: the committed BENCH_fig13.json must be
-# schema-valid, and the shadow-checked sweep above must not be more than
-# 25% slower than the latest committed quick-shadow baseline. When the
-# simulator legitimately changes speed, record a fresh entry with
-# scripts/bench.sh quick-shadow.
-run cargo run "${CARGO_FLAGS[@]}" --release -q -p tta-bench --bin bench_gate -- validate BENCH_fig13.json
-run cargo run "${CARGO_FLAGS[@]}" --release -q -p tta-bench --bin bench_gate -- \
-    check BENCH_fig13.json --mode quick-shadow --timing results/fig13.timing.json --max-regress 0.25
+# Host-time gate: a fresh checked result set must not be worse than the
+# committed baseline on any end-to-end metric beyond its BENCHMARK.json
+# bound, nor fail a run the baseline passed. `compare` reads the bounds
+# from BENCHMARK.json in the working directory (the repository root).
+run scripts/bench.sh results/bench-ci
+run benchmark/target/release/tta-benchmark compare results/bench-baseline results/bench-ci
 
 echo "CI OK"

@@ -60,15 +60,9 @@ where
 /// capped at 8 (simulator runs are memory-bound; more threads mostly add
 /// cache pressure). Every sweep binary takes `--threads` to override it.
 pub fn default_threads() -> usize {
-    let available = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-    threads_from(available)
-}
-
-/// `min(available, 8)`, and at least 1. Split out from
-/// [`default_threads`] so the policy is testable at any probed
-/// parallelism.
-pub fn threads_from(available: usize) -> usize {
-    available.clamp(1, 8)
+    std::thread::available_parallelism()
+        .map_or(1, std::num::NonZero::get)
+        .min(8)
 }
 
 #[cfg(test)]
@@ -103,13 +97,6 @@ mod tests {
     fn default_threads_is_positive() {
         let t = default_threads();
         assert!(t >= 1);
-    }
-
-    #[test]
-    fn threads_from_caps_the_probe() {
-        assert_eq!(threads_from(4), 4);
-        assert_eq!(threads_from(64), 8);
-        assert_eq!(threads_from(0), 1);
     }
 
     /// The wall-clock payoff of the pool. Jobs here *sleep* rather than

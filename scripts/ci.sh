@@ -39,12 +39,12 @@
 #      abstraction, and that no two warps conflict on a global-memory
 #      word within a launch
 #  10. the host-time gate: scripts/bench.sh records tta-benchmark
-#      (benchmark/) on its four workloads at seeds 0, 1 and 2 with both
-#      runtime checkers on into results/bench-ci, and `tta-benchmark
-#      compare` against the committed results/bench-baseline fails on
-#      any end-to-end metric worse than its BENCHMARK.json bound, or on
-#      any failed run (re-baseline with scripts/bench.sh
-#      results/bench-baseline)
+#      (benchmark/) on its four workloads, five runs each at seed 0 with
+#      both runtime checkers on, into results/bench-ci, and
+#      `tta-benchmark compare` against the committed
+#      results/bench-baseline fails on any end-to-end metric worse than
+#      its BENCHMARK.json bound, or on any failed run (the scripts/bench.sh
+#      header says how to re-baseline)
 #
 # Offline-registry fallback: this workspace has NO crates.io dependencies —
 # every dependency is a path dependency inside the workspace (the `rand`

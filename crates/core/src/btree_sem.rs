@@ -57,7 +57,12 @@ impl TraversalSemantics for BTreeSemantics {
         ray.stack.push(ray.root_addr);
     }
 
-    fn step(&self, gmem: &GlobalMemory, ray: &mut RayState) -> StepAction {
+    fn step(
+        &self,
+        gmem: &GlobalMemory,
+        ray: &mut RayState,
+        tests: &mut Vec<TestKind>,
+    ) -> StepAction {
         let node = ray.current_node;
         let header = NodeHeader::unpack(gmem.read_u32(node));
         let nkeys = header.count as usize;
@@ -71,11 +76,8 @@ impl TraversalSemantics for BTreeSemantics {
                     break;
                 }
             }
-            return StepAction::Test {
-                tests: vec![self.leaf_test],
-                children: Vec::new(),
-                terminate: true,
-            };
+            tests.push(self.leaf_test);
+            return StepAction::Test { terminate: true };
         }
         // Inner node: Algorithm 1 over up to MAX_KEYS separator keys.
         let first_child = gmem.read_u32(node + (CHILD_WORD * 4) as u64);
@@ -92,31 +94,21 @@ impl TraversalSemantics for BTreeSemantics {
                 break;
             }
         }
+        tests.push(self.inner_test);
         if found {
             ray.regs[R_FOUND] = 1;
-            return StepAction::Test {
-                tests: vec![self.inner_test],
-                children: Vec::new(),
-                terminate: true,
-            };
+            return StepAction::Test { terminate: true };
         }
-        let child = self.node_addr(first_child + next as u32);
-        StepAction::Test {
-            tests: vec![self.inner_test],
-            children: vec![child],
-            terminate: false,
-        }
+        ray.stack.push(self.node_addr(first_child + next as u32));
+        StepAction::Test { terminate: false }
     }
 
-    fn prefetch_hints(&self, gmem: &GlobalMemory, node_addr: u64) -> Vec<u64> {
+    fn prefetch_hints(&self, gmem: &GlobalMemory, node_addr: u64, hints: &mut Vec<u64>) {
         let header = NodeHeader::unpack(gmem.read_u32(node_addr));
-        if header.is_leaf() {
-            return Vec::new();
+        if !header.is_leaf() {
+            let first = gmem.read_u32(node_addr + (CHILD_WORD * 4) as u64);
+            hints.extend((0..=header.count as u32).map(|i| self.node_addr(first + i)));
         }
-        let first = gmem.read_u32(node_addr + (CHILD_WORD * 4) as u64);
-        (0..=header.count as u32)
-            .map(|i| self.node_addr(first + i))
-            .collect()
     }
 
     fn finish(&self, gmem: &mut GlobalMemory, ray: &RayState) -> u32 {

@@ -86,7 +86,12 @@ impl TraversalSemantics for BarnesHutSemantics {
         ray.stack.push(ray.root_addr);
     }
 
-    fn step(&self, gmem: &GlobalMemory, ray: &mut RayState) -> StepAction {
+    fn step(
+        &self,
+        gmem: &GlobalMemory,
+        ray: &mut RayState,
+        tests: &mut Vec<TestKind>,
+    ) -> StepAction {
         let node = ray.current_node;
         let header = NodeHeader::unpack(gmem.read_u32(node));
         let com = Vec3::new(
@@ -102,10 +107,10 @@ impl TraversalSemantics for BarnesHutSemantics {
             let first = gmem.read_u32(node + 4) as u64;
             if ray.phase == 0 {
                 ray.regs[R_VISITED] += 1;
-                return StepAction::Fetch(vec![(
+                return StepAction::Fetch(
                     self.particle_base + first * PARTICLE_STRIDE as u64,
                     (count * PARTICLE_STRIDE as u64) as u32,
-                )]);
+                );
             }
             // Direct sum over the leaf's particles: one force op each.
             for i in first..first + count {
@@ -118,11 +123,8 @@ impl TraversalSemantics for BarnesHutSemantics {
                 let m = gmem.read_f32(base + 12);
                 Self::accumulate(ray, p, m);
             }
-            return StepAction::Test {
-                tests: vec![self.force_test; count as usize],
-                children: Vec::new(),
-                terminate: false,
-            };
+            tests.extend(std::iter::repeat_n(self.force_test, count as usize));
+            return StepAction::Test { terminate: false };
         }
 
         // Inner node: the opening test (Algorithm 2).
@@ -136,26 +138,18 @@ impl TraversalSemantics for BarnesHutSemantics {
         let d2 = com.distance_squared(pos) + SOFTENING * SOFTENING;
         let threshold = width / theta;
         let open = d2 < threshold * threshold;
+        tests.push(self.open_test);
         if open {
             let first_child = gmem.read_u32(node + 4);
             let count = header.count as u32;
-            let children: Vec<u64> = (0..count)
-                .map(|i| self.node_addr(first_child + i))
-                .collect();
-            StepAction::Test {
-                tests: vec![self.open_test],
-                children,
-                terminate: false,
-            }
+            ray.stack
+                .extend((0..count).map(|i| self.node_addr(first_child + i)));
         } else {
             // Far cell: one centre-of-mass force accumulation.
             Self::accumulate(ray, com, mass);
-            StepAction::Test {
-                tests: vec![self.open_test, self.force_test],
-                children: Vec::new(),
-                terminate: false,
-            }
+            tests.push(self.force_test);
         }
+        StepAction::Test { terminate: false }
     }
 
     fn finish(&self, gmem: &mut GlobalMemory, ray: &RayState) -> u32 {

@@ -48,6 +48,11 @@ impl OpUnit {
         OpUnit::RayTransform,
     ];
 
+    /// Position in [`OpUnit::ALL`] (the declaration order).
+    pub const fn index(self) -> usize {
+        self as usize
+    }
+
     /// Pipeline latency in cycles (Table I).
     pub const fn latency(self) -> u64 {
         match self {
@@ -92,6 +97,13 @@ impl std::fmt::Display for OpUnit {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn index_is_the_position_in_all() {
+        for (i, u) in OpUnit::ALL.into_iter().enumerate() {
+            assert_eq!(u.index(), i, "{u}");
+        }
+    }
 
     #[test]
     fn table_i_latencies() {

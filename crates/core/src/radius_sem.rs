@@ -72,7 +72,12 @@ impl TraversalSemantics for RadiusSearchSemantics {
         ray.stack.push(ray.root_addr);
     }
 
-    fn step(&self, gmem: &GlobalMemory, ray: &mut RayState) -> StepAction {
+    fn step(
+        &self,
+        gmem: &GlobalMemory,
+        ray: &mut RayState,
+        tests: &mut Vec<TestKind>,
+    ) -> StepAction {
         let node = ray.current_node;
         let header = NodeHeader::unpack(gmem.read_u32(node));
         let pos = Vec3::new(
@@ -87,10 +92,10 @@ impl TraversalSemantics for RadiusSearchSemantics {
             let first = gmem.read_u32(node + 4) as u64;
             if ray.phase == 0 {
                 ray.regs[R_VISITED] += 1;
-                return StepAction::Fetch(vec![(
+                return StepAction::Fetch(
                     self.prim_base + first * SPHERE_STRIDE as u64,
                     (count * SPHERE_STRIDE as u64) as u32,
-                )]);
+                );
             }
             let r2 = radius * radius;
             for p in first..first + count {
@@ -104,11 +109,8 @@ impl TraversalSemantics for RadiusSearchSemantics {
                     ray.regs[R_COUNT] += 1;
                 }
             }
-            return StepAction::Test {
-                tests: vec![self.leaf_test; count as usize],
-                children: Vec::new(),
-                terminate: false,
-            };
+            tests.extend(std::iter::repeat_n(self.leaf_test, count as usize));
+            return StepAction::Test { terminate: false };
         }
 
         // Inner node: test the query point against both (inflated) child
@@ -118,21 +120,17 @@ impl TraversalSemantics for RadiusSearchSemantics {
         let right = self.node_addr(gmem.read_u32(node + 14 * 4));
         let lb = Self::read_box(gmem, node, 2);
         let rb = Self::read_box(gmem, node, 8);
-        let mut children = Vec::with_capacity(2);
         // The BVH's boxes are inflated by the sphere radius, so containment
         // of the query point is the exact pruning test (q within r of p
         // implies q inside p's inflated box).
         if rb.contains(pos) {
-            children.push(right);
+            ray.stack.push(right);
         }
         if lb.contains(pos) {
-            children.push(left);
+            ray.stack.push(left);
         }
-        StepAction::Test {
-            tests: vec![self.inner_test],
-            children,
-            terminate: false,
-        }
+        tests.push(self.inner_test);
+        StepAction::Test { terminate: false }
     }
 
     fn finish(&self, gmem: &mut GlobalMemory, ray: &RayState) -> u32 {

@@ -80,7 +80,12 @@ impl TraversalSemantics for RTreeSemantics {
         ray.stack.push(ray.root_addr);
     }
 
-    fn step(&self, gmem: &GlobalMemory, ray: &mut RayState) -> StepAction {
+    fn step(
+        &self,
+        gmem: &GlobalMemory,
+        ray: &mut RayState,
+        tests: &mut Vec<TestKind>,
+    ) -> StepAction {
         let node = ray.current_node;
         let header = NodeHeader::unpack(gmem.read_u32(node));
         let query = Self::query_box(ray);
@@ -93,16 +98,13 @@ impl TraversalSemantics for RTreeSemantics {
                 ray.regs[R_VISITED] += 1;
                 if !mbr.overlaps(&query) {
                     // Pruned without touching the entry buffer.
-                    return StepAction::Test {
-                        tests: vec![self.inner_test],
-                        children: Vec::new(),
-                        terminate: false,
-                    };
+                    tests.push(self.inner_test);
+                    return StepAction::Test { terminate: false };
                 }
-                return StepAction::Fetch(vec![(
+                return StepAction::Fetch(
                     self.entry_base + first * ENTRY_STRIDE as u64,
                     (count * ENTRY_STRIDE as u64) as u32,
-                )]);
+                );
             }
             for e in first..first + count {
                 let rect = Self::read_box(gmem, self.entry_base + e * ENTRY_STRIDE as u64);
@@ -110,39 +112,27 @@ impl TraversalSemantics for RTreeSemantics {
                     ray.regs[R_COUNT] += 1;
                 }
             }
-            return StepAction::Test {
-                tests: vec![self.leaf_test; count as usize],
-                children: Vec::new(),
-                terminate: false,
-            };
+            tests.extend(std::iter::repeat_n(self.leaf_test, count as usize));
+            return StepAction::Test { terminate: false };
         }
 
         // Inner node: one MBR overlap test; descend only on overlap.
         ray.regs[R_VISITED] += 1;
-        let children = if mbr.overlaps(&query) {
+        if mbr.overlaps(&query) {
             let first = gmem.read_u32(node + 4);
-            (0..header.count as u32)
-                .map(|i| self.node_addr(first + i))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        StepAction::Test {
-            tests: vec![self.inner_test],
-            children,
-            terminate: false,
+            ray.stack
+                .extend((0..header.count as u32).map(|i| self.node_addr(first + i)));
         }
+        tests.push(self.inner_test);
+        StepAction::Test { terminate: false }
     }
 
-    fn prefetch_hints(&self, gmem: &GlobalMemory, node_addr: u64) -> Vec<u64> {
+    fn prefetch_hints(&self, gmem: &GlobalMemory, node_addr: u64, hints: &mut Vec<u64>) {
         let header = NodeHeader::unpack(gmem.read_u32(node_addr));
-        if header.is_leaf() {
-            return Vec::new();
+        if !header.is_leaf() {
+            let first = gmem.read_u32(node_addr + 4);
+            hints.extend((0..header.count as u32).map(|i| self.node_addr(first + i)));
         }
-        let first = gmem.read_u32(node_addr + 4);
-        (0..header.count as u32)
-            .map(|i| self.node_addr(first + i))
-            .collect()
     }
 
     fn finish(&self, gmem: &mut GlobalMemory, ray: &RayState) -> u32 {

@@ -8,8 +8,6 @@
 //! ~10× (Fig. 18 bottom) yet end-to-end ray tracing only slows ~8%
 //! (Fig. 16) because traversal remains memory-bound.
 
-use std::collections::HashMap;
-
 use gpu_sim::snapshot::{load_each, save_each, BagError, Snap, SnapValue, StateBag};
 use rta::units::{
     IntersectionBackend, PipelinedUnit, ProgramStats, TestKind, UnitStats, UnsupportedTest,
@@ -116,18 +114,14 @@ impl TtaPlusBackend {
                 p.name()
             );
         }
-        let mut units = HashMap::new();
-        for u in OpUnit::ALL {
-            if u == OpUnit::Sqrt && !cfg.with_sqrt {
-                continue;
-            }
-            units.insert(
-                u,
-                (0..cfg.units_per_type)
-                    .map(|_| PipelinedUnit::new(u.latency()))
-                    .collect(),
-            );
-        }
+        let units = OpUnit::ALL.map(|u| {
+            let n = if u == OpUnit::Sqrt && !cfg.with_sqrt {
+                0
+            } else {
+                cfg.units_per_type
+            };
+            (0..n).map(|_| PipelinedUnit::new(u.latency())).collect()
+        });
         let crossbar = (0..cfg.crossbar_parallel_transfers)
             .map(|_| PipelinedUnit::new(cfg.crossbar_hop_latency))
             .collect();
@@ -161,8 +155,8 @@ impl TtaPlusBackend {
 
     fn run_program_indexed(&mut self, which: ProgramRef, now: u64) -> u64 {
         let program = match which {
-            ProgramRef::Custom(i) => self.programs[i].clone(),
-            ProgramRef::Builtin(i) => self.builtin[i].clone(),
+            ProgramRef::Custom(i) => &self.programs[i],
+            ProgramRef::Builtin(i) => &self.builtin[i],
         };
         let mut t = now;
         let mut icnt = 0u64;
@@ -176,15 +170,10 @@ impl TtaPlusBackend {
             let after_hop = xb.schedule(t);
             icnt += after_hop - t;
             // Execute on the (possibly contended) OP unit.
-            let pool = self
-                .units
-                .0
-                .get_mut(&uop.unit)
-                .unwrap_or_else(|| panic!("no {} unit configured", uop.unit));
-            let unit = pool
+            let unit = self.units.0[uop.unit.index()]
                 .iter_mut()
                 .min_by_key(|u| u.next_free(after_hop))
-                .expect("unit pool non-empty");
+                .unwrap_or_else(|| panic!("no {} unit configured", uop.unit));
             t = unit.schedule(after_hop);
         }
         let stats = match which {
@@ -255,9 +244,10 @@ impl IntersectionBackend for TtaPlusBackend {
     }
 
     fn unit_stats(&self) -> Vec<(String, UnitStats)> {
-        let pools = OpUnit::ALL
-            .into_iter()
-            .filter_map(|u| Some((u.name().to_owned(), UnitStats::of(self.units.0.get(&u)?))));
+        let pools = self
+            .units
+            .configured()
+            .map(|(u, pool)| (u.name().to_owned(), UnitStats::of(pool)));
         pools
             .chain([
                 ("ICNT".to_owned(), UnitStats::of(&self.crossbar)),
@@ -298,27 +288,35 @@ impl IntersectionBackend for TtaPlusBackend {
     }
 }
 
-/// OP-unit pools by unit type (SQRT is absent without `with_sqrt`).
+/// OP-unit pools indexed by [`OpUnit::index`]. SQRT's pool is empty
+/// without `with_sqrt`; an empty pool is not a configured unit.
 #[derive(Debug)]
-struct UnitPools(HashMap<OpUnit, Vec<PipelinedUnit>>);
+struct UnitPools([Vec<PipelinedUnit>; OpUnit::ALL.len()]);
 
-/// A bag with one host-shaped list per configured unit type, in the fixed
-/// `OpUnit::ALL` order (the map's own order is nondeterministic).
+impl UnitPools {
+    /// The configured unit types with their pools, in `OpUnit::ALL` order.
+    fn configured(&self) -> impl Iterator<Item = (OpUnit, &Vec<PipelinedUnit>)> {
+        OpUnit::ALL
+            .into_iter()
+            .zip(&self.0)
+            .filter(|(_, pool)| !pool.is_empty())
+    }
+}
+
+/// A bag with one host-shaped list per configured unit type.
 impl Snap for UnitPools {
     fn save(&self) -> SnapValue {
         let mut bag = StateBag::new();
-        for u in OpUnit::ALL {
-            if let Some(pool) = self.0.get(&u) {
-                bag.put(u.name(), save_each(pool));
-            }
+        for (u, pool) in self.configured() {
+            bag.put(u.name(), save_each(pool));
         }
         SnapValue::Bag(bag)
     }
 
     fn load(&mut self, v: &SnapValue, name: &str) -> Result<(), BagError> {
         let bag = v.as_bag(name)?;
-        for u in OpUnit::ALL {
-            if let Some(pool) = self.0.get_mut(&u) {
+        for (u, pool) in OpUnit::ALL.into_iter().zip(&mut self.0) {
+            if !pool.is_empty() {
                 load_each(pool.iter_mut(), bag.entry(u.name())?, u.name())?;
             }
         }
@@ -437,6 +435,37 @@ mod tests {
         assert!(matches!(
             other.import_state(&snap),
             Err(BagError::Mismatch(_))
+        ));
+    }
+
+    #[test]
+    fn without_sqrt_its_pool_is_absent_from_stats_and_snapshot() {
+        let cfg = TtaPlusConfig {
+            with_sqrt: false,
+            ..TtaPlusConfig::default_paper()
+        };
+        let mut b = TtaPlusBackend::new(cfg.clone(), vec![]);
+        b.schedule(TestKind::RayBox, 0).unwrap();
+        let names: Vec<String> = b.unit_stats().into_iter().map(|(n, _)| n).collect();
+        assert_eq!(names.len(), OpUnit::ALL.len() - 1 + 2, "{names:?}");
+        assert!(!names.iter().any(|n| n == "SQRT"), "{names:?}");
+        let snap = b.export_state();
+        let units = snap.get("units").unwrap().as_bag("units").unwrap();
+        let pools: Vec<&str> = units.entries().iter().map(|(n, _)| n.as_str()).collect();
+        let expected: Vec<&str> = OpUnit::ALL
+            .into_iter()
+            .filter(|&u| u != OpUnit::Sqrt)
+            .map(OpUnit::name)
+            .collect();
+        assert_eq!(pools, expected);
+        let mut fresh = TtaPlusBackend::new(cfg, vec![]);
+        fresh.import_state(&snap).expect("snapshot fits");
+        assert_eq!(fresh.export_state(), snap);
+        // A with-SQRT host misses the SQRT entry.
+        let mut full = TtaPlusBackend::new(TtaPlusConfig::default_paper(), vec![]);
+        assert!(matches!(
+            full.import_state(&snap),
+            Err(BagError::Missing(_))
         ));
     }
 

@@ -133,19 +133,33 @@ impl GpuConfig {
     /// # Panics
     ///
     /// Panics when a field is zero or inconsistent (e.g. line size not a
-    /// power of two).
+    /// power of two); the memory-hierarchy messages name their field.
     pub fn validate(&self) {
         assert!(self.num_sms > 0);
         assert!(self.max_warps_per_sm > 0);
         assert!(self.warp_width > 0 && self.warp_width <= 32);
-        assert!(self.mem.line_size.is_power_of_two());
-        assert!(self.mem.l1_bytes.is_multiple_of(self.mem.line_size));
-        assert!(self
-            .mem
-            .l2_bytes
-            .is_multiple_of(self.mem.line_size * self.mem.l2_ways));
-        assert!(self.mem.dram_channels > 0);
-        assert!(self.mem.dram_bytes_per_cycle_per_channel > 0.0);
+        let m = &self.mem;
+        assert!(m.line_size.is_power_of_two());
+        assert!(
+            m.l1_bytes >= m.line_size,
+            "mem.l1_bytes ({}) must hold at least one {}-byte line",
+            m.l1_bytes,
+            m.line_size
+        );
+        assert!(m.l1_bytes.is_multiple_of(m.line_size));
+        assert!(m.l1_mshrs > 0, "mem.l1_mshrs must be at least 1");
+        assert!(m.l2_ways > 0, "mem.l2_ways must be at least 1");
+        assert!(
+            m.l2_bytes >= m.line_size * m.l2_ways,
+            "mem.l2_bytes ({}) must hold at least one set of {} {}-byte lines",
+            m.l2_bytes,
+            m.l2_ways,
+            m.line_size
+        );
+        assert!(m.l2_bytes.is_multiple_of(m.line_size * m.l2_ways));
+        assert!(m.l2_mshrs > 0, "mem.l2_mshrs must be at least 1");
+        assert!(m.dram_channels > 0);
+        assert!(m.dram_bytes_per_cycle_per_channel > 0.0);
     }
 }
 
@@ -182,5 +196,43 @@ mod tests {
     #[test]
     fn small_test_validates() {
         GpuConfig::small_test().validate();
+    }
+
+    fn with_mem(edit: impl FnOnce(&mut MemConfig)) {
+        let mut cfg = GpuConfig::small_test();
+        edit(&mut cfg.mem);
+        cfg.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "mem.l1_mshrs")]
+    fn zero_l1_mshrs_is_rejected() {
+        with_mem(|m| m.l1_mshrs = 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "mem.l2_mshrs")]
+    fn zero_l2_mshrs_is_rejected() {
+        with_mem(|m| m.l2_mshrs = 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "mem.l1_bytes")]
+    fn l1_smaller_than_a_line_is_rejected() {
+        with_mem(|m| m.l1_bytes = 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "mem.l2_bytes")]
+    fn l2_without_a_set_is_rejected() {
+        // 16 ways of 128 B need 2 KB per set; 1 KB is a whole number of
+        // lines but zero sets.
+        with_mem(|m| m.l2_bytes = 1024);
+    }
+
+    #[test]
+    #[should_panic(expected = "mem.l2_ways")]
+    fn zero_l2_ways_is_rejected() {
+        with_mem(|m| m.l2_ways = 0);
     }
 }

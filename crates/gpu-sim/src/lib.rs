@@ -41,6 +41,7 @@
 pub mod absint;
 pub mod accel;
 pub mod config;
+pub mod fast_hash;
 pub mod gpu;
 pub mod isa;
 pub mod kernel;
@@ -54,6 +55,7 @@ pub mod verify;
 
 pub use accel::{AccelCtx, Accelerator, LaneTraversal, TraversalRequest};
 pub use config::{GpuConfig, MemConfig, SchedulerKind};
+pub use fast_hash::FastMap;
 pub use gpu::Gpu;
 pub use kernel::{DecodedInstr, DecodedKernel, Kernel, KernelBuilder};
 pub use mem::{GlobalMemory, MemorySystem};

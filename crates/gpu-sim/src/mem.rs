@@ -8,8 +8,9 @@
 //! parallelism, and DRAM bandwidth saturation — without a full event queue.
 
 use crate::config::MemConfig;
+use crate::fast_hash::FastMap;
 use crate::snapshot::{BagError, Snap, SnapValue, StateBag};
-use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use trace::{TraceHandle, Track};
 
 /// Byte-addressable functional memory with a bump allocator.
@@ -233,23 +234,49 @@ impl DramStats {
     }
 }
 
-/// Fully-associative LRU tag store (the paper's L1).
+/// "No slot" link of the L1's LRU list.
+const NIL: u32 = u32::MAX;
+
+/// One resident L1 line and its links in the LRU list.
+#[derive(Debug, Clone, Copy)]
+struct LruSlot {
+    line: u64,
+    /// Stamp of the line's last access.
+    stamp: u64,
+    /// Next older slot, or [`NIL`].
+    older: u32,
+    /// Next newer slot, or [`NIL`].
+    newer: u32,
+}
+
+/// Fully-associative LRU tag store (the paper's L1): a slot per resident
+/// line, threaded oldest to newest by an intrusive list, plus a line→slot
+/// index. List order is stamp order, so the oldest slot is the victim.
 #[derive(Debug)]
 struct FullyAssocCache {
     capacity_lines: usize,
-    /// line -> lru stamp
-    lines: HashMap<u64, u64>,
-    /// lru stamp -> line (ordered for O(log n) eviction)
-    order: BTreeMap<u64, u64>,
+    /// At most `capacity_lines` slots; a full store reuses its victim's.
+    slots: Vec<LruSlot>,
+    /// line -> index into `slots`
+    index: FastMap<u64, u32>,
+    oldest: u32,
+    newest: u32,
     stamp: u64,
 }
 
 impl FullyAssocCache {
+    /// # Panics
+    ///
+    /// Panics on a zero capacity (`GpuConfig::validate` rejects an L1
+    /// smaller than one line).
     fn new(capacity_lines: usize) -> Self {
+        assert!(capacity_lines > 0, "L1 must hold at least one line");
         FullyAssocCache {
             capacity_lines,
-            lines: HashMap::new(),
-            order: BTreeMap::new(),
+            slots: Vec::new(),
+            index: FastMap::default(),
+            oldest: NIL,
+            newest: NIL,
             stamp: 0,
         }
     }
@@ -258,18 +285,99 @@ impl FullyAssocCache {
     /// evicting LRU if needed.
     fn access(&mut self, line: u64) -> bool {
         self.stamp += 1;
-        if let Some(old) = self.lines.insert(line, self.stamp) {
-            self.order.remove(&old);
-            self.order.insert(self.stamp, line);
+        if let Some(&slot) = self.index.get(&line) {
+            self.slots[slot as usize].stamp = self.stamp;
+            if slot != self.newest {
+                self.unlink(slot);
+                self.link_newest(slot);
+            }
             return true;
         }
-        self.order.insert(self.stamp, line);
-        if self.lines.len() > self.capacity_lines {
-            let (&oldest, &victim) = self.order.iter().next().expect("non-empty");
-            self.order.remove(&oldest);
-            self.lines.remove(&victim);
-        }
+        let fresh = LruSlot {
+            line,
+            stamp: self.stamp,
+            older: NIL,
+            newer: NIL,
+        };
+        let slot = if self.slots.len() < self.capacity_lines {
+            self.slots.push(fresh);
+            (self.slots.len() - 1) as u32
+        } else {
+            let victim = self.oldest;
+            self.index.remove(&self.slots[victim as usize].line);
+            self.unlink(victim);
+            self.slots[victim as usize] = fresh;
+            victim
+        };
+        self.link_newest(slot);
+        self.index.insert(line, slot);
         false
+    }
+
+    fn unlink(&mut self, slot: u32) {
+        let LruSlot { older, newer, .. } = self.slots[slot as usize];
+        match older {
+            NIL => self.oldest = newer,
+            o => self.slots[o as usize].newer = newer,
+        }
+        match newer {
+            NIL => self.newest = older,
+            n => self.slots[n as usize].older = older,
+        }
+    }
+
+    fn link_newest(&mut self, slot: u32) {
+        let newest = self.newest;
+        let s = &mut self.slots[slot as usize];
+        s.older = newest;
+        s.newer = NIL;
+        match newest {
+            NIL => self.oldest = slot,
+            n => self.slots[n as usize].newer = slot,
+        }
+        self.newest = slot;
+    }
+
+    /// `(stamp, line)` of every resident line, oldest first.
+    fn order(&self) -> Vec<(u64, u64)> {
+        let mut out = Vec::with_capacity(self.slots.len());
+        let mut at = self.oldest;
+        while at != NIL {
+            let s = &self.slots[at as usize];
+            out.push((s.stamp, s.line));
+            at = s.newer;
+        }
+        out
+    }
+
+    /// Rebuilds the store from `(stamp, line)` pairs, oldest first.
+    fn set_order(&mut self, order: &[(u64, u64)]) -> Result<(), BagError> {
+        let ascending = order.windows(2).all(|w| w[0].0 < w[1].0);
+        if order.len() > self.capacity_lines || !ascending {
+            return Err(BagError::Mismatch(format!(
+                "L1 order of {} lines (ascending: {ascending}) does not fit {} lines",
+                order.len(),
+                self.capacity_lines
+            )));
+        }
+        self.slots.clear();
+        self.index.clear();
+        self.oldest = NIL;
+        self.newest = NIL;
+        for &(stamp, line) in order {
+            let slot = self.slots.len() as u32;
+            if self.index.insert(line, slot).is_some() {
+                return Err(BagError::Mismatch(format!("L1 line {line} resident twice")));
+            }
+            self.slots.push(LruSlot {
+                line,
+                stamp,
+                older: NIL,
+                newer: NIL,
+            });
+            self.link_newest(slot);
+        }
+        Ok(())
     }
 }
 
@@ -362,7 +470,7 @@ struct L1 {
     mshr: MshrFile,
     port_busy: u64,
     /// In-flight fills: line -> completion (for merge).
-    pending: HashMap<u64, u64>,
+    pending: FastMap<u64, u64>,
 }
 
 /// The timing model: per-SM L1s, a shared L2, and channelled DRAM.
@@ -373,7 +481,7 @@ pub struct MemorySystem {
     l1: Vec<L1>,
     l2: SetAssocCache,
     l2_mshr: MshrFile,
-    l2_pending: HashMap<u64, u64>,
+    l2_pending: FastMap<u64, u64>,
     dram_channel_busy: Vec<f64>,
     trace: TraceHandle,
     /// Monotone id shared by memory and DRAM trace spans.
@@ -398,12 +506,12 @@ impl MemorySystem {
                     cache: FullyAssocCache::new(l1_lines),
                     mshr: MshrFile::new(cfg.l1_mshrs),
                     port_busy: 0,
-                    pending: HashMap::new(),
+                    pending: FastMap::default(),
                 })
                 .collect(),
             l2: SetAssocCache::new(cfg.l2_bytes, cfg.line_size, cfg.l2_ways),
             l2_mshr: MshrFile::new(cfg.l2_mshrs),
-            l2_pending: HashMap::new(),
+            l2_pending: FastMap::default(),
             dram_channel_busy: vec![0.0; cfg.dram_channels],
             trace: TraceHandle::default(),
             next_req_id: 0,
@@ -547,18 +655,21 @@ impl MemorySystem {
 // Snapshot support. Hash-keyed containers are exported in sorted order so
 // equal states export equal bags; heaps are exported as sorted vectors
 // (pop order is by value, so heap-internal layout is not state).
+// `order` lists the resident lines as (stamp, line) pairs, oldest first:
+// the LRU list walked from its old end.
 impl FullyAssocCache {
-    // The BTreeMap `order` (stamp -> line) is the canonical form; the
-    // `lines` HashMap is its inverse and is rebuilt on import.
-    crate::snap_fields! {
-        fn export_state / import_state, after import rebuild_lines;
-        stamp,
-        order,
+    fn export_state(&self) -> StateBag {
+        let mut bag = StateBag::new();
+        bag.put("stamp", self.stamp.save());
+        bag.put("order", self.order().save());
+        bag
     }
 
-    fn rebuild_lines(&mut self) -> Result<(), BagError> {
-        self.lines = self.order.iter().map(|(&s, &l)| (l, s)).collect();
-        Ok(())
+    fn import_state(&mut self, bag: &StateBag) -> Result<(), BagError> {
+        self.stamp.load(bag.entry("stamp")?, "stamp")?;
+        let mut order: Vec<(u64, u64)> = Vec::new();
+        order.load(bag.entry("order")?, "order")?;
+        self.set_order(&order)
     }
 }
 
@@ -877,6 +988,107 @@ mod tests {
         }
         assert_eq!(host.capacity(), 1 << 12, "host untouched");
         host.import_state(&good).unwrap();
+    }
+
+    /// The L1 tag store this crate shipped before the slot list: a
+    /// line→stamp map plus a stamp→line ordered map. The oracle of
+    /// `l1_slot_list_matches_map_model`.
+    struct MapModelL1 {
+        capacity_lines: usize,
+        lines: std::collections::HashMap<u64, u64>,
+        order: std::collections::BTreeMap<u64, u64>,
+        stamp: u64,
+    }
+
+    impl MapModelL1 {
+        fn access(&mut self, line: u64) -> bool {
+            self.stamp += 1;
+            if let Some(old) = self.lines.insert(line, self.stamp) {
+                self.order.remove(&old);
+                self.order.insert(self.stamp, line);
+                return true;
+            }
+            self.order.insert(self.stamp, line);
+            if self.lines.len() > self.capacity_lines {
+                let (&oldest, &victim) = self.order.iter().next().expect("non-empty");
+                self.order.remove(&oldest);
+                self.lines.remove(&victim);
+            }
+            false
+        }
+
+        fn export_state(&self) -> StateBag {
+            let mut bag = StateBag::new();
+            bag.put("stamp", self.stamp.save());
+            let order: Vec<(u64, u64)> = self.order.iter().map(|(&s, &l)| (s, l)).collect();
+            bag.put("order", order.save());
+            bag
+        }
+    }
+
+    #[test]
+    fn l1_slot_list_matches_map_model() {
+        // 16 lines against a working set of ~40 with a hot subset, so the
+        // stream mixes hits, cold misses and evictions of every age.
+        let mut list = FullyAssocCache::new(16);
+        let mut model = MapModelL1 {
+            capacity_lines: 16,
+            lines: Default::default(),
+            order: Default::default(),
+            stamp: 0,
+        };
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        for i in 0..120_000u32 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let line = if x % 4 == 0 { x % 40 } else { (x >> 8) % 10 };
+            assert_eq!(
+                list.access(line),
+                model.access(line),
+                "access {i} line {line}"
+            );
+            if i % 997 == 0 {
+                assert_eq!(
+                    list.export_state(),
+                    model.export_state(),
+                    "after access {i}"
+                );
+            }
+        }
+        assert_eq!(list.export_state(), model.export_state());
+        // An imported order resumes with the same victims.
+        let mut back = FullyAssocCache::new(16);
+        back.import_state(&list.export_state()).unwrap();
+        for line in (0..64).rev() {
+            assert_eq!(back.access(line), model.access(line), "line {line}");
+        }
+        assert_eq!(back.export_state(), model.export_state());
+    }
+
+    #[test]
+    fn l1_import_rejects_orders_that_do_not_fit() {
+        let mut l1 = FullyAssocCache::new(2);
+        let bag = |pairs: Vec<(u64, u64)>| {
+            let mut bag = StateBag::new();
+            bag.put("stamp", 9u64.save());
+            bag.put("order", pairs.save());
+            bag
+        };
+        for bad in [
+            vec![(1, 10), (2, 11), (3, 12)], // more lines than slots
+            vec![(2, 10), (1, 11)],          // not oldest first
+            vec![(1, 10), (2, 10)],          // one line twice
+        ] {
+            assert!(matches!(
+                l1.import_state(&bag(bad)),
+                Err(BagError::Mismatch(_))
+            ));
+        }
+        l1.import_state(&bag(vec![(1, 10), (2, 11)])).unwrap();
+        assert!(!l1.access(12), "cold line misses");
+        assert!(!l1.access(10), "line 10 was the victim");
+        assert!(l1.access(12));
     }
 
     #[test]

@@ -32,7 +32,8 @@
 //! memory image, the ray-tracing surfel blob, the TTA+ unit pools) are
 //! hand-written from the same leaves.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use crate::fast_hash::FastMap;
+use std::collections::VecDeque;
 use std::fmt;
 
 /// Error from reading a [`StateBag`] (missing entry, kind mismatch, or a
@@ -399,9 +400,8 @@ macro_rules! snap_pairs {
 snap_pairs! {
     Vec<(u64, u64)> => |c| c.iter().copied();
     VecDeque<(u64, u64)> => |c| c.iter().copied();
-    BTreeMap<u64, u64> => |c| c.iter().map(|(&k, &v)| (k, v));
     // Sorted by key, so equal maps export equal lists.
-    HashMap<u64, u64> => |c| {
+    FastMap<u64, u64> => |c| {
         let mut pairs: Vec<(u64, u64)> = c.iter().map(|(&k, &v)| (k, v)).collect();
         pairs.sort_unstable();
         pairs.into_iter()
@@ -642,7 +642,7 @@ mod tests {
         ratio: f64,
         done: Option<usize>,
         key: String,
-        pairs: HashMap<u64, u64>,
+        pairs: FastMap<u64, u64>,
         slots: [u32; 2],
         queue: VecDeque<(usize, u64)>,
         outcomes: Vec<(u64, bool)>,

@@ -139,7 +139,12 @@ impl TraversalSemantics for BvhSemantics {
         ray.stack.push(ray.root_addr);
     }
 
-    fn step(&self, gmem: &GlobalMemory, ray: &mut RayState) -> StepAction {
+    fn step(
+        &self,
+        gmem: &GlobalMemory,
+        ray: &mut RayState,
+        tests: &mut Vec<TestKind>,
+    ) -> StepAction {
         let node = ray.current_node;
         let header = NodeHeader::unpack(gmem.read_u32(node));
         if !header.is_leaf() {
@@ -151,7 +156,7 @@ impl TraversalSemantics for BvhSemantics {
             let lh = intersect::ray_aabb(&r, &lb, r.tmin, r.tmax);
             let rh = intersect::ray_aabb(&r, &rb, r.tmin, r.tmax);
             // Push order: next-to-visit goes last.
-            let mut children = Vec::with_capacity(2);
+            let children = &mut ray.stack;
             match (lh, rh) {
                 (Some(l), Some(rr)) => {
                     let near_first = if self.sato && self.mode == RayQueryMode::AnyHit {
@@ -175,20 +180,14 @@ impl TraversalSemantics for BvhSemantics {
             }
             // One Ray-Box issue tests the node's two child boxes (the unit
             // is node-wide; Table III bills one 19-μop inner test per node).
-            StepAction::Test {
-                tests: vec![TestKind::RayBox],
-                children,
-                terminate: false,
-            }
+            tests.push(TestKind::RayBox);
+            StepAction::Test { terminate: false }
         } else {
             let count = header.count as u64;
             let first = gmem.read_u32(node + 4) as u64;
             let stride = self.prim_stride();
             if ray.phase == 0 {
-                return StepAction::Fetch(vec![(
-                    self.prim_base + first * stride,
-                    (count * stride) as u32,
-                )]);
+                return StepAction::Fetch(self.prim_base + first * stride, (count * stride) as u32);
             }
             // Primitive data available: run the leaf tests functionally.
             let r = Self::ray_of(ray);
@@ -225,24 +224,18 @@ impl TraversalSemantics for BvhSemantics {
             let test_kind = match self.leaf {
                 LeafGeometry::Triangle { test } | LeafGeometry::Sphere { test } => test,
             };
-            let terminate = self.mode == RayQueryMode::AnyHit && hit_any;
+            tests.extend(std::iter::repeat_n(test_kind, count as usize));
             StepAction::Test {
-                tests: vec![test_kind; count as usize],
-                children: Vec::new(),
-                terminate,
+                terminate: self.mode == RayQueryMode::AnyHit && hit_any,
             }
         }
     }
 
-    fn prefetch_hints(&self, gmem: &GlobalMemory, node_addr: u64) -> Vec<u64> {
-        let header = NodeHeader::unpack(gmem.read_u32(node_addr));
-        if header.is_leaf() {
-            return Vec::new();
+    fn prefetch_hints(&self, gmem: &GlobalMemory, node_addr: u64, hints: &mut Vec<u64>) {
+        if !NodeHeader::unpack(gmem.read_u32(node_addr)).is_leaf() {
+            hints.push(self.node_addr(gmem.read_u32(node_addr + 4)));
+            hints.push(self.node_addr(gmem.read_u32(node_addr + 14 * 4)));
         }
-        vec![
-            self.node_addr(gmem.read_u32(node_addr + 4)),
-            self.node_addr(gmem.read_u32(node_addr + 14 * 4)),
-        ]
     }
 
     fn finish(&self, gmem: &mut GlobalMemory, ray: &RayState) -> u32 {

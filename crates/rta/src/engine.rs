@@ -18,11 +18,12 @@
 //! how the same engine serves the baseline RTA, TTA and TTA+.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 use gpu_sim::accel::{AccelCtx, Accelerator, TraversalRequest};
 use gpu_sim::mem::GlobalMemory;
 use gpu_sim::snapshot::BagError;
+use gpu_sim::FastMap;
 
 use crate::config::RtaConfig;
 use crate::report::AccelReport;
@@ -45,7 +46,7 @@ pub struct RayState {
     /// intermediate results, with the programmer-defined layout.
     pub regs: [u32; RAY_REGS],
     /// Step phase within the current node (0 = just fetched; incremented
-    /// after each extra [`StepAction::Fetch`] round).
+    /// after each [`StepAction::Fetch`] round).
     pub phase: u32,
     /// Nodes processed by this ray so far.
     pub nodes_visited: u64,
@@ -66,26 +67,16 @@ impl RayState {
 }
 
 /// What to do after decoding a node's data.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StepAction {
-    /// Issue extra fetches (e.g. leaf primitive data) as `(addr, bytes)`
-    /// pairs, then call `step` again with `phase + 1`.
-    Fetch(Vec<(u64, u32)>),
-    /// Run intersection tests, then push `children` and continue (or
-    /// `terminate` the whole traversal). One backend dispatch per entry in
-    /// `tests`; the node completes when the slowest test retires.
+    /// Fetch `bytes` at an address (e.g. leaf primitive data), then call
+    /// `step` again with `phase + 1`.
+    Fetch(u64, u32),
+    /// Run the tests `step` wrote, then continue with the ray's stack, or
+    /// `terminate` the whole traversal (early termination), discarding the
+    /// stack with any children this step pushed. One backend dispatch per
+    /// test; the node completes when the slowest test retires.
     Test {
-        /// Tests to dispatch (e.g. one `RayTriangle` per leaf primitive).
-        tests: Vec<TestKind>,
-        /// Node addresses to push (last = visited next).
-        children: Vec<u64>,
-        /// Abandon the rest of the traversal (early termination).
-        terminate: bool,
-    },
-    /// Push children without using an intersection unit.
-    Advance {
-        /// Node addresses to push (last = visited next).
-        children: Vec<u64>,
         /// Abandon the rest of the traversal.
         terminate: bool,
     },
@@ -94,24 +85,34 @@ pub enum StepAction {
 /// The application-defined meaning of a traversal (one per pipeline id).
 ///
 /// Functional node/primitive data is read directly from [`GlobalMemory`];
-/// the engine separately charges the *timing* of each fetch.
+/// the engine separately charges the *timing* of each fetch. The step
+/// protocol allocates nothing: `step` writes its tests into the
+/// engine-owned `tests` scratch and pushes children straight onto
+/// `ray.stack`, and `prefetch_hints` writes into another scratch.
 pub trait TraversalSemantics: std::fmt::Debug {
     /// Decodes the query record into the ray registers and pushes the
     /// initial node(s) (normally just `ray.root_addr`).
     fn init(&self, gmem: &GlobalMemory, ray: &mut RayState);
 
     /// Processes the node at `ray.current_node` (its data has arrived).
-    fn step(&self, gmem: &GlobalMemory, ray: &mut RayState) -> StepAction;
+    /// Returning [`StepAction::Test`], it has pushed the node's children
+    /// onto `ray.stack` (last = visited next) and its tests onto `tests`,
+    /// which arrives empty (e.g. one `RayTriangle` per leaf primitive).
+    fn step(
+        &self,
+        gmem: &GlobalMemory,
+        ray: &mut RayState,
+        tests: &mut Vec<TestKind>,
+    ) -> StepAction;
 
     /// Writes results back to the query record; returns bytes written.
     fn finish(&self, gmem: &mut GlobalMemory, ray: &RayState) -> u32;
 
-    /// Child node addresses worth prefetching once this node's data has
-    /// arrived (used only when the engine's `prefetch_children` is set).
-    /// Default: no hints.
-    fn prefetch_hints(&self, gmem: &GlobalMemory, node_addr: u64) -> Vec<u64> {
-        let _ = (gmem, node_addr);
-        Vec::new()
+    /// Pushes onto `hints` (which arrives empty) the child node addresses
+    /// worth prefetching once this node's data has arrived (used only when
+    /// the engine's `prefetch_children` is set). Default: no hints.
+    fn prefetch_hints(&self, gmem: &GlobalMemory, node_addr: u64, hints: &mut Vec<u64>) {
+        let _ = (gmem, node_addr, hints);
     }
 }
 
@@ -169,11 +170,9 @@ struct RayOp {
     token: u64,
     pipeline: u16,
     initialized: bool,
-    outstanding_fetches: usize,
-    fetch_done: u64,
-    /// Pending outcome to apply when the scheduled tests retire.
-    pending_children: Vec<u64>,
-    pending_terminate: bool,
+    /// The last step asked to abandon the traversal: the stack is cleared
+    /// when its tests retire.
+    terminate: bool,
 }
 
 #[derive(Debug)]
@@ -182,8 +181,6 @@ struct FetchReq {
     addr: u64,
     bytes: u32,
     request_time: u64,
-    /// Node fetches are deduplicated; query-record fetches are not.
-    dedupe: bool,
 }
 
 /// The traversal engine; implements [`Accelerator`] so it plugs into a
@@ -194,8 +191,11 @@ pub struct TraversalEngine {
     backend: Box<dyn IntersectionBackend>,
     semantics: Vec<Box<dyn TraversalSemantics>>,
     rays: Vec<Option<RayOp>>,
+    /// Per ray slot, the emptied stack of its last ray, so the next ray in
+    /// the slot reuses the allocation.
+    spare_stacks: Vec<Vec<u64>>,
     free_slots: Vec<usize>,
-    warp_outstanding: HashMap<u64, usize>,
+    warp_outstanding: FastMap<u64, usize>,
     fetch_queue: VecDeque<FetchReq>,
     /// Speculative prefetch requests: issued only when no demand fetch is
     /// eligible this cycle.
@@ -204,8 +204,12 @@ pub struct TraversalEngine {
     /// Response-FIFO arbiter: one returned node is decoded per cycle
     /// (the operation arbiter of Fig. 4a).
     next_arbiter_slot: u64,
-    inflight: HashMap<u64, u64>,
+    inflight: FastMap<u64, u64>,
     events: BinaryHeap<Reverse<(u64, usize, u8)>>,
+    /// Scratch for the tests of one `step`.
+    tests: Vec<TestKind>,
+    /// Scratch for one node's prefetch hints.
+    hints: Vec<u64>,
     completed: Vec<u64>,
     traversals: u64,
     last_busy_from: Option<u64>,
@@ -236,14 +240,17 @@ impl TraversalEngine {
             backend,
             semantics,
             rays: (0..capacity).map(|_| None).collect(),
+            spare_stacks: vec![Vec::new(); capacity],
             free_slots: (0..capacity).rev().collect(),
-            warp_outstanding: HashMap::new(),
+            warp_outstanding: FastMap::default(),
             fetch_queue: VecDeque::new(),
             prefetch_queue: VecDeque::new(),
             next_issue_slot: 0,
             next_arbiter_slot: 0,
-            inflight: HashMap::new(),
+            inflight: FastMap::default(),
             events: BinaryHeap::new(),
+            tests: Vec::new(),
+            hints: Vec::new(),
             completed: Vec::new(),
             traversals: 0,
             last_busy_from: None,
@@ -289,7 +296,7 @@ impl TraversalEngine {
     /// Pops the next node for `ray` or finishes the traversal.
     fn advance_ray(&mut self, slot: usize, now: u64, ctx: &mut AccelCtx<'_>) {
         let op = self.rays[slot].as_mut().expect("advancing a live ray");
-        if op.pending_terminate {
+        if op.terminate {
             op.state.stack.clear();
         }
         match op.state.stack.pop() {
@@ -301,15 +308,10 @@ impl TraversalEngine {
                     addr: node,
                     bytes: self.cfg.node_fetch_bytes,
                     request_time: now,
-                    dedupe: true,
                 });
-                let op = self.rays[slot].as_mut().expect("live ray");
-                op.outstanding_fetches = 1;
-                op.fetch_done = now;
             }
             None => {
                 // Traversal complete: write back through the store path.
-                let op = self.rays[slot].as_mut().expect("live ray");
                 let pipeline = op.pipeline as usize;
                 let token = op.token;
                 let written = self.semantics[pipeline].finish(ctx.gmem, &op.state);
@@ -319,7 +321,8 @@ impl TraversalEngine {
                 }
                 self.stats.warp_buffer_accesses += 1;
                 self.stats.rays_completed += 1;
-                self.rays[slot] = None;
+                let op = self.rays[slot].take().expect("live ray");
+                self.spare_stacks[slot] = op.state.stack;
                 self.free_slots.push(slot);
                 let left = self
                     .warp_outstanding
@@ -336,10 +339,6 @@ impl TraversalEngine {
 
     fn handle_fetch_done(&mut self, slot: usize, now: u64, ctx: &mut AccelCtx<'_>) {
         let op = self.rays[slot].as_mut().expect("fetch for a live ray");
-        op.outstanding_fetches = op.outstanding_fetches.saturating_sub(1);
-        if op.outstanding_fetches > 0 {
-            return;
-        }
         if !op.initialized {
             op.initialized = true;
             let pipeline = op.pipeline as usize;
@@ -350,78 +349,41 @@ impl TraversalEngine {
         }
         // Node (or extra) data arrived: run the semantics step.
         let pipeline = op.pipeline as usize;
+        let semantics = &self.semantics[pipeline];
         if self.cfg.prefetch_children && op.state.phase == 0 {
-            let node = op.state.current_node;
-            let hints = self.semantics[pipeline].prefetch_hints(ctx.gmem, node);
-            for addr in hints {
-                self.prefetch_queue.push_back((addr, now));
-            }
+            self.hints.clear();
+            semantics.prefetch_hints(ctx.gmem, op.state.current_node, &mut self.hints);
+            self.prefetch_queue
+                .extend(self.hints.iter().map(|&addr| (addr, now)));
         }
-        let op = self.rays[slot].as_mut().expect("live ray");
-        let action = self.semantics[pipeline].step(ctx.gmem, &mut op.state);
+        self.tests.clear();
+        let action = semantics.step(ctx.gmem, &mut op.state, &mut self.tests);
         self.stats.warp_buffer_accesses += 2; // read ray regs + write back
         match action {
-            StepAction::Fetch(fetches) => {
-                let op = self.rays[slot].as_mut().expect("live ray");
+            StepAction::Fetch(addr, bytes) => {
                 op.state.phase += 1;
-                op.outstanding_fetches = fetches.len();
-                if fetches.is_empty() {
-                    // Nothing to fetch: treat as immediately complete.
-                    op.outstanding_fetches = 1;
-                    self.push_event(now, slot, EventKind::FetchDone);
-                    return;
-                }
-                for (addr, bytes) in fetches {
-                    self.fetch_queue.push_back(FetchReq {
-                        ray: slot,
-                        addr,
-                        bytes,
-                        request_time: now,
-                        dedupe: true,
-                    });
-                }
+                self.fetch_queue.push_back(FetchReq {
+                    ray: slot,
+                    addr,
+                    bytes,
+                    request_time: now,
+                });
             }
-            StepAction::Test {
-                tests,
-                children,
-                terminate,
-            } => {
+            StepAction::Test { terminate } => {
                 self.stats.nodes_processed += 1;
+                op.state.nodes_visited += 1;
+                op.terminate = terminate;
                 let mut done = now;
-                for kind in tests {
+                for &kind in &self.tests {
                     let t = self
                         .backend
                         .schedule(kind, now)
                         .unwrap_or_else(|e| panic!("pipeline {pipeline}: {e}"));
                     done = done.max(t);
                 }
-                let op = self.rays[slot].as_mut().expect("live ray");
-                op.state.nodes_visited += 1;
-                op.pending_children = children;
-                op.pending_terminate = terminate;
                 self.push_event(done, slot, EventKind::TestDone);
             }
-            StepAction::Advance {
-                children,
-                terminate,
-            } => {
-                self.stats.nodes_processed += 1;
-                let op = self.rays[slot].as_mut().expect("live ray");
-                op.state.nodes_visited += 1;
-                op.pending_children = children;
-                op.pending_terminate = terminate;
-                self.push_event(now, slot, EventKind::TestDone);
-            }
         }
-    }
-
-    fn handle_test_done(&mut self, slot: usize, now: u64, ctx: &mut AccelCtx<'_>) {
-        let op = self.rays[slot].as_mut().expect("test for a live ray");
-        let children = std::mem::take(&mut op.pending_children);
-        if !op.pending_terminate {
-            op.state.stack.extend(children);
-        }
-        self.advance_ray(slot, now, ctx);
     }
 
     /// Issues queued fetches, one per cycle, with same-address merging.
@@ -435,16 +397,12 @@ impl TraversalEngine {
             let req = self.fetch_queue.pop_front().expect("non-empty queue");
             self.next_issue_slot = earliest + 1;
             // Merge with an in-flight fetch of the same node.
-            if req.dedupe {
-                if let Some(&done) = self.inflight.get(&req.addr) {
-                    if done > earliest {
-                        self.stats.fetch_merges += 1;
-                        let op = self.rays[req.ray].as_mut().expect("live ray");
-                        op.fetch_done = op.fetch_done.max(done);
-                        self.push_fetch_done(done, req.ray);
-                        progressed = true;
-                        continue;
-                    }
+            if let Some(&done) = self.inflight.get(&req.addr) {
+                if done > earliest {
+                    self.stats.fetch_merges += 1;
+                    self.push_fetch_done(done, req.ray);
+                    progressed = true;
+                    continue;
                 }
             }
             self.stats.node_fetches += 1;
@@ -453,11 +411,7 @@ impl TraversalEngine {
             } else {
                 ctx.mem.read(ctx.sm_id, req.addr, req.bytes, earliest)
             };
-            if req.dedupe {
-                self.inflight.insert(req.addr, done);
-            }
-            let op = self.rays[req.ray].as_mut().expect("live ray");
-            op.fetch_done = op.fetch_done.max(done);
+            self.inflight.insert(req.addr, done);
             self.push_fetch_done(done, req.ray);
             progressed = true;
         }
@@ -521,7 +475,7 @@ impl Accelerator for TraversalEngine {
                 state: RayState {
                     query_addr: lane.query_addr,
                     root_addr: lane.root_addr,
-                    stack: Vec::with_capacity(8),
+                    stack: std::mem::take(&mut self.spare_stacks[slot]),
                     regs: [0; RAY_REGS],
                     phase: 0,
                     nodes_visited: 0,
@@ -530,10 +484,7 @@ impl Accelerator for TraversalEngine {
                 token: req.token,
                 pipeline: req.pipeline,
                 initialized: false,
-                outstanding_fetches: 1,
-                fetch_done: now,
-                pending_children: Vec::new(),
-                pending_terminate: false,
+                terminate: false,
             });
             // The core's ray registers are written into the warp buffer at
             // submit time (no memory traffic).
@@ -554,7 +505,8 @@ impl Accelerator for TraversalEngine {
                 if kind == EventKind::FetchDone as u8 {
                     self.handle_fetch_done(slot, now.max(t), ctx);
                 } else {
-                    self.handle_test_done(slot, now.max(t), ctx);
+                    // The node's tests retired; its children are on the stack.
+                    self.advance_ray(slot, now.max(t), ctx);
                 }
             }
             if !progressed {
@@ -677,22 +629,30 @@ mod tests {
     use gpu_sim::mem::MemorySystem;
 
     /// Semantics for a synthetic unary chain: node word 1 holds the next
-    /// node address (0 = stop); every node runs one Ray-Box test.
+    /// node address (0 = stop); every node runs one Ray-Box test. The
+    /// traversal terminates at the node whose address is the field (0 =
+    /// never), after pushing that node's successor.
     #[derive(Debug)]
-    struct ChainSemantics;
+    struct ChainSemantics(u64);
 
     impl TraversalSemantics for ChainSemantics {
         fn init(&self, _gmem: &GlobalMemory, ray: &mut RayState) {
             ray.stack.push(ray.root_addr);
         }
 
-        fn step(&self, gmem: &GlobalMemory, ray: &mut RayState) -> StepAction {
+        fn step(
+            &self,
+            gmem: &GlobalMemory,
+            ray: &mut RayState,
+            tests: &mut Vec<TestKind>,
+        ) -> StepAction {
             let next = gmem.read_u32(ray.current_node + 4) as u64;
-            let children = if next != 0 { vec![next] } else { Vec::new() };
+            if next != 0 {
+                ray.stack.push(next);
+            }
+            tests.push(TestKind::RayBox);
             StepAction::Test {
-                tests: vec![TestKind::RayBox],
-                children,
-                terminate: false,
+                terminate: ray.current_node == self.0,
             }
         }
 
@@ -714,7 +674,7 @@ mod tests {
         }
         let cfg = RtaConfig::baseline();
         let backend = Box::new(FixedFunctionBackend::new(&cfg));
-        let engine = TraversalEngine::new(cfg, backend, vec![Box::new(ChainSemantics)]);
+        let engine = TraversalEngine::new(cfg, backend, vec![Box::new(ChainSemantics(0))]);
         (mem, gmem, engine)
     }
 
@@ -756,6 +716,28 @@ mod tests {
         assert_eq!(engine.stats.rays_completed, 1);
         assert_eq!(engine.stats.nodes_processed, 5);
         assert_eq!(engine.stats.node_fetches, 5);
+    }
+
+    #[test]
+    fn terminate_discards_children_pushed_in_the_same_step() {
+        let (mut mem, mut gmem, _) = harness();
+        let cfg = RtaConfig::baseline();
+        let backend = Box::new(FixedFunctionBackend::new(&cfg));
+        // Terminate at the third node, which pushes the fourth.
+        let mut engine = TraversalEngine::new(cfg, backend, vec![Box::new(ChainSemantics(0x1080))]);
+        engine.try_submit(one_lane(7, 0x100), 0).unwrap();
+        drive(&mut engine, &mut mem, &mut gmem);
+        assert_eq!(
+            gmem.read_u32(0x100),
+            3,
+            "nodes after the terminating one skipped"
+        );
+        // The second ray reuses the first one's slot and stack.
+        engine.try_submit(one_lane(8, 0x110), 0).unwrap();
+        drive(&mut engine, &mut mem, &mut gmem);
+        assert_eq!(gmem.read_u32(0x110), 3, "the reused stack starts empty");
+        assert_eq!(engine.stats.rays_completed, 2);
+        assert_eq!(engine.stats.nodes_processed, 6);
     }
 
     #[test]
@@ -910,7 +892,7 @@ mod tests {
         let mut cfg = RtaConfig::baseline();
         cfg.warp_buffer_warps *= 2;
         let backend = Box::new(FixedFunctionBackend::new(&cfg));
-        let mut other = TraversalEngine::new(cfg, backend, vec![Box::new(ChainSemantics)]);
+        let mut other = TraversalEngine::new(cfg, backend, vec![Box::new(ChainSemantics(0))]);
         assert!(matches!(
             other.import_state(&snap),
             Err(gpu_sim::snapshot::BagError::Mismatch(_))

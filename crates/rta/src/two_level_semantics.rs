@@ -98,7 +98,12 @@ impl TraversalSemantics for TwoLevelSemantics {
         ray.stack.push(ray.root_addr);
     }
 
-    fn step(&self, gmem: &GlobalMemory, ray: &mut RayState) -> StepAction {
+    fn step(
+        &self,
+        gmem: &GlobalMemory,
+        ray: &mut RayState,
+        tests: &mut Vec<TestKind>,
+    ) -> StepAction {
         let node = ray.current_node;
         let header = NodeHeader::unpack(gmem.read_u32(node));
         match header.kind {
@@ -110,7 +115,7 @@ impl TraversalSemantics for TwoLevelSemantics {
                 let rb = Self::read_box(gmem, node, 8);
                 let lh = intersect::ray_aabb(&r, &lb, r.tmin, r.tmax);
                 let rh = intersect::ray_aabb(&r, &rb, r.tmin, r.tmax);
-                let mut children = Vec::with_capacity(2);
+                let children = &mut ray.stack;
                 match (lh, rh) {
                     (Some(l), Some(rr)) => {
                         if l.t_enter <= rr.t_enter {
@@ -125,21 +130,17 @@ impl TraversalSemantics for TwoLevelSemantics {
                     (None, Some(_)) => children.push(right),
                     (None, None) => {}
                 }
-                StepAction::Test {
-                    tests: vec![TestKind::RayBox],
-                    children,
-                    terminate: false,
-                }
+                tests.push(TestKind::RayBox);
             }
             NodeHeader::KIND_LEAF => {
                 let count = header.count as u64;
                 // BLAS leaves carry the image-relative prim byte offset.
                 let prim_off = gmem.read_u32(node + 4) as u64;
                 if ray.phase == 0 {
-                    return StepAction::Fetch(vec![(
+                    return StepAction::Fetch(
                         self.tree_base + prim_off,
                         (count * TRIANGLE_STRIDE as u64) as u32,
-                    )]);
+                    );
                 }
                 let r = Self::local_ray(ray);
                 for p in 0..count {
@@ -161,11 +162,7 @@ impl TraversalSemantics for TwoLevelSemantics {
                         }
                     }
                 }
-                StepAction::Test {
-                    tests: vec![TestKind::RayTriangle; count as usize],
-                    children: Vec::new(),
-                    terminate: false,
-                }
+                tests.extend(std::iter::repeat_n(TestKind::RayTriangle, count as usize));
             }
             KIND_INSTANCE => {
                 // Enter the instance: load its translation, transform the
@@ -177,25 +174,19 @@ impl TraversalSemantics for TwoLevelSemantics {
                     ray.regs[R_XLATE + i] = gmem.read_u32(entry + i as u64 * 4);
                 }
                 let blas_root = self.node_addr(gmem.read_u32(entry + 12));
-                StepAction::Test {
-                    tests: vec![self.transform_test],
-                    children: vec![self.restore_addr, blas_root],
-                    terminate: false,
-                }
+                ray.stack.extend([self.restore_addr, blas_root]);
+                tests.push(self.transform_test);
             }
             KIND_RESTORE => {
                 // Leave the instance: restore the world-space ray.
                 for i in 0..3 {
                     ray.set_reg_f32(R_XLATE + i, 0.0);
                 }
-                StepAction::Test {
-                    tests: vec![self.transform_test],
-                    children: Vec::new(),
-                    terminate: false,
-                }
+                tests.push(self.transform_test);
             }
             other => panic!("unknown two-level node kind {other}"),
         }
+        StepAction::Test { terminate: false }
     }
 
     fn finish(&self, gmem: &mut GlobalMemory, ray: &RayState) -> u32 {

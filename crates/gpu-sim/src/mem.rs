@@ -990,8 +990,8 @@ mod tests {
         host.import_state(&good).unwrap();
     }
 
-    /// The L1 tag store this crate shipped before the slot list: a
-    /// line→stamp map plus a stamp→line ordered map. The oracle of
+    /// Reference LRU tag store: a line→stamp map plus a stamp→line
+    /// ordered map, evicting the smallest stamp. The oracle of
     /// `l1_slot_list_matches_map_model`.
     struct MapModelL1 {
         capacity_lines: usize,
@@ -1042,7 +1042,11 @@ mod tests {
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
-            let line = if x % 4 == 0 { x % 40 } else { (x >> 8) % 10 };
+            let line = if x.is_multiple_of(4) {
+                x % 40
+            } else {
+                (x >> 8) % 10
+            };
             assert_eq!(
                 list.access(line),
                 model.access(line),

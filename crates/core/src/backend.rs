@@ -1,5 +1,5 @@
-//! The TTA intersection backend: the baseline RTA's fixed-function units
-//! with the paper's two minimal modifications (§III-B).
+//! The TTA configuration: the baseline RTA's fixed-function units with the
+//! paper's two minimal modifications (§III-B).
 //!
 //! * The **Ray-Box unit** gains equality comparators after its min/max and
 //!   max/min networks (Fig. 9), letting it execute a 9-wide **Query-Key
@@ -10,10 +10,12 @@
 //!
 //! Everything else — warp buffer, memory scheduler, Ray-Box/Ray-Triangle
 //! for actual ray tracing, shader callbacks — is inherited unchanged, which
-//! is why TTA's area overhead is <2% of the Ray-Box unit (§V-C1).
+//! is why TTA's area overhead is <2% of the Ray-Box unit (§V-C1). The units
+//! themselves are the RTA's [`FixedFunctionBackend`] in its modified-units
+//! mode, which [`TtaConfig::backend`] builds.
 
 use rta::config::RtaConfig;
-use rta::units::{IntersectionBackend, PipelinedUnit, TestKind, UnitStats, UnsupportedTest};
+use rta::units::FixedFunctionBackend;
 
 /// TTA configuration: the baseline RTA plus the modified-unit latencies.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,6 +48,16 @@ impl TtaConfig {
             ..Self::default_paper()
         }
     }
+
+    /// The TTA intersection backend: the RTA's fixed-function units in
+    /// their modified-units mode.
+    pub fn backend(&self) -> FixedFunctionBackend {
+        FixedFunctionBackend::modified(
+            &self.rta,
+            self.query_key_latency,
+            self.point_to_point_latency,
+        )
+    }
 }
 
 impl Default for TtaConfig {
@@ -54,136 +66,33 @@ impl Default for TtaConfig {
     }
 }
 
-/// The TTA backend: modified fixed-function units.
-#[derive(Debug)]
-pub struct TtaBackend {
-    cfg: TtaConfig,
-    box_units: Vec<PipelinedUnit>,
-    tri_units: Vec<PipelinedUnit>,
-    xform_unit: PipelinedUnit,
-    shader: PipelinedUnit,
-    shader_calls: u64,
-    query_key_tests: u64,
-    point_tests: u64,
-}
-
-impl TtaBackend {
-    /// Builds the backend.
-    pub fn new(cfg: TtaConfig) -> Self {
-        cfg.rta.validate();
-        TtaBackend {
-            box_units: (0..cfg.rta.unit_sets)
-                .map(|_| PipelinedUnit::new(cfg.rta.ray_box_latency))
-                .collect(),
-            tri_units: (0..cfg.rta.unit_sets)
-                .map(|_| PipelinedUnit::new(cfg.rta.ray_triangle_latency))
-                .collect(),
-            xform_unit: PipelinedUnit::new(cfg.rta.transform_latency),
-            shader: PipelinedUnit::with_interval(
-                cfg.rta.shader_callback_latency,
-                cfg.rta.shader_interval,
-            ),
-            shader_calls: 0,
-            query_key_tests: 0,
-            point_tests: 0,
-            cfg,
-        }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &TtaConfig {
-        &self.cfg
-    }
-
-    /// Query-Key comparisons executed (Fig. 15 bookkeeping).
-    pub fn query_key_tests(&self) -> u64 {
-        self.query_key_tests
-    }
-
-    /// Point-to-Point tests executed.
-    pub fn point_tests(&self) -> u64 {
-        self.point_tests
-    }
-
-    fn least_busy(units: &mut [PipelinedUnit], now: u64) -> &mut PipelinedUnit {
-        units
-            .iter_mut()
-            .min_by_key(|u| u.next_free(now))
-            .expect("at least one unit per kind")
-    }
-}
-
-impl IntersectionBackend for TtaBackend {
-    fn schedule(&mut self, kind: TestKind, now: u64) -> Result<u64, UnsupportedTest> {
-        match kind {
-            TestKind::RayBox => Ok(Self::least_busy(&mut self.box_units, now).schedule(now)),
-            TestKind::RayTriangle => Ok(Self::least_busy(&mut self.tri_units, now).schedule(now)),
-            TestKind::QueryKey => {
-                self.query_key_tests += 1;
-                let lat = self.cfg.query_key_latency;
-                Ok(Self::least_busy(&mut self.box_units, now).schedule_with(now, lat))
-            }
-            TestKind::PointToPoint => {
-                self.point_tests += 1;
-                let lat = self.cfg.point_to_point_latency;
-                Ok(Self::least_busy(&mut self.tri_units, now).schedule_with(now, lat))
-            }
-            TestKind::Transform => Ok(self.xform_unit.schedule(now)),
-            TestKind::IntersectionShader => {
-                self.shader_calls += 1;
-                Ok(self.shader.schedule(now))
-            }
-            TestKind::Program(_) => Err(UnsupportedTest(kind)),
-        }
-    }
-
-    fn unit_stats(&self) -> Vec<(String, UnitStats)> {
-        vec![
-            ("RayBox/QueryKey".to_owned(), UnitStats::of(&self.box_units)),
-            (
-                "RayTriangle/PointToPoint".to_owned(),
-                UnitStats::of(&self.tri_units),
-            ),
-            ("Transform".to_owned(), self.xform_unit.stats.clone()),
-            ("IntersectionShader".to_owned(), self.shader.stats.clone()),
-        ]
-    }
-
-    fn shader_lane_instructions(&self) -> u64 {
-        self.shader_calls * self.cfg.rta.shader_instructions
-    }
-
-    gpu_sim::snap_fields! {
-        fn export_state / import_state;
-        #[host] box_units,
-        #[host] tri_units,
-        xform_unit,
-        shader,
-        shader_calls,
-        query_key_tests,
-        point_tests,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rta::units::{IntersectionBackend, TestKind};
+
+    /// The (invocations, busy cycles) of the named unit pool.
+    fn pool(b: &FixedFunctionBackend, name: &str) -> (u64, u64) {
+        let stats = b.unit_stats();
+        let (_, s) = stats.iter().find(|(n, _)| n == name).unwrap();
+        (s.invocations, s.busy_cycles)
+    }
 
     #[test]
     fn query_key_runs_on_box_units() {
-        let mut b = TtaBackend::new(TtaConfig::default_paper());
+        let mut b = TtaConfig::default_paper().backend();
         assert_eq!(b.schedule(TestKind::QueryKey, 0), Ok(13));
-        assert_eq!(b.query_key_tests(), 1);
+        assert_eq!(pool(&b, "RayBox/QueryKey"), (1, 13));
         // Isolated min/max variant is faster.
-        let mut fast = TtaBackend::new(TtaConfig::isolated_minmax());
+        let mut fast = TtaConfig::isolated_minmax().backend();
         assert_eq!(fast.schedule(TestKind::QueryKey, 0), Ok(3));
     }
 
     #[test]
     fn point_to_point_runs_on_tri_units() {
-        let mut b = TtaBackend::new(TtaConfig::default_paper());
+        let mut b = TtaConfig::default_paper().backend();
         assert_eq!(b.schedule(TestKind::PointToPoint, 0), Ok(13));
-        assert_eq!(b.point_tests(), 1);
+        assert_eq!(pool(&b, "RayTriangle/PointToPoint"), (1, 13));
         // The unmodified Ray-Triangle path still works at full latency
         // (lands on one of the other three idle unit sets).
         assert_eq!(b.schedule(TestKind::RayTriangle, 0), Ok(37));
@@ -191,23 +100,22 @@ mod tests {
 
     #[test]
     fn programs_are_rejected() {
-        let mut b = TtaBackend::new(TtaConfig::default_paper());
+        let mut b = TtaConfig::default_paper().backend();
         assert!(b.schedule(TestKind::Program(0), 0).is_err());
     }
 
     #[test]
     fn snapshot_roundtrip_preserves_unit_stamps() {
-        let mut b = TtaBackend::new(TtaConfig::default_paper());
+        let mut b = TtaConfig::default_paper().backend();
         b.schedule(TestKind::QueryKey, 0).unwrap();
         b.schedule(TestKind::RayBox, 5).unwrap();
         b.schedule(TestKind::PointToPoint, 7).unwrap();
         let snap = b.export_state();
 
-        let mut fresh = TtaBackend::new(TtaConfig::default_paper());
+        let mut fresh = TtaConfig::default_paper().backend();
         fresh.import_state(&snap).expect("snapshot fits");
         assert_eq!(fresh.export_state(), snap, "export/import is lossless");
-        assert_eq!(fresh.query_key_tests(), 1);
-        assert_eq!(fresh.point_tests(), 1);
+        assert_eq!(fresh.unit_stats(), b.unit_stats());
         // Scheduling after restore lands exactly where the original does.
         assert_eq!(
             fresh.schedule(TestKind::RayBox, 8),
@@ -224,7 +132,7 @@ mod tests {
             },
             ..TtaConfig::default_paper()
         };
-        let mut b = TtaBackend::new(cfg);
+        let mut b = cfg.backend();
         assert_eq!(b.schedule(TestKind::RayBox, 0), Ok(13));
         // Query-Key on the same (single) box unit issues one cycle later.
         assert_eq!(b.schedule(TestKind::QueryKey, 0), Ok(14));

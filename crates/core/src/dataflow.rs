@@ -17,9 +17,9 @@
 //! * **SQRT-without-SQRT-unit** — a SQRT μop on a config built with
 //!   `with_sqrt: false` (the "TTA+ without SQRT" design point of Table IV);
 //! * **latency bound** — the routed critical path (not the purely serial
-//!   `unit_latency_sum`) exceeds twice the shader-callback latency, at
-//!   which point offloading the test can never beat the SIMT fallback it
-//!   replaces.
+//!   `unit_latency_sum`) exceeds twice the baseline RTA's shader-callback
+//!   latency, at which point offloading the test can never beat the SIMT
+//!   fallback it replaces.
 //!
 //! Slots still live when the program ends are treated as outputs (the final
 //! predicate plus any ray-record writebacks), never as dead results.
@@ -27,6 +27,7 @@
 use crate::op_unit::OpUnit;
 use crate::programs::{Operand, UopProgram, OP_DEST_SLOTS};
 use crate::ttaplus::TtaPlusConfig;
+use rta::config::RtaConfig;
 
 /// One dataflow defect found in a μop program. Every variant pinpoints the
 /// μop index (`pc`) it anchors to.
@@ -195,7 +196,7 @@ pub fn check_program(program: &UopProgram, cfg: &TtaPlusConfig) -> Vec<ProgramIs
     // Slots live at program end are outputs — no DeadResult for them.
 
     let critical_path = program.critical_path_latency(cfg.crossbar_hop_latency);
-    let bound = 2 * cfg.shader_callback_latency;
+    let bound = 2 * RtaConfig::baseline().shader_callback_latency;
     if critical_path > bound {
         issues.push(ProgramIssue::LatencyBound {
             critical_path,

@@ -6,10 +6,12 @@
 //! traversal engine, warp buffer and memory scheduler they reuse verbatim —
 //! exactly the paper's point) with new intersection capability:
 //!
-//! * [`backend::TtaBackend`] — **TTA**: the Ray-Box unit gains equality
+//! * [`backend::TtaConfig`] — **TTA**: the Ray-Box unit gains equality
 //!   comparators to run a 9-wide *Query-Key comparison*, and the
 //!   Ray-Triangle unit gains a *Point-to-Point distance* bypass datapath.
-//!   Area cost: +1.8% of the Ray-Box unit (§V-C1).
+//!   Its units are the RTA's own `FixedFunctionBackend` in its
+//!   modified-units mode ([`TtaConfig::backend`]). Area cost: +1.8% of the
+//!   Ray-Box unit (§V-C1).
 //! * [`ttaplus::TtaPlusBackend`] — **TTA+**: the fixed pipelines decompose
 //!   into the Table I [`op_unit::OpUnit`]s behind a 16×16 crossbar, and
 //!   intersection tests become [`programs::UopProgram`]s (Table III),
@@ -28,13 +30,13 @@
 //! ```
 //! use rta::TraversalEngine;
 //! use rta::units::TestKind;
-//! use tta::backend::{TtaBackend, TtaConfig};
+//! use tta::backend::TtaConfig;
 //! use tta::btree_sem::BTreeSemantics;
 //!
 //! let cfg = TtaConfig::default_paper();
 //! let engine = TraversalEngine::new(
 //!     cfg.rta.clone(),
-//!     Box::new(TtaBackend::new(cfg)),
+//!     Box::new(cfg.backend()),
 //!     vec![Box::new(BTreeSemantics {
 //!         tree_base: 0x1000,
 //!         bplus: false,
@@ -56,7 +58,7 @@ pub mod radius_sem;
 pub mod rtree_sem;
 pub mod ttaplus;
 
-pub use backend::{TtaBackend, TtaConfig};
+pub use backend::TtaConfig;
 pub use dataflow::{check_program, ProgramIssue};
 pub use op_unit::OpUnit;
 pub use pipeline::{AcceleratorGen, PipelineBuilder, PipelineIssue, TraversalPipeline};

@@ -6,11 +6,15 @@
 //! multiple in-flight rays contend for the same unit. This serialisation is
 //! exactly the overhead the paper measures: the Ray-Box test's latency grows
 //! ~10× (Fig. 18 bottom) yet end-to-end ray tracing only slows ~8%
-//! (Fig. 16) because traversal remains memory-bound.
+//! (Fig. 16) because traversal remains memory-bound. Intersection tests
+//! that TTA+ does not offload fall back to the baseline RTA's
+//! intersection-shader path.
 
 use gpu_sim::snapshot::{load_each, save_each, BagError, Snap, SnapValue, StateBag};
+use rta::config::RtaConfig;
 use rta::units::{
-    IntersectionBackend, PipelinedUnit, ProgramStats, TestKind, UnitStats, UnsupportedTest,
+    least_busy, IntersectionBackend, PipelinedUnit, ProgramStats, TestKind, UnitStats,
+    UnsupportedTest,
 };
 
 use crate::op_unit::OpUnit;
@@ -31,13 +35,6 @@ pub struct TtaPlusConfig {
     /// containing SQRT μops are rejected — the "TTA+ without SQRT" design
     /// point.
     pub with_sqrt: bool,
-    /// Latency of the intersection-shader fallback path (unchanged from
-    /// the baseline RTA).
-    pub shader_callback_latency: u64,
-    /// Lane-instructions per shader callback.
-    pub shader_instructions: u64,
-    /// Initiation interval of the callback path.
-    pub shader_interval: u64,
 }
 
 impl TtaPlusConfig {
@@ -52,9 +49,6 @@ impl TtaPlusConfig {
             crossbar_hop_latency: 4,
             crossbar_parallel_transfers: 16,
             with_sqrt: true,
-            shader_callback_latency: 400,
-            shader_instructions: 40,
-            shader_interval: 24,
         }
     }
 
@@ -78,7 +72,6 @@ impl Default for TtaPlusConfig {
 /// The TTA+ backend.
 #[derive(Debug)]
 pub struct TtaPlusBackend {
-    cfg: TtaPlusConfig,
     units: UnitPools,
     crossbar: Vec<PipelinedUnit>,
     programs: Vec<UopProgram>,
@@ -89,6 +82,7 @@ pub struct TtaPlusBackend {
     builtin_stats: [ProgramStats; 5],
     shader: PipelinedUnit,
     shader_calls: u64,
+    shader_instructions_per_call: u64,
     trace: trace::TraceHandle,
     /// Monotone id for per-invocation trace spans.
     trace_invocations: u64,
@@ -133,10 +127,11 @@ impl TtaPlusBackend {
             UopProgram::transform(),
         ];
         let program_stats = vec![ProgramStats::default(); programs.len()];
+        let rta = RtaConfig::baseline();
         TtaPlusBackend {
-            shader: PipelinedUnit::with_interval(cfg.shader_callback_latency, cfg.shader_interval),
+            shader: PipelinedUnit::with_interval(rta.shader_callback_latency, rta.shader_interval),
             shader_calls: 0,
-            cfg,
+            shader_instructions_per_call: rta.shader_instructions,
             units: UnitPools(units),
             crossbar,
             programs,
@@ -148,11 +143,6 @@ impl TtaPlusBackend {
         }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &TtaPlusConfig {
-        &self.cfg
-    }
-
     fn run_program_indexed(&mut self, which: ProgramRef, now: u64) -> u64 {
         let program = match which {
             ProgramRef::Custom(i) => &self.programs[i],
@@ -162,19 +152,11 @@ impl TtaPlusBackend {
         let mut icnt = 0u64;
         for uop in program.uops() {
             // Crossbar transfer to the unit's input port.
-            let xb = self
-                .crossbar
-                .iter_mut()
-                .min_by_key(|u| u.next_free(t))
-                .expect("crossbar lanes");
-            let after_hop = xb.schedule(t);
+            let after_hop = least_busy(&mut self.crossbar, t).schedule(t);
             icnt += after_hop - t;
             // Execute on the (possibly contended) OP unit.
-            let unit = self.units.0[uop.unit.index()]
-                .iter_mut()
-                .min_by_key(|u| u.next_free(after_hop))
-                .unwrap_or_else(|| panic!("no {} unit configured", uop.unit));
-            t = unit.schedule(after_hop);
+            let pool = &mut self.units.0[uop.unit.index()];
+            t = least_busy(pool, after_hop).schedule(after_hop);
         }
         let stats = match which {
             ProgramRef::Custom(i) => &mut self.program_stats[i],
@@ -257,7 +239,7 @@ impl IntersectionBackend for TtaPlusBackend {
     }
 
     fn shader_lane_instructions(&self) -> u64 {
-        self.shader_calls * self.cfg.shader_instructions
+        self.shader_calls * self.shader_instructions_per_call
     }
 
     /// The builtins that ran, in [`BUILTIN_TRACE_ORDER`], then every

@@ -8,7 +8,7 @@ use gpu_sim::{Gpu, GpuConfig};
 use rta::units::TestKind;
 use rta::TraversalEngine;
 use trees::{BTree, BTreeFlavor, BarnesHutTree, Bvh, BvhPrimitive, Particle};
-use tta::backend::{TtaBackend, TtaConfig};
+use tta::backend::TtaConfig;
 use tta::btree_sem::{read_query_result, write_query_record, BTreeSemantics, QUERY_RECORD_SIZE};
 use tta::nbody_sem::{read_nbody_result, write_nbody_record, BarnesHutSemantics};
 use tta::programs::UopProgram;
@@ -66,7 +66,7 @@ fn btree_run(flavor: BTreeFlavor, accel: Accel) {
                 let cfg = TtaConfig::default_paper();
                 Box::new(TraversalEngine::new(
                     cfg.rta.clone(),
-                    Box::new(TtaBackend::new(cfg)),
+                    Box::new(cfg.backend()),
                     vec![Box::new(sem(TestKind::QueryKey, TestKind::QueryKey))],
                 )) as Box<dyn gpu_sim::Accelerator>
             }
@@ -145,7 +145,7 @@ fn nbody_forces_match_oracle() {
         let cfg = TtaConfig::default_paper();
         Box::new(TraversalEngine::new(
             cfg.rta.clone(),
-            Box::new(TtaBackend::new(cfg)),
+            Box::new(cfg.backend()),
             vec![Box::new(BarnesHutSemantics {
                 tree_base,
                 particle_base,
@@ -207,7 +207,7 @@ fn radius_search_counts_match_oracle() {
         let cfg = TtaConfig::default_paper();
         Box::new(TraversalEngine::new(
             cfg.rta.clone(),
-            Box::new(TtaBackend::new(cfg)),
+            Box::new(cfg.backend()),
             vec![Box::new(RadiusSearchSemantics {
                 tree_base,
                 prim_base,

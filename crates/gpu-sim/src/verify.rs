@@ -10,7 +10,6 @@
 //! errors gate CI through `tta-lint`, warnings are advisory. The workload
 //! tests run the checker over every shipped kernel.
 
-use crate::isa::Instr;
 use crate::kernel::Kernel;
 
 /// A problem found in a kernel.
@@ -161,15 +160,8 @@ pub fn check(kernel: &Kernel) -> Vec<KernelIssue> {
             out |= 1u128 << rd.0;
         }
 
-        let successors: &[usize] = match *instr {
-            Instr::Exit => &[],
-            Instr::Jump { target } => &[target as usize],
-            Instr::BranchNz { target, .. } | Instr::BranchZ { target, .. } => {
-                &[target as usize, pc + 1]
-            }
-            _ => &[pc + 1],
-        };
-        for &succ in successors {
+        let (succs, count) = crate::absint::successors(instr, pc);
+        for &succ in &succs[..count] {
             if succ > n {
                 // A branch past the virtual end PC can never execute —
                 // the target does not exist.
@@ -236,7 +228,7 @@ pub fn check(kernel: &Kernel) -> Vec<KernelIssue> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::isa::{Cmp, Reg, SReg};
+    use crate::isa::{Cmp, Instr, Reg, SReg};
     use crate::kernel::KernelBuilder;
 
     #[test]

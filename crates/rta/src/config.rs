@@ -28,8 +28,6 @@ pub struct RtaConfig {
     /// start only every this many cycles (the cores' issue slots bound the
     /// callback throughput).
     pub shader_interval: u64,
-    /// Maximum concurrently outstanding shader callbacks per SM.
-    pub shader_concurrency: usize,
     /// Node size fetched per request, bytes.
     pub node_fetch_bytes: u32,
     /// Cycles to copy a ray's registers from the core into the warp buffer
@@ -55,7 +53,6 @@ impl RtaConfig {
             shader_callback_latency: 400,
             shader_instructions: 40,
             shader_interval: 24,
-            shader_concurrency: 32,
             node_fetch_bytes: 64,
             submit_latency: 4,
             prefetch_children: false,
@@ -73,7 +70,6 @@ impl RtaConfig {
         assert!(self.ray_box_latency > 0);
         assert!(self.ray_triangle_latency > 0);
         assert!(self.node_fetch_bytes > 0);
-        assert!(self.shader_concurrency > 0);
     }
 }
 

@@ -7,10 +7,12 @@
 //!   state machines, and the hardware memory scheduler (1 node request per
 //!   cycle with same-address merging). Implements
 //!   [`gpu_sim::Accelerator`], so it attaches one-per-SM.
-//! * [`units`] — the intersection-test timing backends. The baseline
+//! * [`units`] — the intersection-test timing backends. The
 //!   [`units::FixedFunctionBackend`] provides 4 sets of Ray-Box (13-cycle)
 //!   and Ray-Triangle (37-cycle) pipelines, the R-XFORM unit, and the
-//!   intersection-shader callback path for procedural geometry.
+//!   intersection-shader callback path for procedural geometry; TTA runs
+//!   the same backend in its modified-units mode (Query-Key and
+//!   Point-to-Point).
 //! * [`report::AccelReport`] — a run's engine, unit, program and shader
 //!   counters, reported by each engine through its backend and folded
 //!   over SMs by [`AccelReport::harvest`].

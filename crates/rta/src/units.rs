@@ -2,13 +2,14 @@
 //!
 //! The traversal engine asks its [`IntersectionBackend`] to *schedule* each
 //! test; the backend models structural hazards (a pipelined unit accepts one
-//! operation per cycle) and returns the completion cycle. Three backends
+//! operation per cycle) and returns the completion cycle. Two backends
 //! exist in the workspace:
 //!
-//! * [`FixedFunctionBackend`] (here) — the baseline RTA's Ray-Box /
-//!   Ray-Triangle pipelines plus the intersection-shader callback path;
-//! * `tta::TtaBackend` — the modified fixed-function units (Query-Key,
-//!   Point-to-Point);
+//! * [`FixedFunctionBackend`] (here) — the Ray-Box / Ray-Triangle
+//!   pipelines, the R-XFORM unit and the intersection-shader callback
+//!   path. The baseline RTA runs it as is; TTA runs it in its
+//!   modified-units mode, where the Ray-Box units also run Query-Key and
+//!   the Ray-Triangle units Point-to-Point (§III-B);
 //! * `tta::ttaplus::TtaPlusBackend` — μop programs over OP units and a
 //!   crossbar.
 
@@ -158,11 +159,6 @@ impl PipelinedUnit {
         }
     }
 
-    /// The unit's pipeline latency.
-    pub fn latency(&self) -> u64 {
-        self.latency
-    }
-
     /// Schedules one operation arriving at `now`; returns completion cycle.
     pub fn schedule(&mut self, now: u64) -> u64 {
         self.schedule_with(now, self.latency)
@@ -271,8 +267,22 @@ impl std::fmt::Display for UnsupportedTest {
 
 impl std::error::Error for UnsupportedTest {}
 
-/// The baseline RTA backend: `unit_sets` sets of (Ray-Box, Ray-Triangle)
-/// pipelines, a transform unit, and the shader-callback path.
+/// The unit of `pool` that can start an operation soonest at `now` (the
+/// first on a tie): how a pool of interchangeable units picks one.
+///
+/// # Panics
+///
+/// Panics on an empty pool.
+pub fn least_busy(pool: &mut [PipelinedUnit], now: u64) -> &mut PipelinedUnit {
+    pool.iter_mut()
+        .min_by_key(|u| u.next_free(now))
+        .expect("a unit pool needs at least one unit")
+}
+
+/// The fixed-function backend: `unit_sets` sets of (Ray-Box, Ray-Triangle)
+/// pipelines, a transform unit, and the shader-callback path. The baseline
+/// RTA runs it as [`FixedFunctionBackend::new`] builds it; TTA runs it in
+/// the modified-units mode of [`FixedFunctionBackend::modified`].
 #[derive(Debug)]
 pub struct FixedFunctionBackend {
     box_units: Vec<PipelinedUnit>,
@@ -281,10 +291,21 @@ pub struct FixedFunctionBackend {
     shader: PipelinedUnit,
     shader_calls: u64,
     shader_instructions_per_call: u64,
+    /// TTA's modified-unit latencies; `None` on the baseline RTA.
+    modified: Option<ModifiedUnits>,
+    query_key_tests: u64,
+    point_tests: u64,
+}
+
+/// Latencies of the tests TTA's modified units add (§III-B).
+#[derive(Debug, Clone, Copy)]
+struct ModifiedUnits {
+    query_key: u64,
+    point_to_point: u64,
 }
 
 impl FixedFunctionBackend {
-    /// Builds the backend from an [`RtaConfig`].
+    /// Builds the baseline RTA's backend from an [`RtaConfig`].
     pub fn new(cfg: &RtaConfig) -> Self {
         FixedFunctionBackend {
             box_units: (0..cfg.unit_sets)
@@ -299,37 +320,75 @@ impl FixedFunctionBackend {
             shader: PipelinedUnit::with_interval(cfg.shader_callback_latency, cfg.shader_interval),
             shader_calls: 0,
             shader_instructions_per_call: cfg.shader_instructions,
+            modified: None,
+            query_key_tests: 0,
+            point_tests: 0,
         }
     }
 
-    fn least_busy(units: &mut [PipelinedUnit], now: u64) -> &mut PipelinedUnit {
-        units
-            .iter_mut()
-            .min_by_key(|u| u.next_free(now))
-            .expect("at least one unit per kind")
+    /// Builds TTA's modified units (§III-B): the Ray-Box units gain
+    /// equality comparators and also run the 9-wide Query-Key comparison
+    /// in `query_key_latency` cycles; the Ray-Triangle units gain a bypass
+    /// datapath and also run the Point-to-Point distance test in
+    /// `point_to_point_latency` cycles.
+    pub fn modified(cfg: &RtaConfig, query_key_latency: u64, point_to_point_latency: u64) -> Self {
+        FixedFunctionBackend {
+            modified: Some(ModifiedUnits {
+                query_key: query_key_latency,
+                point_to_point: point_to_point_latency,
+            }),
+            ..Self::new(cfg)
+        }
+    }
+
+    // The bag: the units' five entries, then the modified mode's two test
+    // counters.
+    gpu_sim::snap_fields! {
+        fn export_units / import_units;
+        #[host] box_units,
+        #[host] tri_units,
+        xform_unit,
+        shader,
+        shader_calls,
+    }
+
+    gpu_sim::snap_fields! {
+        fn export_modified / import_modified;
+        query_key_tests,
+        point_tests,
     }
 }
 
 impl IntersectionBackend for FixedFunctionBackend {
     fn schedule(&mut self, kind: TestKind, now: u64) -> Result<u64, UnsupportedTest> {
-        match kind {
-            TestKind::RayBox => Ok(Self::least_busy(&mut self.box_units, now).schedule(now)),
-            TestKind::RayTriangle => Ok(Self::least_busy(&mut self.tri_units, now).schedule(now)),
-            TestKind::Transform => Ok(self.xform_unit.schedule(now)),
-            TestKind::IntersectionShader => {
+        match (kind, self.modified) {
+            (TestKind::RayBox, _) => Ok(least_busy(&mut self.box_units, now).schedule(now)),
+            (TestKind::RayTriangle, _) => Ok(least_busy(&mut self.tri_units, now).schedule(now)),
+            (TestKind::QueryKey, Some(m)) => {
+                self.query_key_tests += 1;
+                Ok(least_busy(&mut self.box_units, now).schedule_with(now, m.query_key))
+            }
+            (TestKind::PointToPoint, Some(m)) => {
+                self.point_tests += 1;
+                Ok(least_busy(&mut self.tri_units, now).schedule_with(now, m.point_to_point))
+            }
+            (TestKind::Transform, _) => Ok(self.xform_unit.schedule(now)),
+            (TestKind::IntersectionShader, _) => {
                 self.shader_calls += 1;
                 Ok(self.shader.schedule(now))
             }
-            TestKind::QueryKey | TestKind::PointToPoint | TestKind::Program(_) => {
-                Err(UnsupportedTest(kind))
-            }
+            _ => Err(UnsupportedTest(kind)),
         }
     }
 
     fn unit_stats(&self) -> Vec<(String, UnitStats)> {
+        let (box_name, tri_name) = match self.modified {
+            None => ("RayBox", "RayTriangle"),
+            Some(_) => ("RayBox/QueryKey", "RayTriangle/PointToPoint"),
+        };
         vec![
-            ("RayBox".to_owned(), UnitStats::of(&self.box_units)),
-            ("RayTriangle".to_owned(), UnitStats::of(&self.tri_units)),
+            (box_name.to_owned(), UnitStats::of(&self.box_units)),
+            (tri_name.to_owned(), UnitStats::of(&self.tri_units)),
             ("Transform".to_owned(), self.xform_unit.stats.clone()),
             ("IntersectionShader".to_owned(), self.shader.stats.clone()),
         ]
@@ -339,13 +398,22 @@ impl IntersectionBackend for FixedFunctionBackend {
         self.shader_calls * self.shader_instructions_per_call
     }
 
-    gpu_sim::snap_fields! {
-        fn export_state / import_state;
-        #[host] box_units,
-        #[host] tri_units,
-        xform_unit,
-        shader,
-        shader_calls,
+    fn export_state(&self) -> StateBag {
+        let mut bag = self.export_units();
+        if self.modified.is_some() {
+            for (name, value) in self.export_modified().entries() {
+                bag.put(name, value.clone());
+            }
+        }
+        bag
+    }
+
+    fn import_state(&mut self, bag: &StateBag) -> Result<(), BagError> {
+        self.import_units(bag)?;
+        if self.modified.is_some() {
+            self.import_modified(bag)?;
+        }
+        Ok(())
     }
 }
 
@@ -392,8 +460,102 @@ mod tests {
         let mut b = FixedFunctionBackend::new(&RtaConfig::baseline());
         assert_eq!(b.schedule(TestKind::RayBox, 0), Ok(13));
         assert_eq!(b.schedule(TestKind::RayTriangle, 0), Ok(37));
-        assert!(b.schedule(TestKind::QueryKey, 0).is_err());
+        for kind in [
+            TestKind::QueryKey,
+            TestKind::PointToPoint,
+            TestKind::Program(0),
+        ] {
+            assert_eq!(b.schedule(kind, 0), Err(UnsupportedTest(kind)));
+        }
+    }
+
+    fn modified(unit_sets: usize) -> FixedFunctionBackend {
+        let cfg = RtaConfig {
+            unit_sets,
+            ..RtaConfig::baseline()
+        };
+        FixedFunctionBackend::modified(&cfg, 3, 11)
+    }
+
+    fn names(b: &FixedFunctionBackend) -> Vec<String> {
+        b.unit_stats().into_iter().map(|(n, _)| n).collect()
+    }
+
+    #[test]
+    fn unit_stat_names_follow_the_mode() {
+        let rta = FixedFunctionBackend::new(&RtaConfig::baseline());
+        assert_eq!(
+            names(&rta),
+            ["RayBox", "RayTriangle", "Transform", "IntersectionShader"]
+        );
+        assert_eq!(
+            names(&modified(4)),
+            [
+                "RayBox/QueryKey",
+                "RayTriangle/PointToPoint",
+                "Transform",
+                "IntersectionShader"
+            ]
+        );
+    }
+
+    #[test]
+    fn modified_tests_share_the_fixed_pools_at_their_own_latency() {
+        let mut b = modified(1);
+        assert_eq!(b.schedule(TestKind::QueryKey, 0), Ok(3));
+        assert_eq!(b.schedule(TestKind::PointToPoint, 0), Ok(11));
+        // One unit set: each test queues one cycle behind the other kind.
+        assert_eq!(b.schedule(TestKind::RayBox, 0), Ok(14));
+        assert_eq!(b.schedule(TestKind::RayTriangle, 0), Ok(38));
+        let stats = b.unit_stats();
+        assert_eq!(stats[0].1.invocations, 2, "Query-Key on the Ray-Box pool");
+        assert_eq!(stats[0].1.busy_cycles, 3 + 13);
+        assert_eq!(
+            stats[1].1.invocations, 2,
+            "Point-to-Point on the Ray-Triangle pool"
+        );
+        assert_eq!(stats[1].1.busy_cycles, 11 + 37);
         assert!(b.schedule(TestKind::Program(0), 0).is_err());
+    }
+
+    #[test]
+    fn bag_entries_follow_the_mode() {
+        let entries = |b: &FixedFunctionBackend| -> Vec<String> {
+            let bag = b.export_state();
+            bag.entries().iter().map(|(n, _)| n.clone()).collect()
+        };
+        let units = [
+            "box_units",
+            "tri_units",
+            "xform_unit",
+            "shader",
+            "shader_calls",
+        ];
+        assert_eq!(
+            entries(&FixedFunctionBackend::new(&RtaConfig::baseline())),
+            units
+        );
+        let mut b = modified(4);
+        b.schedule(TestKind::QueryKey, 0).unwrap();
+        b.schedule(TestKind::PointToPoint, 0).unwrap();
+        b.schedule(TestKind::PointToPoint, 1).unwrap();
+        assert_eq!(
+            entries(&b),
+            [&units[..], &["query_key_tests", "point_tests"]].concat()
+        );
+        let bag = b.export_state();
+        let count = |name| bag.entry(name).unwrap().as_u64(name).unwrap();
+        assert_eq!((count("query_key_tests"), count("point_tests")), (1, 2));
+
+        let mut fresh = modified(4);
+        fresh.import_state(&bag).expect("snapshot fits");
+        assert_eq!(fresh.export_state(), bag, "export/import is lossless");
+        // The baseline RTA's bag lacks the modified mode's counters.
+        let rta = FixedFunctionBackend::new(&RtaConfig::baseline()).export_state();
+        assert!(matches!(
+            modified(4).import_state(&rta),
+            Err(BagError::Missing(_))
+        ));
     }
 
     #[test]

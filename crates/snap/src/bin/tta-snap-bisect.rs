@@ -107,7 +107,24 @@ fn platform_for(o: &Opts, programs: Vec<tta::programs::UopProgram>) -> Result<Pl
     }
 }
 
+/// Why `workload` cannot run on `platform`, for the pairings whose
+/// traversal needs a test or a baseline the platform lacks.
+fn unsupported(workload: &str, platform: &str) -> Option<&'static str> {
+    match (workload, platform) {
+        ("btree", "rta") => Some("the baseline RTA has no Query-Key unit; use --platform tta"),
+        ("nbody", "rta") => Some("the baseline RTA has no Point-to-Point unit; use --platform tta"),
+        ("rtnn", "simt") => Some("RTNN has no SIMT baseline; use --platform rta"),
+        _ => None,
+    }
+}
+
 fn make_session(o: &Opts) -> Result<Box<dyn RunSession>, String> {
+    if let Some(why) = unsupported(&o.workload, &o.platform) {
+        return Err(format!(
+            "--workload {} cannot run on --platform {}: {why}",
+            o.workload, o.platform
+        ));
+    }
     let sz = |d: usize| ((d as f64 * o.scale) as usize).max(64);
     match o.workload.as_str() {
         "btree" => {
@@ -130,9 +147,6 @@ fn make_session(o: &Opts) -> Result<Box<dyn RunSession>, String> {
             Ok(Box::new(e.session(o.chunks)))
         }
         "rtnn" => {
-            if o.platform == "simt" {
-                return Err("RTNN has no SIMT baseline; use --platform rta".to_owned());
-            }
             let mut e = RtnnExperiment::new(
                 sz(4000),
                 sz(256),

@@ -53,7 +53,7 @@ const INTEGRATE_TRIPS: TripFact = TripFact { min: 12, max: 13 };
 /// those steps' own charges (the aggregate-serialization argument of
 /// `gpu_sim::absint::cost`).
 pub fn step_cost_upper(gpu: &GpuConfig, platform: &Platform) -> u64 {
-    let Some(mut rta) = platform.engine_config() else {
+    let Some(rta) = platform.engine_config() else {
         return 0;
     };
     let fixed = rta
@@ -62,18 +62,12 @@ pub fn step_cost_upper(gpu: &GpuConfig, platform: &Platform) -> u64 {
         .max(rta.transform_latency);
     let test_max = match platform {
         Platform::Tta(c) => fixed.max(c.query_key_latency).max(c.point_to_point_latency),
-        Platform::TtaPlus(plus, programs) | Platform::TtaPlusWith(_, plus, programs) => {
-            rta.shader_callback_latency = rta
-                .shader_callback_latency
-                .max(plus.shader_callback_latency);
-            rta.shader_interval = rta.shader_interval.max(plus.shader_interval);
-            programs
-                .iter()
-                .map(|p| p.latency_bounds(plus.crossbar_hop_latency).1)
-                .max()
-                .unwrap_or(0)
-                .max(rta.ray_triangle_latency)
-        }
+        Platform::TtaPlus(plus, programs) | Platform::TtaPlusWith(_, plus, programs) => programs
+            .iter()
+            .map(|p| p.latency_bounds(plus.crossbar_hop_latency).1)
+            .max()
+            .unwrap_or(0)
+            .max(rta.ray_triangle_latency),
         _ => fixed,
     };
     gpu_sim::absint::mem_worst_round_trip(gpu)

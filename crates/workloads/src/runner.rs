@@ -10,7 +10,7 @@ use rta::engine::{TraversalEngine, TraversalSemantics};
 use rta::units::{FixedFunctionBackend, IntersectionBackend};
 use rta::{AccelReport, RtaConfig};
 use trace::{ChromeTraceSink, TraceHandle};
-use tta::backend::{TtaBackend, TtaConfig};
+use tta::backend::TtaConfig;
 use tta::programs::UopProgram;
 use tta::ttaplus::{TtaPlusBackend, TtaPlusConfig};
 
@@ -26,7 +26,8 @@ pub enum Platform {
     /// TTA+: OP units + crossbar, with custom μop programs.
     TtaPlus(TtaPlusConfig, Vec<UopProgram>),
     /// TTA+ reusing the baseline RTA structural config (warp buffer etc.)
-    /// with a different engine config — convenience for sweeps.
+    /// with a different engine config — convenience for sweeps. Its
+    /// shader fallback stays the baseline RTA's, like `TtaPlus`'s.
     TtaPlusWith(RtaConfig, TtaPlusConfig, Vec<UopProgram>),
 }
 
@@ -376,7 +377,7 @@ where
     let platform = platform.clone();
     gpu.attach_accelerators(move |_| {
         let backend: Box<dyn IntersectionBackend> = match &platform {
-            Platform::Tta(c) => Box::new(TtaBackend::new(c.clone())),
+            Platform::Tta(c) => Box::new(c.backend()),
             Platform::TtaPlus(plus, programs) | Platform::TtaPlusWith(_, plus, programs) => {
                 Box::new(TtaPlusBackend::new(plus.clone(), programs.clone()))
             }

@@ -46,6 +46,9 @@
 #      its BENCHMARK.json bound, or on any failed run (the scripts/bench.sh
 #      header says how to re-baseline)
 #
+# Before the gates it prints the non-test Rust line count of scripts/loc.sh,
+# the size figure CHANGES.md records; no count fails the run.
+#
 # Offline-registry fallback: this workspace has NO crates.io dependencies —
 # every dependency is a path dependency inside the workspace (the `rand`
 # API is provided by crates/rand-shim). If the environment has no network
@@ -70,6 +73,7 @@ run() {
     "$@"
 }
 
+run scripts/loc.sh
 run cargo fmt --all -- --check
 run cargo clippy "${CARGO_FLAGS[@]}" --workspace --all-targets -- -D warnings
 

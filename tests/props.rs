@@ -15,7 +15,7 @@ use gpu_sim::{Gpu, GpuConfig};
 use rta::units::TestKind;
 use rta::TraversalEngine;
 use trees::{BTree, BTreeFlavor, BarnesHutTree, Bvh, BvhPrimitive, Particle};
-use tta::backend::{TtaBackend, TtaConfig};
+use tta::backend::TtaConfig;
 use tta::btree_sem::{read_query_result, write_query_record, BTreeSemantics, QUERY_RECORD_SIZE};
 use tta::radius_sem::{read_radius_result, write_radius_record, RadiusSearchSemantics};
 
@@ -40,7 +40,7 @@ fn attach_btree(gpu: &mut Gpu, tree_base: u64, bplus: bool) {
         let cfg = TtaConfig::default_paper();
         Box::new(TraversalEngine::new(
             cfg.rta.clone(),
-            Box::new(TtaBackend::new(cfg)),
+            Box::new(cfg.backend()),
             vec![Box::new(BTreeSemantics {
                 tree_base,
                 bplus,
@@ -116,7 +116,7 @@ fn radius_search_equals_brute_force() {
             let cfg = TtaConfig::default_paper();
             Box::new(TraversalEngine::new(
                 cfg.rta.clone(),
-                Box::new(TtaBackend::new(cfg)),
+                Box::new(cfg.backend()),
                 vec![Box::new(RadiusSearchSemantics {
                     tree_base,
                     prim_base,

@@ -10,7 +10,8 @@
 //! that TTA+ does not offload fall back to the baseline RTA's
 //! intersection-shader path.
 
-use gpu_sim::snapshot::{load_each, save_each, BagError, Snap, SnapValue, StateBag};
+use std::ops::Range;
+
 use rta::config::RtaConfig;
 use rta::units::{
     least_busy, IntersectionBackend, PipelinedUnit, ProgramStats, TestKind, UnitStats,
@@ -72,7 +73,12 @@ impl Default for TtaPlusConfig {
 /// The TTA+ backend.
 #[derive(Debug)]
 pub struct TtaPlusBackend {
-    units: UnitPools,
+    /// Every OP unit, pooled by type in [`OpUnit::ALL`] order.
+    units: Vec<PipelinedUnit>,
+    /// Each type's pool in `units`, indexed by [`OpUnit::index`]. SQRT's
+    /// is empty without `with_sqrt`; an empty pool is not a configured
+    /// unit.
+    pools: [Range<usize>; OpUnit::ALL.len()],
     crossbar: Vec<PipelinedUnit>,
     programs: Vec<UopProgram>,
     program_stats: Vec<ProgramStats>,
@@ -108,13 +114,13 @@ impl TtaPlusBackend {
                 p.name()
             );
         }
-        let units = OpUnit::ALL.map(|u| {
-            let n = if u == OpUnit::Sqrt && !cfg.with_sqrt {
-                0
-            } else {
-                cfg.units_per_type
-            };
-            (0..n).map(|_| PipelinedUnit::new(u.latency())).collect()
+        let mut units = Vec::new();
+        let pools = OpUnit::ALL.map(|u| {
+            let start = units.len();
+            if u != OpUnit::Sqrt || cfg.with_sqrt {
+                units.extend((0..cfg.units_per_type).map(|_| PipelinedUnit::new(u.latency())));
+            }
+            start..units.len()
         });
         let crossbar = (0..cfg.crossbar_parallel_transfers)
             .map(|_| PipelinedUnit::new(cfg.crossbar_hop_latency))
@@ -132,7 +138,8 @@ impl TtaPlusBackend {
             shader: PipelinedUnit::with_interval(rta.shader_callback_latency, rta.shader_interval),
             shader_calls: 0,
             shader_instructions_per_call: rta.shader_instructions,
-            units: UnitPools(units),
+            units,
+            pools,
             crossbar,
             programs,
             program_stats,
@@ -155,7 +162,7 @@ impl TtaPlusBackend {
             let after_hop = least_busy(&mut self.crossbar, t).schedule(t);
             icnt += after_hop - t;
             // Execute on the (possibly contended) OP unit.
-            let pool = &mut self.units.0[uop.unit.index()];
+            let pool = &mut self.units[self.pools[uop.unit.index()].clone()];
             t = least_busy(pool, after_hop).schedule(after_hop);
         }
         let stats = match which {
@@ -226,10 +233,16 @@ impl IntersectionBackend for TtaPlusBackend {
     }
 
     fn unit_stats(&self) -> Vec<(String, UnitStats)> {
-        let pools = self
-            .units
-            .configured()
-            .map(|(u, pool)| (u.name().to_owned(), UnitStats::of(pool)));
+        let pools = OpUnit::ALL
+            .into_iter()
+            .zip(&self.pools)
+            .filter(|(_, pool)| !pool.is_empty())
+            .map(|(u, pool)| {
+                (
+                    u.name().to_owned(),
+                    UnitStats::of(&self.units[pool.clone()]),
+                )
+            });
         pools
             .chain([
                 ("ICNT".to_owned(), UnitStats::of(&self.crossbar)),
@@ -260,7 +273,7 @@ impl IntersectionBackend for TtaPlusBackend {
 
     gpu_sim::snap_fields! {
         fn export_state / import_state;
-        units,
+        #[host] units,
         #[host] crossbar,
         #[host] program_stats,
         builtin_stats,
@@ -270,45 +283,10 @@ impl IntersectionBackend for TtaPlusBackend {
     }
 }
 
-/// OP-unit pools indexed by [`OpUnit::index`]. SQRT's pool is empty
-/// without `with_sqrt`; an empty pool is not a configured unit.
-#[derive(Debug)]
-struct UnitPools([Vec<PipelinedUnit>; OpUnit::ALL.len()]);
-
-impl UnitPools {
-    /// The configured unit types with their pools, in `OpUnit::ALL` order.
-    fn configured(&self) -> impl Iterator<Item = (OpUnit, &Vec<PipelinedUnit>)> {
-        OpUnit::ALL
-            .into_iter()
-            .zip(&self.0)
-            .filter(|(_, pool)| !pool.is_empty())
-    }
-}
-
-/// A bag with one host-shaped list per configured unit type.
-impl Snap for UnitPools {
-    fn save(&self) -> SnapValue {
-        let mut bag = StateBag::new();
-        for (u, pool) in self.configured() {
-            bag.put(u.name(), save_each(pool));
-        }
-        SnapValue::Bag(bag)
-    }
-
-    fn load(&mut self, v: &SnapValue, name: &str) -> Result<(), BagError> {
-        let bag = v.as_bag(name)?;
-        for (u, pool) in OpUnit::ALL.into_iter().zip(&mut self.0) {
-            if !pool.is_empty() {
-                load_each(pool.iter_mut(), bag.entry(u.name())?, u.name())?;
-            }
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpu_sim::snapshot::BagError;
 
     #[test]
     fn ray_box_latency_blows_up_about_10x() {
@@ -432,22 +410,16 @@ mod tests {
         assert_eq!(names.len(), OpUnit::ALL.len() - 1 + 2, "{names:?}");
         assert!(!names.iter().any(|n| n == "SQRT"), "{names:?}");
         let snap = b.export_state();
-        let units = snap.get("units").unwrap().as_bag("units").unwrap();
-        let pools: Vec<&str> = units.entries().iter().map(|(n, _)| n.as_str()).collect();
-        let expected: Vec<&str> = OpUnit::ALL
-            .into_iter()
-            .filter(|&u| u != OpUnit::Sqrt)
-            .map(OpUnit::name)
-            .collect();
-        assert_eq!(pools, expected);
+        let units = snap.get("units").unwrap().as_list("units").unwrap();
+        assert_eq!(units.len(), (OpUnit::ALL.len() - 1) * cfg.units_per_type);
         let mut fresh = TtaPlusBackend::new(cfg, vec![]);
         fresh.import_state(&snap).expect("snapshot fits");
         assert_eq!(fresh.export_state(), snap);
-        // A with-SQRT host misses the SQRT entry.
+        // A with-SQRT host has one pool more.
         let mut full = TtaPlusBackend::new(TtaPlusConfig::default_paper(), vec![]);
         assert!(matches!(
             full.import_state(&snap),
-            Err(BagError::Missing(_))
+            Err(BagError::Mismatch(_))
         ));
     }
 

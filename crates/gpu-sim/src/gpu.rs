@@ -367,19 +367,9 @@ impl Gpu {
         for c in &mut stats.warp_completions {
             *c -= start_cycle;
         }
-        stats.l1.hits = self.mem.l1_stats.hits - l1_before.hits;
-        stats.l1.misses = self.mem.l1_stats.misses - l1_before.misses;
-        stats.l1.mshr_merges = self.mem.l1_stats.mshr_merges - l1_before.mshr_merges;
-        stats.l2.hits = self.mem.l2_stats.hits - l2_before.hits;
-        stats.l2.misses = self.mem.l2_stats.misses - l2_before.misses;
-        stats.l2.mshr_merges = self.mem.l2_stats.mshr_merges - l2_before.mshr_merges;
-        stats.dram.bytes_read = self.mem.dram_stats.bytes_read - dram_before.bytes_read;
-        stats.dram.bytes_written = self.mem.dram_stats.bytes_written - dram_before.bytes_written;
-        stats.dram.bytes_requested =
-            self.mem.dram_stats.bytes_requested - dram_before.bytes_requested;
-        stats.dram.busy_channel_cycles =
-            self.mem.dram_stats.busy_channel_cycles - dram_before.busy_channel_cycles;
-        stats.dram.transactions = self.mem.dram_stats.transactions - dram_before.transactions;
+        stats.l1 = self.mem.l1_stats.since(&l1_before);
+        stats.l2 = self.mem.l2_stats.since(&l2_before);
+        stats.dram = self.mem.dram_stats.since(&dram_before);
         stats
     }
 
@@ -431,7 +421,7 @@ mod tests {
     use crate::accel::NullAccelerator;
     use crate::isa::{Cmp, SReg};
     use crate::kernel::KernelBuilder;
-    use crate::snapshot::BagError;
+    use crate::snapshot::{BagError, SnapValue};
 
     /// out[tid] = in[tid] + 1
     fn incr_kernel() -> Kernel {
@@ -811,5 +801,44 @@ mod tests {
         assert_eq!(gpu.now(), t1 + s2.cycles);
         // Second run hits warm caches: no slower than the first.
         assert!(s2.cycles <= s1.cycles);
+    }
+
+    #[test]
+    fn pending_fills_stay_bounded_by_cache_capacity() {
+        // Each launch reads 1024 fresh words (32 lines), so K launches
+        // touch more distinct lines than either L1 or the L2 holds. The
+        // exported fills must stay within each cache's line count, after
+        // K launches and after 2K alike.
+        let cfg = GpuConfig::small_test();
+        let l1_lines = cfg.mem.l1_bytes / cfg.mem.line_size;
+        let l2_lines = cfg.mem.l2_bytes / cfg.mem.line_size;
+        let (n, k) = (1024usize, 24usize);
+        let mut gpu = Gpu::new(cfg, 1 << 20);
+        let inp = gpu.gmem.alloc(4 * n * 2 * k, 64);
+        let out = gpu.gmem.alloc(4 * n, 64);
+        let fills = |cache: &SnapValue| {
+            let cache = cache.as_bag("cache").unwrap();
+            cache
+                .entry("fills")
+                .unwrap()
+                .as_list("fills")
+                .unwrap()
+                .len()
+                / 2
+        };
+        for launch in 1..=2 * k {
+            let slice = inp + (4 * n * (launch - 1)) as u64;
+            gpu.launch(&incr_kernel(), n, &[slice as u32, out as u32]);
+            if launch % k == 0 {
+                let snap = gpu.export_state();
+                let mem = snap.entry("mem").unwrap().as_bag("mem").unwrap();
+                for l1 in mem.entry("l1").unwrap().as_list("l1").unwrap() {
+                    let l1 = l1.as_bag("l1").unwrap().entry("cache").unwrap();
+                    assert!(fills(l1) <= l1_lines, "L1 after {launch} launches");
+                }
+                let l2 = fills(mem.entry("l2").unwrap());
+                assert!(l2 > 0 && l2 <= l2_lines, "L2 after {launch} launches: {l2}");
+            }
+        }
     }
 }

@@ -9,7 +9,7 @@
 
 use crate::config::MemConfig;
 use crate::fast_hash::FastMap;
-use crate::snapshot::{BagError, Snap, SnapValue, StateBag};
+use crate::snapshot::{load_each, BagError, Snap, SnapValue, StateBag};
 use std::collections::BinaryHeap;
 use trace::{TraceHandle, Track};
 
@@ -208,6 +208,29 @@ pub struct CacheStats {
     pub mshr_merges: u64,
 }
 
+impl CacheStats {
+    /// The counts accumulated since `before`, an earlier reading.
+    pub fn since(&self, before: &CacheStats) -> CacheStats {
+        CacheStats {
+            hits: self.hits - before.hits,
+            misses: self.misses - before.misses,
+            mshr_merges: self.mshr_merges - before.mshr_merges,
+        }
+    }
+
+    /// Counts one lookup: a merge into an in-flight fill is a miss too.
+    fn count(&mut self, found: Lookup) {
+        match found {
+            Lookup::Hit => self.hits += 1,
+            Lookup::Merge(_) => {
+                self.misses += 1;
+                self.mshr_merges += 1;
+            }
+            Lookup::Miss(_) => self.misses += 1,
+        }
+    }
+}
+
 /// DRAM activity statistics.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DramStats {
@@ -224,6 +247,17 @@ pub struct DramStats {
 }
 
 impl DramStats {
+    /// The activity accumulated since `before`, an earlier reading.
+    pub fn since(&self, before: &DramStats) -> DramStats {
+        DramStats {
+            bytes_read: self.bytes_read - before.bytes_read,
+            bytes_written: self.bytes_written - before.bytes_written,
+            bytes_requested: self.bytes_requested - before.bytes_requested,
+            busy_channel_cycles: self.busy_channel_cycles - before.busy_channel_cycles,
+            transactions: self.transactions - before.transactions,
+        }
+    }
+
     /// Bandwidth utilization in [0, 1] for a run of `cycles` compute cycles
     /// over `channels` channels.
     pub fn utilization(&self, cycles: u64, channels: usize) -> f64 {
@@ -234,192 +268,142 @@ impl DramStats {
     }
 }
 
-/// "No slot" link of the L1's LRU list.
+/// "No ring yet": the `oldest` slot of a set before its first miss.
 const NIL: u32 = u32::MAX;
 
-/// One resident L1 line and its links in the LRU list.
+/// One slot of a tag store: a line, its links in its set's LRU ring, and
+/// its fill. A zero stamp marks a slot that has never held a line.
 #[derive(Debug, Clone, Copy)]
 struct LruSlot {
     line: u64,
     /// Stamp of the line's last access.
     stamp: u64,
-    /// Next older slot, or [`NIL`].
+    /// Completion cycle of the fill that brought the line in, or 0 once a
+    /// hit at or after that cycle has consumed it.
+    fill: u64,
     older: u32,
-    /// Next newer slot, or [`NIL`].
     newer: u32,
 }
 
-/// Fully-associative LRU tag store (the paper's L1): a slot per resident
-/// line, threaded oldest to newest by an intrusive list, plus a line→slot
-/// index. List order is stamp order, so the oldest slot is the victim.
+/// What a tag-store lookup found.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Lookup {
+    /// Resident, and its fill has completed.
+    Hit,
+    /// Resident, but its fill is still in flight until this cycle.
+    Merge(u64),
+    /// Not resident: allocated into this slot, whose fill the caller
+    /// records with [`TagStore::set_fill`].
+    Miss(u32),
+}
+
+/// LRU tag store of `sets × ways` slots: the paper's fully associative L1
+/// is one set, its 16-way L2 many. A set's first miss appends its `ways`
+/// slots as a ring ordered oldest to newest (empty slots oldest), so
+/// untouched sets cost no slot memory, and a line→slot index finds a
+/// line in one hash lookup. The oldest slot is the victim, so ring order
+/// is stamp order. Each slot carries its line's fill completion (the MSHR
+/// merge decision), so eviction drops it and pending state is bounded by
+/// capacity.
 #[derive(Debug)]
-struct FullyAssocCache {
-    capacity_lines: usize,
-    /// At most `capacity_lines` slots; a full store reuses its victim's.
+struct TagStore {
+    ways: usize,
     slots: Vec<LruSlot>,
     /// line -> index into `slots`
     index: FastMap<u64, u32>,
-    oldest: u32,
-    newest: u32,
+    /// Each set's oldest slot (its `older` link is the newest), or [`NIL`].
+    oldest: Vec<u32>,
     stamp: u64,
 }
 
-impl FullyAssocCache {
+impl TagStore {
     /// # Panics
     ///
-    /// Panics on a zero capacity (`GpuConfig::validate` rejects an L1
-    /// smaller than one line).
-    fn new(capacity_lines: usize) -> Self {
-        assert!(capacity_lines > 0, "L1 must hold at least one line");
-        FullyAssocCache {
-            capacity_lines,
+    /// Panics on zero sets or ways (`GpuConfig::validate` rejects caches
+    /// smaller than one line or one L2 set).
+    fn new(sets: usize, ways: usize) -> Self {
+        assert!(sets > 0 && ways > 0, "a cache needs a set and a way");
+        TagStore {
+            ways,
             slots: Vec::new(),
             index: FastMap::default(),
-            oldest: NIL,
-            newest: NIL,
+            oldest: vec![NIL; sets],
             stamp: 0,
         }
     }
 
-    /// Returns `true` on hit; on miss inserts the line (allocate-on-miss),
-    /// evicting LRU if needed.
-    fn access(&mut self, line: u64) -> bool {
+    fn set_of(&self, line: u64) -> usize {
+        (line as usize) % self.oldest.len()
+    }
+
+    /// Looks `line` up at cycle `now`, making it the newest of its set. A
+    /// resident line whose fill completes after `now` merges into it; one
+    /// whose fill is done hits and consumes the fill, so a lookup issued
+    /// later at an earlier `now` (L2 lookups arrive from SMs out of time
+    /// order) also hits. A miss allocates the line (allocate-on-miss).
+    fn lookup(&mut self, line: u64, now: u64) -> Lookup {
         self.stamp += 1;
-        if let Some(&slot) = self.index.get(&line) {
-            self.slots[slot as usize].stamp = self.stamp;
-            if slot != self.newest {
-                self.unlink(slot);
-                self.link_newest(slot);
-            }
-            return true;
-        }
-        let fresh = LruSlot {
-            line,
-            stamp: self.stamp,
-            older: NIL,
-            newer: NIL,
+        let set = self.set_of(line);
+        let Some(&slot) = self.index.get(&line) else {
+            return Lookup::Miss(self.allocate(set, line, self.stamp));
         };
-        let slot = if self.slots.len() < self.capacity_lines {
-            self.slots.push(fresh);
-            (self.slots.len() - 1) as u32
-        } else {
-            let victim = self.oldest;
-            self.index.remove(&self.slots[victim as usize].line);
-            self.unlink(victim);
-            self.slots[victim as usize] = fresh;
-            victim
-        };
-        self.link_newest(slot);
-        self.index.insert(line, slot);
-        false
-    }
-
-    fn unlink(&mut self, slot: u32) {
-        let LruSlot { older, newer, .. } = self.slots[slot as usize];
-        match older {
-            NIL => self.oldest = newer,
-            o => self.slots[o as usize].newer = newer,
-        }
-        match newer {
-            NIL => self.newest = older,
-            n => self.slots[n as usize].older = older,
-        }
-    }
-
-    fn link_newest(&mut self, slot: u32) {
-        let newest = self.newest;
         let s = &mut self.slots[slot as usize];
-        s.older = newest;
-        s.newer = NIL;
-        match newest {
-            NIL => self.oldest = slot,
-            n => self.slots[n as usize].newer = slot,
-        }
-        self.newest = slot;
+        s.stamp = self.stamp;
+        let found = if s.fill > now {
+            Lookup::Merge(s.fill)
+        } else {
+            s.fill = 0;
+            Lookup::Hit
+        };
+        self.make_newest(set, slot);
+        found
     }
 
-    /// `(stamp, line)` of every resident line, oldest first.
-    fn order(&self) -> Vec<(u64, u64)> {
-        let mut out = Vec::with_capacity(self.slots.len());
-        let mut at = self.oldest;
-        while at != NIL {
-            let s = &self.slots[at as usize];
-            out.push((s.stamp, s.line));
-            at = s.newer;
-        }
-        out
+    /// Records the completion cycle of the fill a miss started.
+    fn set_fill(&mut self, slot: u32, fill: u64) {
+        self.slots[slot as usize].fill = fill;
     }
 
-    /// Rebuilds the store from `(stamp, line)` pairs, oldest first.
-    fn set_order(&mut self, order: &[(u64, u64)]) -> Result<(), BagError> {
-        let ascending = order.windows(2).all(|w| w[0].0 < w[1].0);
-        if order.len() > self.capacity_lines || !ascending {
-            return Err(BagError::Mismatch(format!(
-                "L1 order of {} lines (ascending: {ascending}) does not fit {} lines",
-                order.len(),
-                self.capacity_lines
-            )));
+    /// Puts `line` into its set's oldest slot (a first miss appends the
+    /// ring), evicting its line, and turns the ring to make it the newest.
+    fn allocate(&mut self, set: usize, line: u64, stamp: u64) -> u32 {
+        if self.oldest[set] == NIL {
+            let (first, w) = (self.slots.len() as u32, self.ways as u32);
+            self.slots.extend((0..w).map(|k| LruSlot {
+                line: 0,
+                stamp: 0,
+                fill: 0,
+                older: first + (k + w - 1) % w,
+                newer: first + (k + 1) % w,
+            }));
+            self.oldest[set] = first;
         }
-        self.slots.clear();
-        self.index.clear();
-        self.oldest = NIL;
-        self.newest = NIL;
-        for &(stamp, line) in order {
-            let slot = self.slots.len() as u32;
-            if self.index.insert(line, slot).is_some() {
-                return Err(BagError::Mismatch(format!("L1 line {line} resident twice")));
-            }
-            self.slots.push(LruSlot {
-                line,
-                stamp,
-                older: NIL,
-                newer: NIL,
-            });
-            self.link_newest(slot);
+        let slot = self.oldest[set];
+        let s = &mut self.slots[slot as usize];
+        if s.stamp != 0 {
+            self.index.remove(&s.line);
         }
-        Ok(())
-    }
-}
-
-/// Set-associative LRU tag store (the paper's 16-way L2).
-#[derive(Debug)]
-struct SetAssocCache {
-    sets: Vec<Vec<(u64, u64)>>, // (line, lru stamp)
-    ways: usize,
-    stamp: u64,
-}
-
-impl SetAssocCache {
-    fn new(capacity_bytes: usize, line_size: usize, ways: usize) -> Self {
-        let num_sets = capacity_bytes / line_size / ways;
-        assert!(num_sets > 0);
-        SetAssocCache {
-            sets: vec![Vec::with_capacity(ways); num_sets],
-            ways,
-            stamp: 0,
-        }
+        (s.line, s.stamp, s.fill) = (line, stamp, 0);
+        self.oldest[set] = s.newer;
+        self.index.insert(line, slot);
+        slot
     }
 
-    fn access(&mut self, line: u64) -> bool {
-        self.stamp += 1;
-        let idx = (line as usize) % self.sets.len();
-        let stamp = self.stamp;
-        let set = &mut self.sets[idx];
-        if let Some(entry) = set.iter_mut().find(|(l, _)| *l == line) {
-            entry.1 = stamp;
-            return true;
+    fn make_newest(&mut self, set: usize, slot: u32) {
+        let oldest = self.oldest[set];
+        let LruSlot { older, newer, .. } = self.slots[slot as usize];
+        if slot == oldest {
+            self.oldest[set] = newer;
+        } else if newer != oldest {
+            self.slots[older as usize].newer = newer;
+            self.slots[newer as usize].older = older;
+            let newest = self.slots[oldest as usize].older;
+            self.slots[newest as usize].newer = slot;
+            self.slots[oldest as usize].older = slot;
+            let s = &mut self.slots[slot as usize];
+            s.older = newest;
+            s.newer = oldest;
         }
-        if set.len() == self.ways {
-            let lru = set
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, (_, s))| *s)
-                .map(|(i, _)| i)
-                .expect("full set");
-            set.swap_remove(lru);
-        }
-        set.push((line, stamp));
-        false
     }
 }
 
@@ -463,14 +447,12 @@ impl MshrFile {
     }
 }
 
-/// One SM's private L1: tag store, MSHRs, port and pending-fill table.
+/// One SM's private L1: tag store, MSHRs and port.
 #[derive(Debug)]
 struct L1 {
-    cache: FullyAssocCache,
+    cache: TagStore,
     mshr: MshrFile,
     port_busy: u64,
-    /// In-flight fills: line -> completion (for merge).
-    pending: FastMap<u64, u64>,
 }
 
 /// The timing model: per-SM L1s, a shared L2, and channelled DRAM.
@@ -479,9 +461,8 @@ pub struct MemorySystem {
     cfg: MemConfig,
     perfect: bool,
     l1: Vec<L1>,
-    l2: SetAssocCache,
+    l2: TagStore,
     l2_mshr: MshrFile,
-    l2_pending: FastMap<u64, u64>,
     dram_channel_busy: Vec<f64>,
     trace: TraceHandle,
     /// Monotone id shared by memory and DRAM trace spans.
@@ -497,21 +478,18 @@ pub struct MemorySystem {
 impl MemorySystem {
     /// Creates the hierarchy for `num_sms` SMs.
     pub fn new(cfg: &MemConfig, num_sms: usize, perfect: bool) -> Self {
-        let l1_lines = cfg.l1_bytes / cfg.line_size;
         MemorySystem {
             cfg: cfg.clone(),
             perfect,
             l1: (0..num_sms)
                 .map(|_| L1 {
-                    cache: FullyAssocCache::new(l1_lines),
+                    cache: TagStore::new(1, cfg.l1_bytes / cfg.line_size),
                     mshr: MshrFile::new(cfg.l1_mshrs),
                     port_busy: 0,
-                    pending: FastMap::default(),
                 })
                 .collect(),
-            l2: SetAssocCache::new(cfg.l2_bytes, cfg.line_size, cfg.l2_ways),
+            l2: TagStore::new(cfg.l2_bytes / cfg.line_size / cfg.l2_ways, cfg.l2_ways),
             l2_mshr: MshrFile::new(cfg.l2_mshrs),
-            l2_pending: FastMap::default(),
             dram_channel_busy: vec![0.0; cfg.dram_channels],
             trace: TraceHandle::default(),
             next_req_id: 0,
@@ -561,31 +539,23 @@ impl MemorySystem {
         // L1 port: one transaction per cycle.
         let t0 = self.l1[sm].port_busy.max(now) + 1;
         self.l1[sm].port_busy = t0;
-        let hit = self.l1[sm].cache.access(line);
-        if hit {
+        let found = self.l1[sm].cache.lookup(line, t0);
+        self.l1_stats.count(found);
+        let (name, t) = match found {
+            Lookup::Hit => ("read_hit", t0 + self.cfg.l1_latency),
             // A line still being filled counts as a miss-merge, not a hit.
-            if let Some(&fill) = self.l1[sm].pending.get(&line) {
-                if fill > t0 {
-                    self.l1_stats.misses += 1;
-                    self.l1_stats.mshr_merges += 1;
-                    self.trace_req(Track::Mem(sm as u32), "read_merge", now, fill, bytes);
-                    return fill;
-                }
-                self.l1[sm].pending.remove(&line);
+            Lookup::Merge(fill) => ("read_merge", fill),
+            Lookup::Miss(slot) => {
+                // Allocate an L1 MSHR (may push the start time back when full).
+                let t1 = self.l1[sm].mshr.allocate(t0);
+                let fill = self.l2_lookup(line, t1 + self.cfg.l1_latency);
+                self.l1[sm].mshr.record(fill);
+                self.l1[sm].cache.set_fill(slot, fill);
+                ("read_miss", fill)
             }
-            self.l1_stats.hits += 1;
-            let t = t0 + self.cfg.l1_latency;
-            self.trace_req(Track::Mem(sm as u32), "read_hit", now, t, bytes);
-            return t;
-        }
-        self.l1_stats.misses += 1;
-        // Allocate an L1 MSHR (may push the start time back when full).
-        let t1 = self.l1[sm].mshr.allocate(t0);
-        let fill = self.l2_lookup(line, t1 + self.cfg.l1_latency);
-        self.l1[sm].mshr.record(fill);
-        self.l1[sm].pending.insert(line, fill);
-        self.trace_req(Track::Mem(sm as u32), "read_miss", now, fill, bytes);
-        fill
+        };
+        self.trace_req(Track::Mem(sm as u32), name, now, t, bytes);
+        t
     }
 
     /// Issues a write of `bytes` at `addr` (write-through, no-allocate).
@@ -624,20 +594,13 @@ impl MemorySystem {
 // The real L2 path: separated so `read` stays readable.
 impl MemorySystem {
     fn l2_lookup(&mut self, line: u64, now: u64) -> u64 {
-        let hit = self.l2.access(line);
-        if hit {
-            if let Some(&fill) = self.l2_pending.get(&line) {
-                if fill > now {
-                    self.l2_stats.misses += 1;
-                    self.l2_stats.mshr_merges += 1;
-                    return fill;
-                }
-                self.l2_pending.remove(&line);
-            }
-            self.l2_stats.hits += 1;
-            return now + self.cfg.l2_latency;
-        }
-        self.l2_stats.misses += 1;
+        let found = self.l2.lookup(line, now);
+        self.l2_stats.count(found);
+        let slot = match found {
+            Lookup::Hit => return now + self.cfg.l2_latency,
+            Lookup::Merge(fill) => return fill,
+            Lookup::Miss(slot) => slot,
+        };
         let t = self.l2_mshr.allocate(now);
         let addr = line * self.cfg.line_size as u64;
         let fill = self.dram_transfer(
@@ -647,42 +610,76 @@ impl MemorySystem {
             true,
         );
         self.l2_mshr.record(fill);
-        self.l2_pending.insert(line, fill);
+        self.l2.set_fill(slot, fill);
         fill
     }
 }
 
-// Snapshot support. Hash-keyed containers are exported in sorted order so
-// equal states export equal bags; heaps are exported as sorted vectors
-// (pop order is by value, so heap-internal layout is not state).
-// `order` lists the resident lines as (stamp, line) pairs, oldest first:
-// the LRU list walked from its old end.
-impl FullyAssocCache {
+// Snapshot support. Heaps are exported as sorted vectors (pop order is by
+// value, so heap-internal layout is not state). A tag store's `sets` lists
+// each set's lines as (stamp, line) pairs, oldest first: its ring walked
+// from the old end. `fills` lists the unconsumed fills as (line,
+// completion) pairs sorted by line, so equal states export equal bags.
+impl TagStore {
     fn export_state(&self) -> StateBag {
+        let sets: Vec<Vec<(u64, u64)>> = (0..self.oldest.len())
+            .map(|set| {
+                // A set without a ring (`NIL`) stops at once.
+                let mut at = self.oldest[set];
+                let ring = (0..self.ways).map_while(|_| {
+                    let s = *self.slots.get(at as usize)?;
+                    at = s.newer;
+                    Some((s.stamp, s.line))
+                });
+                ring.filter(|&(stamp, _)| stamp != 0).collect()
+            })
+            .collect();
+        let mut fills: Vec<(u64, u64)> = self
+            .slots
+            .iter()
+            .filter(|s| s.fill != 0)
+            .map(|s| (s.line, s.fill))
+            .collect();
+        fills.sort_unstable();
         let mut bag = StateBag::new();
         bag.put("stamp", self.stamp.save());
-        bag.put("order", self.order().save());
+        bag.put("sets", sets.save());
+        bag.put("fills", fills.save());
         bag
     }
 
+    /// Rebuilds the store from its export, rejecting lines in the wrong
+    /// set, overfull sets, duplicate lines, stamps out of order or above
+    /// the store's counter, and fills of lines that are not resident.
     fn import_state(&mut self, bag: &StateBag) -> Result<(), BagError> {
+        let mut sets = vec![Vec::<(u64, u64)>::new(); self.oldest.len()];
+        load_each(sets.iter_mut(), bag.entry("sets")?, "sets")?;
+        let mut fills: Vec<(u64, u64)> = Vec::new();
+        fills.load(bag.entry("fills")?, "fills")?;
+        *self = TagStore::new(sets.len(), self.ways);
         self.stamp.load(bag.entry("stamp")?, "stamp")?;
-        let mut order: Vec<(u64, u64)> = Vec::new();
-        order.load(bag.entry("order")?, "order")?;
-        self.set_order(&order)
-    }
-}
-
-impl SetAssocCache {
-    crate::snap_fields! {
-        fn export_state / import_state, after import check_ways;
-        stamp,
-        #[host] sets,
-    }
-
-    fn check_ways(&self) -> Result<(), BagError> {
-        if self.sets.iter().any(|set| set.len() > self.ways) {
-            return Err(BagError::Mismatch("bad L2 set contents".into()));
+        for (set, order) in sets.iter().enumerate() {
+            let mut last = 0;
+            for (way, &(stamp, line)) in order.iter().enumerate() {
+                if way == self.ways
+                    || !(last + 1..=self.stamp).contains(&stamp)
+                    || self.set_of(line) != set
+                    || self.index.contains_key(&line)
+                {
+                    return Err(BagError::Mismatch(format!(
+                        "line {line} at stamp {stamp} does not fit set {set} of {} ways",
+                        self.ways
+                    )));
+                }
+                last = stamp;
+                self.allocate(set, line, stamp);
+            }
+        }
+        for &(line, fill) in &fills {
+            let &slot = self.index.get(&line).ok_or_else(|| {
+                BagError::Mismatch(format!("fill of line {line}, which is not resident"))
+            })?;
+            self.set_fill(slot, fill);
         }
         Ok(())
     }
@@ -709,17 +706,10 @@ impl L1 {
         cache,
         mshr,
         port_busy,
-        pending,
     }
 }
 
-crate::snap_state!(
-    FullyAssocCache,
-    SetAssocCache,
-    L1,
-    GlobalMemory,
-    MemorySystem
-);
+crate::snap_state!(TagStore, L1, GlobalMemory, MemorySystem);
 
 impl MemorySystem {
     crate::snap_fields! {
@@ -727,7 +717,6 @@ impl MemorySystem {
         #[host] l1,
         l2,
         l2_mshr,
-        l2_pending,
         #[host] dram_channel_busy,
         next_req_id,
         l1_stats,
@@ -740,6 +729,7 @@ impl MemorySystem {
 mod tests {
     use super::*;
     use crate::config::GpuConfig;
+    use crate::snapshot::save_each;
 
     fn mem() -> MemorySystem {
         let cfg = GpuConfig::vulkan_sim_default();
@@ -990,9 +980,8 @@ mod tests {
         host.import_state(&good).unwrap();
     }
 
-    /// Reference LRU tag store: a line→stamp map plus a stamp→line
-    /// ordered map, evicting the smallest stamp. The oracle of
-    /// `l1_slot_list_matches_map_model`.
+    /// The map-based L1 the tag store replaced: a line→stamp map plus a
+    /// stamp→line ordered map, evicting the smallest stamp.
     struct MapModelL1 {
         capacity_lines: usize,
         lines: std::collections::HashMap<u64, u64>,
@@ -1000,7 +989,23 @@ mod tests {
         stamp: u64,
     }
 
-    impl MapModelL1 {
+    /// The set-associative L2 the tag store replaced.
+    struct SetAssocCache {
+        sets: Vec<Vec<(u64, u64)>>, // (line, lru stamp)
+        ways: usize,
+        stamp: u64,
+    }
+
+    /// The tag arrays of the reference models.
+    trait RefTags {
+        /// Returns `true` on hit; on miss inserts the line, evicting LRU.
+        fn access(&mut self, line: u64) -> bool;
+        /// Each set's `(stamp, line)` pairs, oldest first.
+        fn order(&self) -> Vec<Vec<(u64, u64)>>;
+        fn stamp(&self) -> u64;
+    }
+
+    impl RefTags for MapModelL1 {
         fn access(&mut self, line: u64) -> bool {
             self.stamp += 1;
             if let Some(old) = self.lines.insert(line, self.stamp) {
@@ -1017,82 +1022,237 @@ mod tests {
             false
         }
 
+        fn order(&self) -> Vec<Vec<(u64, u64)>> {
+            vec![self.order.iter().map(|(&s, &l)| (s, l)).collect()]
+        }
+
+        fn stamp(&self) -> u64 {
+            self.stamp
+        }
+    }
+
+    impl RefTags for SetAssocCache {
+        fn access(&mut self, line: u64) -> bool {
+            self.stamp += 1;
+            let idx = (line as usize) % self.sets.len();
+            let stamp = self.stamp;
+            let set = &mut self.sets[idx];
+            if let Some(entry) = set.iter_mut().find(|(l, _)| *l == line) {
+                entry.1 = stamp;
+                return true;
+            }
+            if set.len() == self.ways {
+                let lru = set
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|(_, (_, s))| *s)
+                    .map(|(i, _)| i)
+                    .expect("full set");
+                set.swap_remove(lru);
+            }
+            set.push((line, stamp));
+            false
+        }
+
+        fn order(&self) -> Vec<Vec<(u64, u64)>> {
+            self.sets
+                .iter()
+                .map(|set| {
+                    let mut order: Vec<(u64, u64)> = set.iter().map(|&(l, s)| (s, l)).collect();
+                    order.sort_unstable();
+                    order
+                })
+                .collect()
+        }
+
+        fn stamp(&self) -> u64 {
+            self.stamp
+        }
+    }
+
+    /// A reference tag array plus the side table of fills kept beside it
+    /// before fills moved onto the slots: an entry leaves the table only
+    /// when its line hits after the fill completed.
+    struct RefCache<T> {
+        tags: T,
+        pending: std::collections::HashMap<u64, u64>,
+    }
+
+    impl<T: RefTags> RefCache<T> {
+        fn new(tags: T) -> Self {
+            RefCache {
+                tags,
+                pending: Default::default(),
+            }
+        }
+
+        /// The side-table merge decision; `None` is a miss whose fill
+        /// completes at `fill`.
+        fn lookup(&mut self, line: u64, now: u64, fill: u64) -> Option<Lookup> {
+            if !self.tags.access(line) {
+                self.pending.insert(line, fill);
+                return None;
+            }
+            if let Some(&f) = self.pending.get(&line) {
+                if f > now {
+                    return Some(Lookup::Merge(f));
+                }
+                self.pending.remove(&line);
+            }
+            Some(Lookup::Hit)
+        }
+
+        /// The tag store's layout. Side-table entries of evicted lines are
+        /// left out: they are read only on a tag hit and overwritten by
+        /// the miss that brings the line back, so they are dead.
         fn export_state(&self) -> StateBag {
+            let sets = self.tags.order();
+            let mut fills: Vec<(u64, u64)> = sets
+                .iter()
+                .flatten()
+                .filter_map(|&(_, line)| self.pending.get(&line).map(|&f| (line, f)))
+                .collect();
+            fills.sort_unstable();
             let mut bag = StateBag::new();
-            bag.put("stamp", self.stamp.save());
-            let order: Vec<(u64, u64)> = self.order.iter().map(|(&s, &l)| (s, l)).collect();
-            bag.put("order", order.save());
+            bag.put("stamp", self.tags.stamp().save());
+            bag.put("sets", sets.save());
+            bag.put("fills", fills.save());
             bag
         }
     }
 
-    #[test]
-    fn l1_slot_list_matches_map_model() {
-        // 16 lines against a working set of ~40 with a hot subset, so the
-        // stream mixes hits, cold misses and evictions of every age.
-        let mut list = FullyAssocCache::new(16);
-        let mut model = MapModelL1 {
-            capacity_lines: 16,
-            lines: Default::default(),
-            order: Default::default(),
-            stamp: 0,
-        };
+    /// Drives `store` and `model` through one hit / merge / miss stream
+    /// over a working set of `lines` with a hot subset, issuing each
+    /// lookup up to `jitter` cycles before the running clock, and
+    /// requires the same decisions and the same exported state.
+    fn differential(
+        mut store: TagStore,
+        mut model: RefCache<impl RefTags>,
+        lines: u64,
+        jitter: u64,
+    ) {
         let mut x = 0x2545_f491_4f6c_dd1du64;
+        let (mut clock, mut seen) = (0u64, [0usize; 3]);
+        let mut step = |store: &mut TagStore, model: &mut RefCache<_>, line: u64, x: u64| {
+            clock += x % 4;
+            let now = clock.saturating_sub((x >> 20) % (jitter + 1));
+            let fill = now + 1 + (x >> 32) % 200;
+            let got = match store.lookup(line, now) {
+                Lookup::Miss(slot) => {
+                    store.set_fill(slot, fill);
+                    None
+                }
+                found => Some(found),
+            };
+            assert_eq!(got, model.lookup(line, now, fill), "line {line} at {now}");
+            got
+        };
         for i in 0..120_000u32 {
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
-            let line = if x.is_multiple_of(4) {
-                x % 40
+            let line = if x.is_multiple_of(2) {
+                x % lines
             } else {
-                (x >> 8) % 10
+                (x >> 8) % (lines / 4)
             };
-            assert_eq!(
-                list.access(line),
-                model.access(line),
-                "access {i} line {line}"
-            );
+            seen[match step(&mut store, &mut model, line, x) {
+                Some(Lookup::Hit) => 0,
+                Some(_) => 1,
+                None => 2,
+            }] += 1;
             if i % 997 == 0 {
                 assert_eq!(
-                    list.export_state(),
+                    store.export_state(),
                     model.export_state(),
                     "after access {i}"
                 );
             }
         }
-        assert_eq!(list.export_state(), model.export_state());
-        // An imported order resumes with the same victims.
-        let mut back = FullyAssocCache::new(16);
-        back.import_state(&list.export_state()).unwrap();
-        for line in (0..64).rev() {
-            assert_eq!(back.access(line), model.access(line), "line {line}");
+        assert!(
+            seen.iter().all(|&n| n > 10_000),
+            "hits, merges, misses: {seen:?}"
+        );
+        assert_eq!(store.export_state(), model.export_state());
+        // An imported store resumes with the same victims and merges.
+        let mut back = TagStore::new(store.oldest.len(), store.ways);
+        back.import_state(&store.export_state()).unwrap();
+        for line in (0..2 * lines).rev() {
+            step(
+                &mut back,
+                &mut model,
+                line,
+                line.wrapping_mul(0x9e37_79b9_7f4a_7c15),
+            );
         }
         assert_eq!(back.export_state(), model.export_state());
     }
 
     #[test]
-    fn l1_import_rejects_orders_that_do_not_fit() {
-        let mut l1 = FullyAssocCache::new(2);
-        let bag = |pairs: Vec<(u64, u64)>| {
+    fn l1_slot_list_matches_map_model() {
+        // Fully associative, 16 lines against a working set of 40: the
+        // stream mixes hits, merges, cold misses and evictions of every
+        // age, in time order as one SM's L1 sees it.
+        let l1 = MapModelL1 {
+            capacity_lines: 16,
+            lines: Default::default(),
+            order: Default::default(),
+            stamp: 0,
+        };
+        differential(TagStore::new(1, 16), RefCache::new(l1), 40, 0);
+        // 8 sets of 4 ways against 80 lines, with lookups arriving up to
+        // 100 cycles out of time order as the shared L2 sees them: a fill
+        // left on its slot after a completed hit would turn a later-issued
+        // but earlier-timed hit into a false merge.
+        let l2 = SetAssocCache {
+            sets: vec![Vec::new(); 8],
+            ways: 4,
+            stamp: 0,
+        };
+        differential(TagStore::new(8, 4), RefCache::new(l2), 80, 100);
+    }
+
+    #[test]
+    fn tag_store_import_rejects_malformed_state() {
+        // 2 sets of 2 ways: even lines in set 0, odd lines in set 1.
+        let mut store = TagStore::new(2, 2);
+        let bag = |sets: &[Vec<(u64, u64)>], fills: Vec<(u64, u64)>| {
             let mut bag = StateBag::new();
             bag.put("stamp", 9u64.save());
-            bag.put("order", pairs.save());
+            bag.put("sets", save_each(sets));
+            bag.put("fills", fills.save());
             bag
         };
         for bad in [
-            vec![(1, 10), (2, 11), (3, 12)], // more lines than slots
-            vec![(2, 10), (1, 11)],          // not oldest first
-            vec![(1, 10), (2, 10)],          // one line twice
+            bag(&[vec![(1, 11)], vec![]], vec![]), // line in the wrong set
+            bag(&[vec![(1, 10), (2, 12), (3, 14)], vec![]], vec![]), // more lines than ways
+            bag(&[vec![(1, 10), (2, 10)], vec![]], vec![]), // one line twice
+            bag(&[vec![(2, 10), (1, 12)], vec![]], vec![]), // not oldest first
+            bag(&[vec![(1, 10), (10, 12)], vec![]], vec![]), // stamp above the counter
+            bag(&[vec![(1, 10)], vec![]], vec![(12, 50)]), // fill of a line not resident
+            bag(&[vec![]], vec![]),                // one set, not two
         ] {
             assert!(matches!(
-                l1.import_state(&bag(bad)),
+                store.import_state(&bad),
                 Err(BagError::Mismatch(_))
             ));
         }
-        l1.import_state(&bag(vec![(1, 10), (2, 11)])).unwrap();
-        assert!(!l1.access(12), "cold line misses");
-        assert!(!l1.access(10), "line 10 was the victim");
-        assert!(l1.access(12));
+        store
+            .import_state(&bag(
+                &[vec![(1, 10), (2, 12)], vec![(3, 11)]],
+                vec![(12, 50)],
+            ))
+            .unwrap();
+        assert_eq!(store.lookup(12, 49), Lookup::Merge(50), "fill restored");
+        assert!(
+            matches!(store.lookup(14, 0), Lookup::Miss(_)),
+            "cold line misses"
+        );
+        assert!(
+            matches!(store.lookup(10, 0), Lookup::Miss(_)),
+            "line 10 was the victim"
+        );
+        assert_eq!(store.lookup(11, 0), Lookup::Hit, "set 1 untouched");
     }
 
     #[test]

@@ -27,9 +27,9 @@
 //! `[k, v, …]` lists, fixed-arity counter rows ([`snap_row!`](crate::snap_row)) and nested
 //! components ([`snap_state!`](crate::snap_state)). A plain `Vec` is a dynamic list whose
 //! contents the snapshot replaces; a `#[host]` list is shaped by the host
-//! (per-SM L1s, L2 sets, unit pools, engines) and a length mismatch is a
-//! [`BagError::Mismatch`]. The few irregular layouts (the zero-tail-elided
-//! memory image, the ray-tracing surfel blob, the TTA+ unit pools) are
+//! (per-SM L1s, tag-store sets, OP units, engines) and a length mismatch
+//! is a [`BagError::Mismatch`]. Two irregular layouts (the
+//! zero-tail-elided memory image and the ray-tracing surfel blob) are
 //! hand-written from the same leaves.
 
 use crate::fast_hash::FastMap;

@@ -41,7 +41,7 @@ pub use gpu_sim::snapshot::{fnv1a_64, BagError, SnapValue, StateBag};
 /// exported state's schema changes (an entry added, removed, renamed or
 /// re-typed anywhere in the bag tree) — the `schema_fingerprint_is_pinned`
 /// test in `tests/format.rs` fails until you do.
-pub const SNAP_SCHEMA_VERSION: u32 = 1;
+pub const SNAP_SCHEMA_VERSION: u32 = 2;
 
 /// Leading magic of every snapshot file.
 pub const SNAP_MAGIC: [u8; 8] = *b"TTASNAP\0";

@@ -61,7 +61,13 @@ pub trait Accelerator: std::fmt::Debug {
 
     /// Advances internal state up to and including cycle `now`. The Gpu may
     /// skip cycles; implementations must process everything due `<= now`.
-    fn tick(&mut self, now: u64, ctx: &mut AccelCtx<'_>);
+    ///
+    /// Returns whether the accelerator stays live. `false` means that once
+    /// `drain_completed` has handed over this tick's completions, further
+    /// ticks change nothing until the next [`Accelerator::try_submit`]:
+    /// `busy` is false and `next_event` is `None`. `Gpu::launch` then stops
+    /// visiting it until its SM submits a request.
+    fn tick(&mut self, now: u64, ctx: &mut AccelCtx<'_>) -> bool;
 
     /// Drains tokens of completed warps.
     fn drain_completed(&mut self) -> Vec<u64>;
@@ -135,10 +141,11 @@ impl Accelerator for NullAccelerator {
         Ok(())
     }
 
-    fn tick(&mut self, now: u64, _ctx: &mut AccelCtx<'_>) {
-        let (ready, rest): (Vec<_>, Vec<_>) = self.inflight.iter().partition(|&&(t, _)| t <= now);
-        self.inflight = rest;
-        self.done.extend(ready.into_iter().map(|(_, tok)| tok));
+    fn tick(&mut self, now: u64, _ctx: &mut AccelCtx<'_>) -> bool {
+        let ready = self.inflight.iter().filter(|&&(t, _)| t <= now);
+        self.done.extend(ready.map(|&(_, tok)| tok));
+        self.inflight.retain(|&(t, _)| t > now);
+        !self.inflight.is_empty()
     }
 
     fn drain_completed(&mut self) -> Vec<u64> {
@@ -223,5 +230,38 @@ mod tests {
         assert_eq!(acc.drain_completed(), vec![7]);
         assert!(!acc.busy());
         assert_eq!(acc.traverse_instructions(), 1);
+    }
+
+    #[test]
+    fn null_accelerator_completes_in_submission_order() {
+        let cfg = GpuConfig::small_test();
+        let mut mem = MemorySystem::new(&cfg.mem, 1, false);
+        let mut gmem = GlobalMemory::new(1024);
+        let mut acc = NullAccelerator::new(10);
+        let req = |token| TraversalRequest {
+            token,
+            pipeline: 0,
+            lanes: vec![LaneTraversal {
+                lane: 0,
+                query_addr: 0,
+                root_addr: 0,
+            }],
+        };
+        // Tokens 5 and 3 finish at 110, 9 at 104, 1 at 120.
+        for (token, now) in [(5, 100), (9, 94), (3, 100), (1, 110)] {
+            acc.try_submit(req(token), now).unwrap();
+        }
+        let mut ctx = AccelCtx {
+            mem: &mut mem,
+            gmem: &mut gmem,
+            sm_id: 0,
+            perfect_node_fetch: false,
+        };
+        assert!(acc.tick(110, &mut ctx), "token 1 is still in flight");
+        assert_eq!(acc.drain_completed(), vec![5, 9, 3]);
+        assert_eq!(acc.next_event(110), Some(120));
+        assert!(!acc.tick(120, &mut ctx), "nothing left after the drain");
+        assert_eq!(acc.drain_completed(), vec![1]);
+        assert!(!acc.busy());
     }
 }

@@ -49,6 +49,9 @@ pub struct Gpu {
     mem: MemorySystem,
     sms: Vec<Sm>,
     accels: Vec<Option<Box<dyn Accelerator>>>,
+    /// Per SM, whether `launch` still visits its accelerator: attached,
+    /// and with work left after its last tick or a request since.
+    accel_live: Vec<bool>,
     clock: u64,
     trace: TraceHandle,
     /// Fig. 17 "Perf. RT" limit: accelerator node fetches are free.
@@ -68,12 +71,14 @@ impl Gpu {
             .map(|i| Sm::new(i, cfg.max_warps_per_sm))
             .collect();
         let accels = (0..cfg.num_sms).map(|_| None).collect();
+        let accel_live = vec![false; cfg.num_sms];
         Gpu {
             cfg,
             gmem: GlobalMemory::new(mem_capacity),
             mem,
             sms,
             accels,
+            accel_live,
             clock: 0,
             trace: TraceHandle::default(),
             perfect_node_fetch: false,
@@ -199,6 +204,16 @@ impl Gpu {
             (base as u32, lanes)
         };
 
+        // Only live units are visited (DESIGN.md §12): an SM with a
+        // resident warp, and an accelerator whose last tick left it work or
+        // whose SM has since handed it a `Traverse`. Skipping the rest is
+        // exact, as their calls would change nothing, and the visited units
+        // keep ascending SM order. Every attached accelerator starts live,
+        // so the first tick decides.
+        for (live, acc) in self.accel_live.iter_mut().zip(&self.accels) {
+            *live = acc.is_some();
+        }
+
         let watchdog = 4_000_000_000u64;
         loop {
             let now = self.clock;
@@ -226,27 +241,34 @@ impl Gpu {
                 }
             }
 
-            // 2. Tick accelerators (process events due now, deliver wakeups).
+            // 2. Tick live accelerators (process events due now, deliver
+            // wakeups).
             for i in 0..self.sms.len() {
-                if let Some(acc) = self.accels[i].as_mut() {
-                    let mut ctx = AccelCtx {
-                        mem: &mut self.mem,
-                        gmem: &mut self.gmem,
-                        sm_id: i,
-                        perfect_node_fetch: self.perfect_node_fetch,
-                    };
-                    acc.tick(now, &mut ctx);
-                    for token in acc.drain_completed() {
-                        self.sms[i].complete_traversal(token as usize);
-                    }
+                if !self.accel_live[i] {
+                    continue;
                 }
+                let acc = self.accels[i].as_mut().expect("a live accelerator");
+                let mut ctx = AccelCtx {
+                    mem: &mut self.mem,
+                    gmem: &mut self.gmem,
+                    sm_id: i,
+                    perfect_node_fetch: self.perfect_node_fetch,
+                };
+                let live = acc.tick(now, &mut ctx);
+                for token in acc.drain_completed() {
+                    self.sms[i].complete_traversal(token as usize);
+                }
+                self.accel_live[i] = live;
             }
 
-            // 3. One issue slot per SM.
+            // 3. One issue slot per SM that holds a warp.
             let mut any_issued = false;
             let mut any_mem_stall = false;
             let mut min_wake: Option<u64> = None;
             for i in 0..self.sms.len() {
+                if self.sms[i].is_idle() {
+                    continue;
+                }
                 let accel = self.accels[i].as_mut();
                 let r = self.sms[i].tick(
                     now,
@@ -261,6 +283,7 @@ impl Gpu {
                     shadow.as_mut(),
                     self.race.as_mut(),
                 );
+                self.accel_live[i] |= r.offloaded;
                 any_issued |= r.issued;
                 any_mem_stall |= r.mem_stall;
                 if let Some(w) = r.next_wake {
@@ -273,10 +296,7 @@ impl Gpu {
 
             // 4. Termination check.
             let sms_idle = self.sms.iter().all(Sm::is_idle);
-            let accels_idle = self
-                .accels
-                .iter()
-                .all(|a| a.as_deref().is_none_or(|a| !a.busy()));
+            let accels_idle = self.live_accels().all(|a| !a.busy());
             if sms_idle && accels_idle && next_warp >= num_warps {
                 // The terminating iteration usually issued the last warp's
                 // `Exit`. That cycle was historically counted in
@@ -295,7 +315,7 @@ impl Gpu {
             let mut next = now + 1;
             if !any_issued {
                 let mut target: Option<u64> = min_wake;
-                for acc in self.accels.iter().filter_map(|a| a.as_deref()) {
+                for acc in self.live_accels() {
                     if let Some(e) = acc.next_event(now) {
                         target = Some(target.map_or(e, |t: u64| t.min(e)));
                     }
@@ -373,6 +393,12 @@ impl Gpu {
         stats
     }
 
+    /// The accelerators `launch` still visits, in SM order.
+    fn live_accels(&self) -> impl Iterator<Item = &dyn Accelerator> {
+        let live = self.accels.iter().zip(&self.accel_live);
+        live.filter_map(|(acc, &live)| acc.as_deref().filter(|_| live))
+    }
+
     /// Read-only access to an attached accelerator (for harvesting its
     /// statistics after a run).
     pub fn accelerator(&self, sm: usize) -> Option<&dyn Accelerator> {
@@ -419,9 +445,13 @@ crate::snap_state!(Gpu);
 mod tests {
     use super::*;
     use crate::accel::NullAccelerator;
+    use crate::config::SchedulerKind;
     use crate::isa::{Cmp, SReg};
     use crate::kernel::KernelBuilder;
+    use crate::mem::{CacheStats, DramStats};
     use crate::snapshot::{BagError, SnapValue};
+    use crate::stats::InstrMix;
+    use trace::CycleAttribution;
 
     /// out[tid] = in[tid] + 1
     fn incr_kernel() -> Kernel {
@@ -838,6 +868,91 @@ mod tests {
                 }
                 let l2 = fills(mem.entry("l2").unwrap());
                 assert!(l2 > 0 && l2 <= l2_lines, "L2 after {launch} launches: {l2}");
+            }
+        }
+    }
+
+    /// out[tid] = in[tid] + 1, with a `Traverse` on the loaded value
+    /// between the load and the store.
+    fn load_offload_store_kernel() -> Kernel {
+        let mut k = KernelBuilder::new("load_offload_store");
+        let tid = k.reg();
+        let inp = k.reg();
+        let out = k.reg();
+        let off = k.reg();
+        let v = k.reg();
+        k.mov_sreg(tid, SReg::ThreadId);
+        k.mov_sreg(inp, SReg::Param(0));
+        k.mov_sreg(out, SReg::Param(1));
+        k.shl_imm(off, tid, 2);
+        k.iadd(inp, inp, off);
+        k.iadd(out, out, off);
+        k.load(v, inp, 0);
+        k.traverse(inp, v, 0);
+        k.iadd_imm(v, v, 1);
+        k.store(v, out, 0);
+        k.exit();
+        k.build()
+    }
+
+    #[test]
+    fn one_warp_on_a_wide_gpu_matches_the_full_scan() {
+        // One warp on four SMs: three SM/accelerator pairs hold no work for
+        // the whole launch, so `launch` never visits them. The expected
+        // stats were recorded when every unit was visited each iteration.
+        let expected = |cold: bool| SimStats {
+            warp_size: 32,
+            cycles: if cold { 486 } else { 90 },
+            warp_instrs: 11,
+            lane_instrs: 352,
+            mix: InstrMix {
+                alu: 224,
+                control: 32,
+                memory: 64,
+                traverse: 32,
+            },
+            l1: CacheStats {
+                hits: if cold { 0 } else { 2 },
+                misses: if cold { 2 } else { 0 },
+                mshr_merges: 0,
+            },
+            l2: CacheStats {
+                misses: if cold { 2 } else { 0 },
+                ..Default::default()
+            },
+            dram: DramStats {
+                bytes_read: if cold { 256 } else { 0 },
+                bytes_written: 128,
+                bytes_requested: 128,
+                busy_channel_cycles: if cold { 48.0 } else { 16.0 },
+                transactions: if cold { 4 } else { 2 },
+            },
+            dram_channels: 6,
+            traversals_offloaded: 1,
+            sm_active_cycles: 11,
+            attribution: CycleAttribution {
+                simt_busy: 11,
+                simt_stall_mem: if cold { 417 } else { 21 },
+                simt_stall_other: 9,
+                accel_busy: 1,
+                accel_starved: 48,
+                ..Default::default()
+            },
+            warp_completions: vec![if cold { 485 } else { 89 }],
+            ..Default::default()
+        };
+        for scheduler in [SchedulerKind::EventDriven, SchedulerKind::ReferenceScan] {
+            let mut cfg = GpuConfig::small_test();
+            cfg.num_sms = 4;
+            cfg.scheduler = scheduler;
+            let mut gpu = Gpu::new(cfg, 1 << 20);
+            gpu.attach_accelerators(|_| Box::new(NullAccelerator::new(50)));
+            let inp = gpu.gmem.alloc(4 * 32, 64);
+            let out = gpu.gmem.alloc(4 * 32, 64);
+            let kernel = load_offload_store_kernel();
+            for cold in [true, false] {
+                let stats = gpu.launch(&kernel, 32, &[inp as u32, out as u32]);
+                assert_eq!(stats, expected(cold), "{scheduler:?}, cold = {cold}");
             }
         }
     }

@@ -218,6 +218,13 @@ impl CacheStats {
         }
     }
 
+    /// Adds `part`'s counts, the inverse of [`CacheStats::since`].
+    pub fn absorb(&mut self, part: &CacheStats) {
+        self.hits += part.hits;
+        self.misses += part.misses;
+        self.mshr_merges += part.mshr_merges;
+    }
+
     /// Counts one lookup: a merge into an in-flight fill is a miss too.
     fn count(&mut self, found: Lookup) {
         match found {
@@ -256,6 +263,15 @@ impl DramStats {
             busy_channel_cycles: self.busy_channel_cycles - before.busy_channel_cycles,
             transactions: self.transactions - before.transactions,
         }
+    }
+
+    /// Adds `part`'s activity, the inverse of [`DramStats::since`].
+    pub fn absorb(&mut self, part: &DramStats) {
+        self.bytes_read += part.bytes_read;
+        self.bytes_written += part.bytes_written;
+        self.bytes_requested += part.bytes_requested;
+        self.busy_channel_cycles += part.busy_channel_cycles;
+        self.transactions += part.transactions;
     }
 
     /// Bandwidth utilization in [0, 1] for a run of `cycles` compute cycles

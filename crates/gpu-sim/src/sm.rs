@@ -47,6 +47,9 @@ pub struct IssueResult {
     /// Whether any warp failed its scoreboard check on a register whose
     /// pending producer is a memory load (stall-attribution signal).
     pub mem_stall: bool,
+    /// Whether the issued instruction was a `Traverse` the accelerator
+    /// accepted, which makes an idle accelerator live again.
+    pub offloaded: bool,
 }
 
 /// Trace-event name for an issued instruction of the given class.
@@ -197,6 +200,7 @@ impl Sm {
                         .wake_heap
                         .iter()
                         .any(|&Reverse((_, s))| now < self.mem_until[s]),
+                    offloaded: false,
                 };
             }
         }
@@ -317,6 +321,7 @@ impl Sm {
                             issued: true,
                             next_wake,
                             mem_stall,
+                            offloaded: true,
                         };
                     }
                     Err(_) => {
@@ -384,6 +389,7 @@ impl Sm {
                 issued: true,
                 next_wake,
                 mem_stall,
+                offloaded: false,
             };
         }
         if event {
@@ -402,6 +408,7 @@ impl Sm {
             issued: false,
             next_wake,
             mem_stall,
+            offloaded: false,
         }
     }
 

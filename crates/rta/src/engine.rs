@@ -493,7 +493,7 @@ impl Accelerator for TraversalEngine {
         Ok(())
     }
 
-    fn tick(&mut self, now: u64, ctx: &mut AccelCtx<'_>) {
+    fn tick(&mut self, now: u64, ctx: &mut AccelCtx<'_>) -> bool {
         loop {
             let mut progressed = self.issue_fetches(now, ctx);
             while let Some(&Reverse((t, slot, kind))) = self.events.peek() {
@@ -523,8 +523,18 @@ impl Accelerator for TraversalEngine {
                     self.trace
                         .span(trace::Track::Accel(ctx.sm_id as u32), "busy", from, now);
                 }
+                // Every later merge check compares a completion against
+                // `max(request_time, next_issue_slot)`, and the issue slot
+                // only grows, so a fetch done by then can never merge
+                // again: dropping it bounds the map by what is in flight.
+                let horizon = self.next_issue_slot;
+                self.inflight.retain(|_, done| *done > horizon);
             }
         }
+        // A drained engine still issues its leftover speculative prefetches
+        // on later ticks, and their order among other SMs' reads is
+        // observable.
+        !self.warp_outstanding.is_empty() || !self.prefetch_queue.is_empty()
     }
 
     fn drain_completed(&mut self) -> Vec<u64> {

@@ -59,6 +59,16 @@ struct Setup {
 }
 
 fn setup(prims: Vec<BvhPrimitive>, rays: &[Ray], leaf: LeafGeometry, mode: RayQueryMode) -> Setup {
+    setup_with(prims, rays, leaf, mode, RtaConfig::baseline())
+}
+
+fn setup_with(
+    prims: Vec<BvhPrimitive>,
+    rays: &[Ray],
+    leaf: LeafGeometry,
+    mode: RayQueryMode,
+    cfg: RtaConfig,
+) -> Setup {
     let bvh = Bvh::build(prims);
     let ser = bvh.serialize();
 
@@ -74,7 +84,7 @@ fn setup(prims: Vec<BvhPrimitive>, rays: &[Ray], leaf: LeafGeometry, mode: RayQu
     let prim_base = image_base + ser.prim_base as u64;
     let root_addr = tree_base;
     gpu.attach_accelerators(move |_| {
-        let cfg = RtaConfig::baseline();
+        let cfg = cfg.clone();
         let backend = Box::new(FixedFunctionBackend::new(&cfg));
         let semantics = BvhSemantics {
             tree_base,
@@ -317,4 +327,55 @@ fn child_prefetching_helps_and_stays_correct() {
         prefetched <= plain + plain / 10,
         "prefetching regressed: {prefetched} vs {plain}"
     );
+}
+
+#[test]
+fn leftover_prefetches_keep_a_drained_engine_live() {
+    // With node fetches free (the Fig. 17 "Perf. RT" limit), demand
+    // fetches take nearly every issue slot, so the child-prefetch backlog
+    // outlives each traversal: an engine drains with prefetches still
+    // queued and issues them on later ticks, in this launch and the next.
+    // That issue order is observable, so such an engine must still be
+    // visited. The pinned values were recorded when every engine was
+    // ticked on every loop iteration.
+    let rays = grid_rays(128);
+    let cfg = RtaConfig {
+        prefetch_children: true,
+        ..RtaConfig::baseline()
+    };
+    let mode = RayQueryMode::ClosestHit;
+    let mut s = setup_with(tri_scene(), &rays, LeafGeometry::TRIANGLE, mode, cfg);
+    s.gpu.perfect_node_fetch = true;
+    let kernel = traverse_kernel();
+    let mut launches = Vec::new();
+    let mut issued = 0;
+    for launch in 0..2 {
+        let stats = s.gpu.launch(
+            &kernel,
+            s.n_rays,
+            &[s.query_base as u32, s.root_addr as u32],
+        );
+        let prefetches = AccelReport::harvest(&s.gpu)
+            .expect("engines attached")
+            .engine
+            .prefetches;
+        launches.push((stats.cycles, prefetches - issued));
+        issued = prefetches;
+        if launch == 0 {
+            for sm in 0..s.gpu.cfg.num_sms {
+                let engine = s.gpu.accelerator(sm).expect("attached");
+                let state = engine.export_state();
+                let queued = state.entry("prefetch_queue").unwrap();
+                assert!(
+                    !engine.busy() && !queued.as_list("prefetch_queue").unwrap().is_empty(),
+                    "engine {sm} must end the launch drained with prefetches queued"
+                );
+            }
+        }
+    }
+    for (i, r) in rays.iter().enumerate() {
+        let (t, ..) = read_ray_result(&s.gpu.gmem, s.query_base + (i * RAY_RECORD_SIZE) as u64);
+        assert_eq!(t.is_finite(), s.bvh.closest_hit(r).0.is_some(), "ray {i}");
+    }
+    assert_eq!(launches, vec![(1036, 237), (1050, 301)]);
 }

@@ -410,17 +410,9 @@ pub fn sum_stats(parts: &[SimStats]) -> SimStats {
         total.mix.memory += s.mix.memory;
         total.mix.traverse += s.mix.traverse;
         total.flops += s.flops;
-        total.l1.hits += s.l1.hits;
-        total.l1.misses += s.l1.misses;
-        total.l1.mshr_merges += s.l1.mshr_merges;
-        total.l2.hits += s.l2.hits;
-        total.l2.misses += s.l2.misses;
-        total.l2.mshr_merges += s.l2.mshr_merges;
-        total.dram.bytes_read += s.dram.bytes_read;
-        total.dram.bytes_written += s.dram.bytes_written;
-        total.dram.bytes_requested += s.dram.bytes_requested;
-        total.dram.busy_channel_cycles += s.dram.busy_channel_cycles;
-        total.dram.transactions += s.dram.transactions;
+        total.l1.absorb(&s.l1);
+        total.l2.absorb(&s.l2);
+        total.dram.absorb(&s.dram);
         total.dram_channels = s.dram_channels;
         total.traversals_offloaded += s.traversals_offloaded;
         total.sm_active_cycles += s.sm_active_cycles;
@@ -486,6 +478,47 @@ mod tests {
         let s = sum_stats(&[a, b]);
         // Launch 2 starts after launch 1's 100 cycles.
         assert_eq!(s.warp_completions, vec![40, 90, 130]);
+    }
+
+    #[test]
+    fn sum_stats_memory_counters_equal_the_delta_over_all_launches() {
+        // Three bursts of reads and writes from two SMs stand in for three
+        // launches, each reporting its `since` delta like `Gpu::launch`.
+        let cfg = GpuConfig::small_test();
+        let mut mem = gpu_sim::MemorySystem::new(&cfg.mem, 2, false);
+        let reading = |m: &gpu_sim::MemorySystem| (m.l1_stats, m.l2_stats, m.dram_stats.clone());
+        let start = reading(&mem);
+        let mut before = start.clone();
+        let mut parts = Vec::new();
+        for launch in 0..3u64 {
+            let now = launch * 10_000;
+            for i in 0..96u64 {
+                let addr = (i % 40 + launch * 16) * 128;
+                let _ = mem.read((i / 3 % 2) as usize, addr, 64, now + i / 4);
+                if i % 8 == 0 {
+                    let _ = mem.write(0, addr, 4 * (i % 5 + 1) as u32, now + i);
+                }
+            }
+            let after = reading(&mem);
+            parts.push(SimStats {
+                l1: after.0.since(&before.0),
+                l2: after.1.since(&before.1),
+                dram: after.2.since(&before.2),
+                ..Default::default()
+            });
+            before = after;
+        }
+        let total = sum_stats(&parts);
+        let l1 = before.0.since(&start.0);
+        let dram = before.2.since(&start.2);
+        assert_eq!(total.l1, l1);
+        assert_eq!(total.l2, before.1.since(&start.1));
+        assert_eq!(total.dram, dram);
+        // Every counter moved, so dropping one from `absorb` fails above.
+        assert!(l1.hits > 0 && l1.misses > 0 && l1.mshr_merges > 0);
+        assert!(total.l2.hits > 0 && total.l2.misses > 0 && total.l2.mshr_merges > 0);
+        assert!(dram.bytes_read > 0 && dram.bytes_written > 0 && dram.bytes_requested > 0);
+        assert!(dram.busy_channel_cycles > 0.0 && dram.transactions > 0);
     }
 
     #[test]

@@ -423,6 +423,8 @@ const SHIPPED_POOL_BYTES: u64 = 1 << 20;
 pub fn shipped_kernel_inventory() -> Vec<ShippedKernel> {
     let bounds = LaunchBounds { num_threads: 1024 };
     let pool = SHIPPED_POOL_BYTES;
+    // Ray records are 48 bytes, B-Tree query records 16.
+    const RAY: u32 = 48;
     let entries: Vec<(Kernel, Vec<MemContract>)> = vec![
         (
             workloads::kernels::btree_search_kernel(false),
@@ -449,15 +451,15 @@ pub fn shipped_kernel_inventory() -> Vec<ShippedKernel> {
             workloads::rtree::rtree_range_contracts(pool, pool),
         ),
         (
-            workloads::lumibench::rt_kernel_for(0),
-            workloads::lumibench::rt_contracts(pool),
+            workloads::btree::traverse_only_kernel("rt_pipeline0", RAY, 0),
+            workloads::btree::traverse_only_contracts(RAY, pool),
         ),
         (
-            workloads::lumibench::rt_kernel_for(1),
-            workloads::lumibench::rt_contracts(pool),
+            workloads::btree::traverse_only_kernel("rt_pipeline1", RAY, 1),
+            workloads::btree::traverse_only_contracts(RAY, pool),
         ),
         (
-            workloads::btree::traverse_only_kernel(16),
+            workloads::btree::traverse_only_kernel("traverse_only", 16, 0),
             workloads::btree::traverse_only_contracts(16, pool),
         ),
         (

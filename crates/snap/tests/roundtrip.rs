@@ -19,6 +19,7 @@ use serve::{BatchPolicy, ServeBackend, ServeExperiment, ServeWorkload};
 use trees::BTreeFlavor;
 use tta_snap::{decode_snapshot, encode_snapshot};
 use workloads::btree::BTreeExperiment;
+use workloads::instanced::InstancedExperiment;
 use workloads::lumibench::{RtExperiment, RtWorkload};
 use workloads::nbody::NBodyExperiment;
 use workloads::rtnn::{LeafPath, RtnnExperiment};
@@ -176,6 +177,25 @@ fn rt_cuts_are_invisible_on_every_platform() {
             Box::new(e.session()) as Box<dyn RunSession>
         };
         assert_cuts_invisible(&format!("rt/{name}"), &make, 2);
+    }
+}
+
+#[test]
+fn instanced_cuts_are_invisible_on_the_rta_and_ttaplus() {
+    // The two-level walk is accelerator-only.
+    let platforms = [
+        ("rta", Platform::BaselineRta(rta::RtaConfig::baseline())),
+        ("ttaplus", ttaplus(Vec::new())),
+    ];
+    for (name, p) in platforms {
+        let make = || {
+            let mut e = InstancedExperiment::new(3, p.clone());
+            e.gpu = GpuConfig::small_test();
+            e.width = 32;
+            e.height = 24;
+            Box::new(e.session(3)) as Box<dyn RunSession>
+        };
+        assert_cuts_invisible(&format!("instanced/{name}"), &make, 2);
     }
 }
 

@@ -172,10 +172,6 @@ impl QueryWorkload for BTreeLookups {
         &self.0.ser.image
     }
 
-    fn aux_offset(&self) -> usize {
-        0
-    }
-
     fn query_count(&self) -> usize {
         self.0.queries.len()
     }
@@ -184,18 +180,18 @@ impl QueryWorkload for BTreeLookups {
         self.0.queries[i]
     }
 
-    fn semantics(&self, platform: &Platform, tree_base: u64) -> Box<dyn TraversalSemantics> {
+    fn semantics(&self, platform: &Platform, tree_base: u64) -> Vec<Box<dyn TraversalSemantics>> {
         let (inner_test, leaf_test) = if platform.is_tta_plus() {
             (TestKind::Program(0), TestKind::Program(1))
         } else {
             (TestKind::QueryKey, TestKind::QueryKey)
         };
-        Box::new(BTreeSemantics {
+        vec![Box::new(BTreeSemantics {
             tree_base,
             bplus: self.0.ser.flavor == BTreeFlavor::BPlus,
             inner_test,
             leaf_test,
-        })
+        })]
     }
 
     fn simt_kernel(&self) -> Kernel {
@@ -255,10 +251,12 @@ pub fn traverse_only_contracts(record_size: u32, tree_bytes: u64) -> Vec<MemCont
     ]
 }
 
-/// The accelerated kernel: compute the record address and offload — the
-/// whole traversal becomes one `traverseTreeTTA` instruction.
-pub fn traverse_only_kernel(record_size: u32) -> Kernel {
-    let mut k = KernelBuilder::new("traverse_only");
+/// The accelerated kernel, built as `name`: compute the address of the
+/// thread's `record_size`-byte record and offload it to traversal
+/// pipeline `pipeline` — the whole traversal becomes one
+/// `traverseTreeTTA` instruction.
+pub fn traverse_only_kernel(name: &str, record_size: u32, pipeline: u16) -> Kernel {
+    let mut k = KernelBuilder::new(name);
     let tid = k.reg();
     let q = k.reg();
     let root = k.reg();
@@ -268,7 +266,7 @@ pub fn traverse_only_kernel(record_size: u32) -> Kernel {
     k.mov_sreg(root, SReg::Param(params::TREE));
     k.imul_imm(off, tid, record_size);
     k.iadd(q, q, off);
-    k.traverse(q, root, 0);
+    k.traverse(q, root, pipeline);
     k.exit();
     k.build()
 }

@@ -208,22 +208,15 @@ pub fn predict<W: QueryWorkload>(s: &QuerySession<W>) -> CycleBounds {
 /// tree). The lower bound is the primary pass alone — a scene the primary
 /// rays all miss runs zero secondary rounds.
 pub fn predict_rt(s: &RtSession) -> CycleBounds {
-    let bvh = &s.inputs.bvh;
+    let (w, rays) = (&s.inner.dev.workload, &s.inner.queries);
+    let gpu = &s.inner.dev.gpu.cfg;
+    let step = step_cost_upper(gpu, &s.inner.platform);
+    let primary = launch(&w.kernel(0), rays.len(), gpu, &w.walk(rays), step);
+    let bvh = &w.inputs.bvh;
     let nodes = bvh.node_count() as u64;
-    let (mut visited_max, mut prim_tests_max) = (1u64, 0u64);
-    for r in &s.primary {
-        let (_, c) = bvh.closest_hit(r);
-        visited_max = visited_max.max(c.nodes_visited as u64);
-        prim_tests_max = prim_tests_max.max(c.prim_tests as u64);
-    }
-    let gpu = &s.gpu.cfg;
-    let step = step_cost_upper(gpu, &s.exp.platform);
-    let n = s.primary.len();
-    let primary = Walk::new(visited_max, visited_max, nodes, prim_tests_max);
-    let primary = launch(&s.kernel(0), n, gpu, &primary, step);
     let secondary = Walk::new(1, nodes, nodes, bvh.primitives().len() as u64);
-    let secondary = launch(&s.kernel(1), n, gpu, &secondary, step);
-    let rounds = s.exp.workload.secondary_rounds() as u64;
+    let secondary = launch(&w.kernel(1), rays.len(), gpu, &secondary, step);
+    let rounds = w.exp.workload.secondary_rounds() as u64;
     CycleBounds {
         lower: primary.lower,
         upper: primary.upper.saturating_add(rounds * secondary.upper),
@@ -268,7 +261,6 @@ mod tests {
     use super::*;
     use crate::btree::{traverse_only_kernel, BTreeExperiment};
     use crate::kernels::{btree_search_kernel, bvh_trace_kernel, nbody_force_kernel};
-    use crate::lumibench::rt_kernel_for;
     use crate::nbody::merged_traverse_integrate_kernel;
     use crate::rtree::rtree_range_kernel;
 
@@ -333,9 +325,12 @@ mod tests {
             ("nbody_integrate", crate::kernels::nbody_integrate_kernel()),
             ("bvh_trace", bvh_trace_kernel()),
             ("rtree_range", rtree_range_kernel()),
-            ("traverse_only", traverse_only_kernel(16)),
+            (
+                "traverse_only",
+                traverse_only_kernel("traverse_only", 16, 0),
+            ),
             ("nbody_merged", merged_traverse_integrate_kernel()),
-            ("rt_pipeline0", rt_kernel_for(0)),
+            ("rt_pipeline0", traverse_only_kernel("rt_pipeline0", 48, 0)),
         ] {
             let facts = shipped_facts(name, &gpu).unwrap();
             let term = check_termination(&kernel);

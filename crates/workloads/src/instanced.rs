@@ -7,19 +7,24 @@
 //! size without growing memory — the reason two-level structures exist.
 
 use geometry::{Ray, Vec3};
+use gpu_sim::kernel::Kernel;
+use gpu_sim::mem::GlobalMemory;
 use gpu_sim::GpuConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rta::bvh_semantics::{read_ray_result, write_ray_record, RAY_RECORD_SIZE};
+use rta::engine::TraversalSemantics;
 use rta::two_level_semantics::TwoLevelSemantics;
 use rta::units::TestKind;
-use rta::AccelReport;
-use trees::two_level::{Instance, TwoLevelScene};
+use trees::image::MemoryImage;
+use trees::two_level::{Instance, SerializedTwoLevel, TwoLevelScene};
 use trees::BvhPrimitive;
 
+use crate::btree::traverse_only_kernel;
+use crate::cost::Walk;
 use crate::gen;
-use crate::lumibench::rt_kernel_for;
-use crate::runner::{attach_platform, build_gpu, Platform, RunResult};
+use crate::query::QueryWorkload;
+use crate::runner::{Platform, RunResult};
 
 /// One instanced-scene experiment.
 #[derive(Debug, Clone)]
@@ -79,7 +84,18 @@ impl InstancedExperiment {
         TwoLevelScene::build(blases, instances)
     }
 
-    /// Runs the experiment.
+    /// The scene, serialized, and its camera rays.
+    pub(crate) fn workload(&self) -> InstancedRays {
+        let scene = self.scene();
+        let ser = scene.serialize();
+        let center = Vec3::new(self.side as f32 * 15.0, 5.0, self.side as f32 * 15.0);
+        let eye = center + Vec3::new(-60.0, 40.0, -80.0);
+        let rays = gen::camera_rays(self.width, self.height, eye, center);
+        InstancedRays { scene, ser, rays }
+    }
+
+    /// Runs the experiment: [`InstancedExperiment::session`] with one
+    /// chunk, stepped to completion.
     ///
     /// # Panics
     ///
@@ -87,70 +103,83 @@ impl InstancedExperiment {
     /// oracle, or when run on the pure-SIMT baseline (the two-level walk is
     /// accelerator-only in this reproduction).
     pub fn run(&self) -> RunResult {
-        assert!(
-            self.platform.has_accelerator(),
-            "the instanced workload requires an RTA/TTA/TTA+ platform"
-        );
-        let scene = self.scene();
-        let ser = scene.serialize();
-        let n = self.width * self.height;
+        crate::session::run_to_end(Box::new(self.session(1)))
+    }
+}
 
-        let mem = (ser.image.len() + n * RAY_RECORD_SIZE + (1 << 21)).next_power_of_two();
-        let mut gpu = build_gpu(&self.gpu, mem);
-        let tree_base = gpu.gmem.alloc(ser.image.len(), 64);
-        gpu.gmem.write_bytes(tree_base, ser.image.as_bytes());
-        let instance_base = tree_base + ser.instance_base as u64;
-        let restore_addr = tree_base + (ser.restore_index * 64) as u64;
-        let qbase = gpu.gmem.alloc(n * RAY_RECORD_SIZE, 64);
+/// Camera rays over a [`TwoLevelScene`] as a [`QueryWorkload`]: the query
+/// is a ray, the oracle the host scene's closest hit. Like RTNN it runs
+/// only on an accelerator.
+pub struct InstancedRays {
+    /// The host scene (the oracle).
+    pub scene: TwoLevelScene,
+    /// Its serialized device image.
+    pub ser: SerializedTwoLevel,
+    /// The camera rays, one per pixel.
+    pub rays: Vec<Ray>,
+}
 
-        let center = Vec3::new(self.side as f32 * 15.0, 5.0, self.side as f32 * 15.0);
-        let eye = center + Vec3::new(-60.0, 40.0, -80.0);
-        let rays: Vec<Ray> = gen::camera_rays(self.width, self.height, eye, center);
-        for (i, r) in rays.iter().enumerate() {
-            write_ray_record(&mut gpu.gmem, qbase + (i * RAY_RECORD_SIZE) as u64, r);
+impl QueryWorkload for InstancedRays {
+    type Query = Ray;
+    const RECORD_SIZE: usize = RAY_RECORD_SIZE;
+    const STACK_BYTES: usize = 0;
+    const CHECK_STRIDE: usize = 83;
+
+    fn image(&self) -> &MemoryImage {
+        &self.ser.image
+    }
+
+    fn query_count(&self) -> usize {
+        self.rays.len()
+    }
+
+    fn query(&self, i: usize) -> Ray {
+        self.rays[i]
+    }
+
+    /// Every generation routes the level transform to the Transform kind:
+    /// the fixed-function R-XFORM unit on RTA/TTA, the 1-μop transform
+    /// program on TTA+ (the backend maps it automatically).
+    fn semantics(&self, _: &Platform, tree_base: u64) -> Vec<Box<dyn TraversalSemantics>> {
+        vec![Box::new(TwoLevelSemantics {
+            tree_base,
+            instance_base: tree_base + self.ser.instance_base as u64,
+            restore_addr: tree_base + (self.ser.restore_index * 64) as u64,
+            transform_test: TestKind::Transform,
+        })]
+    }
+
+    /// The two-level walk has no SIMT kernel: it always runs on an
+    /// accelerator.
+    fn simt_kernel(&self) -> Kernel {
+        traverse_only_kernel("traverse_only", RAY_RECORD_SIZE as u32, 0)
+    }
+
+    /// The host scene counts no visits, so the walk is the structural cap:
+    /// one ray can visit every TLAS node (fewer than two per instance) and
+    /// every node of every instance's BLAS, and test every instanced
+    /// primitive.
+    fn walk(&self, _: &[Ray]) -> Walk {
+        let instances = self.scene.instances();
+        let (mut nodes, mut prims) = (2 * instances.len(), 0);
+        for b in instances.iter().map(|i| &self.scene.blases()[i.blas]) {
+            nodes += b.node_count();
+            prims += b.primitives().len();
         }
+        Walk::new(1, nodes as u64, nodes as u64, prims as u64)
+    }
 
-        // All generations route the level transform to the Transform kind:
-        // the fixed-function R-XFORM unit on RTA/TTA, the 1-μop transform
-        // program on TTA+ (the backend maps it automatically).
-        let transform_test = TestKind::Transform;
-        attach_platform(&mut gpu, &self.platform, move || {
-            vec![Box::new(TwoLevelSemantics {
-                tree_base,
-                instance_base,
-                restore_addr,
-                transform_test,
-            })]
-        });
+    fn write(&self, gmem: &mut GlobalMemory, addr: u64, ray: Ray) {
+        write_ray_record(gmem, addr, &ray);
+    }
 
-        let kernel = rt_kernel_for(0);
-        let stats = gpu.launch(&kernel, n, &[qbase as u32, tree_base as u32]);
-
-        if self.verify {
-            for (i, r) in rays.iter().enumerate().step_by(83) {
-                let (t, ..) = read_ray_result(&gpu.gmem, qbase + (i * RAY_RECORD_SIZE) as u64);
-                match scene.closest_hit(r) {
-                    Some(h) => assert!(
-                        (t - h.t).abs() < 1e-3 * h.t.max(1.0),
-                        "ray {i}: {t} vs {}",
-                        h.t
-                    ),
-                    None => assert!(t.is_infinite(), "ray {i} should miss"),
-                }
-            }
-        }
-
-        RunResult {
-            label: format!(
-                "Instanced {}x{} {}",
-                self.side,
-                self.side,
-                self.platform.label()
-            ),
-            stats,
-            accel: AccelReport::harvest(&gpu),
-            serve: None,
-            fleet: None,
+    fn check(&self, gmem: &GlobalMemory, addr: u64, ray: Ray) -> Result<(), String> {
+        let (t, ..) = read_ray_result(gmem, addr);
+        match self.scene.closest_hit(&ray) {
+            Some(h) if (t - h.t).abs() < 1e-3 * h.t.max(1.0) => Ok(()),
+            Some(h) => Err(format!("hit at {t} vs oracle {}", h.t)),
+            None if t.is_infinite() => Ok(()),
+            None => Err(format!("hit at {t}, oracle misses")),
         }
     }
 }

@@ -12,10 +12,11 @@
 //! | [`rtnn`] | RTNN radius search (KITTI-like) | RTA + intersection shader | \*RTNN offloaded leaf test |
 //! | [`lumibench`] | LumiBench-like RT suite incl. WKND_PT, SHIP_SH | RTA fixed-function | TTA+ programs (+SATO, +Ray-Sphere) |
 //! | [`rtree`] | R-Tree range query (extension; §I motivates it) | SIMT kernel | MBR tests on the Ray-Box unit |
+//! | [`instanced`] | two-level TLAS/BLAS instanced scenes (extension) | RTA + R-XFORM unit | transform μop on TTA+ |
 //!
 //! [`gen`] provides the seeded data/scene generators, [`kernels`] the
 //! baseline mini-ISA kernels, [`runner`] the shared plumbing, [`query`]
-//! the one device setup the tree-query workloads share between their
+//! the one device setup every workload above shares between its
 //! closed-batch sessions and the serving backends, and [`session`] the
 //! resumable launch-by-launch form of every experiment that the
 //! `tta-snap` snapshot/restore machinery drives.

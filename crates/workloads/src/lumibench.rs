@@ -17,20 +17,27 @@
 use std::sync::Arc;
 
 use geometry::{Ray, Vec3};
-use gpu_sim::absint::{AccessMode, ContractLen, MemContract};
-use gpu_sim::isa::SReg;
-use gpu_sim::kernel::{Kernel, KernelBuilder};
+use gpu_sim::kernel::Kernel;
+use gpu_sim::mem::GlobalMemory;
 use gpu_sim::GpuConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rta::bvh_semantics::RAY_RECORD_SIZE;
-use trees::bvh::SerializedBvh;
+use rta::bvh_semantics::{
+    read_ray_result, write_ray_record, BvhSemantics, LeafGeometry, RayQueryMode, RAY_RECORD_SIZE,
+};
+use rta::engine::TraversalSemantics;
+use rta::units::TestKind;
+use trees::bvh::{PrimitiveKind, SerializedBvh};
+use trees::image::MemoryImage;
 use trees::{Bvh, BvhPrimitive};
 use tta::programs::UopProgram;
 
-use crate::cacheable::CacheableExperiment;
+use crate::btree::traverse_only_kernel;
+use crate::cacheable::{inputs_or_build, CacheableExperiment};
+use crate::cost::Walk;
 use crate::gen;
-use crate::kernels::params;
+use crate::kernels::{bvh_trace_kernel, THREAD_STACK_BYTES};
+use crate::query::QueryWorkload;
 use crate::runner::{Platform, RunResult};
 
 /// The evaluated ray-tracing workloads (the LumiBench representative
@@ -87,6 +94,15 @@ impl RtWorkload {
             4
         } else {
             1
+        }
+    }
+
+    /// The traversal pipeline of the secondary passes: closest hit (0)
+    /// for bounces and reflections, any hit (1) for occlusion and shadows.
+    pub fn secondary_pipeline(self) -> u16 {
+        match self {
+            RtWorkload::BlobAo | RtWorkload::ShipSh | RtWorkload::LeafAm => 1,
+            RtWorkload::BlobPt | RtWorkload::WkndPt | RtWorkload::BlobRf => 0,
         }
     }
 }
@@ -202,21 +218,18 @@ impl RtExperiment {
         crate::session::run_to_end(Box::new(self.session()))
     }
 
-    // Secondary pass(es): workload-dependent ray type. (On the SIMT
+    // Secondary pass(es): workload-dependent ray type, one ray per
+    // surfel, traced on `RtWorkload::secondary_pipeline`. (On the SIMT
     // baseline, any-hit passes run the same closest-hit kernel — a
     // slightly pessimistic but standard formulation for a kernel without
     // early-exit support.) The shadows workload shoots one pass per
     // light: shadow rays dominate it, as in the paper.
-    pub(crate) fn secondary_rays(
-        &self,
-        surfels: &[(Vec3, Vec3, Vec3)],
-        round: u32,
-    ) -> (Vec<Ray>, u16) {
+    pub(crate) fn secondary_rays(&self, surfels: &[(Vec3, Vec3, Vec3)], round: u32) -> Vec<Ray> {
         match self.workload {
             RtWorkload::BlobPt | RtWorkload::WkndPt => {
                 // Diffuse bounce: incoherent hemisphere rays, closest-hit.
                 let pts: Vec<(Vec3, Vec3)> = surfels.iter().map(|&(p, n, _)| (p, n)).collect();
-                (gen::hemisphere_rays(&pts, self.seed), 0)
+                gen::hemisphere_rays(&pts, self.seed)
             }
             RtWorkload::BlobAo => {
                 let pts: Vec<(Vec3, Vec3)> = surfels.iter().map(|&(p, n, _)| (p, n)).collect();
@@ -224,25 +237,22 @@ impl RtExperiment {
                 for r in &mut rays {
                     r.tmax = 6.0; // short AO rays
                 }
-                (rays, 1)
+                rays
             }
             RtWorkload::ShipSh | RtWorkload::LeafAm => {
                 // Lights circle the scene; one shadow pass per light.
                 let angle = round as f32 * 1.7 + 0.4;
                 let light = Vec3::new(90.0 * angle.cos(), 80.0, 90.0 * angle.sin());
                 let pts: Vec<Vec3> = surfels.iter().map(|&(p, ..)| p).collect();
-                (gen::shadow_rays(&pts, light), 1)
+                gen::shadow_rays(&pts, light)
             }
-            RtWorkload::BlobRf => {
-                let rays = surfels
-                    .iter()
-                    .map(|&(p, n, d)| {
-                        let refl = d - n * (2.0 * d.dot(n));
-                        Ray::new(p, refl.normalized())
-                    })
-                    .collect();
-                (rays, 0)
-            }
+            RtWorkload::BlobRf => surfels
+                .iter()
+                .map(|&(p, n, d)| {
+                    let refl = d - n * (2.0 * d.dot(n));
+                    Ray::new(p, refl.normalized())
+                })
+                .collect(),
         }
     }
 }
@@ -270,45 +280,137 @@ impl CacheableExperiment for RtExperiment {
     }
 }
 
-/// Memory contracts for [`rt_kernel_for`]: 48-byte ray records and a
-/// `tree_bytes` BVH pool. Like the other offload kernels it performs no
-/// explicit loads or stores itself.
-pub fn rt_contracts(tree_bytes: u64) -> Vec<MemContract> {
-    vec![
-        MemContract {
-            name: "queries",
-            base_param: params::QUERIES,
-            len: ContractLen::BytesPerThread(RAY_RECORD_SIZE as u64),
-            mode: AccessMode::WriteExclusivePerThread {
-                stride: RAY_RECORD_SIZE as u64,
-            },
-        },
-        MemContract {
-            name: "tree",
-            base_param: params::TREE,
-            len: ContractLen::Bytes(tree_bytes),
-            mode: AccessMode::ReadShared,
-        },
-    ]
+/// Camera rays over an [`RtInputs`] BVH as a [`QueryWorkload`]: the query
+/// is a ray, the oracle the host BVH's closest hit. Pipeline 0 finds the
+/// closest hit, pipeline 1 any hit (the occlusion and shadow passes).
+pub struct RayQueries {
+    /// The experiment: scene features, platform and secondary passes.
+    pub exp: RtExperiment,
+    /// Its scene.
+    pub inputs: Arc<RtInputs>,
+    /// The primary camera rays, one per pixel.
+    pub rays: Vec<Ray>,
 }
 
-/// Traversal kernel bound to a specific pipeline (0 = closest, 1 = any).
-/// Public so other accelerated ray workloads (e.g. the instanced scenes)
-/// can reuse it.
-pub fn rt_kernel_for(pipeline: u16) -> Kernel {
-    let mut k = KernelBuilder::new(format!("rt_pipeline{pipeline}"));
-    let tid = k.reg();
-    let q = k.reg();
-    let root = k.reg();
-    let off = k.reg();
-    k.mov_sreg(tid, SReg::ThreadId);
-    k.mov_sreg(q, SReg::Param(params::QUERIES));
-    k.mov_sreg(root, SReg::Param(params::TREE));
-    k.imul_imm(off, tid, RAY_RECORD_SIZE as u32);
-    k.iadd(q, q, off);
-    k.traverse(q, root, pipeline);
-    k.exit();
-    k.build()
+impl RayQueries {
+    /// The scene and camera rays of `exp`.
+    pub fn new(exp: &RtExperiment) -> Self {
+        let inputs = inputs_or_build(exp, exp.inputs.as_ref());
+        let (eye, target) = exp.camera(&inputs.bvh);
+        RayQueries {
+            exp: exp.clone(),
+            rays: gen::camera_rays(exp.width, exp.height, eye, target),
+            inputs,
+        }
+    }
+
+    /// The kernel a pass on traversal pipeline `pipeline` launches: the
+    /// offload kernel bound to it on an accelerator, the SIMT kernel
+    /// otherwise.
+    pub fn kernel(&self, pipeline: u16) -> Kernel {
+        if self.exp.platform.has_accelerator() {
+            let name = format!("rt_pipeline{pipeline}");
+            traverse_only_kernel(&name, RAY_RECORD_SIZE as u32, pipeline)
+        } else {
+            self.simt_kernel()
+        }
+    }
+}
+
+impl QueryWorkload for RayQueries {
+    type Query = Ray;
+    const RECORD_SIZE: usize = RAY_RECORD_SIZE;
+    const STACK_BYTES: usize = THREAD_STACK_BYTES as usize;
+    const CHECK_STRIDE: usize = 97;
+
+    fn image(&self) -> &MemoryImage {
+        &self.inputs.ser.image
+    }
+
+    fn aux_offset(&self) -> usize {
+        self.inputs.ser.prim_base
+    }
+
+    fn query_count(&self) -> usize {
+        self.rays.len()
+    }
+
+    fn query(&self, i: usize) -> Ray {
+        self.rays[i]
+    }
+
+    fn semantics(&self, _: &Platform, tree_base: u64) -> Vec<Box<dyn TraversalSemantics>> {
+        let leaf = match self.inputs.ser.prim_kind {
+            PrimitiveKind::Triangle => LeafGeometry::TRIANGLE,
+            PrimitiveKind::Sphere => LeafGeometry::Sphere {
+                test: if self.exp.offload_sphere {
+                    TestKind::Program(0)
+                } else {
+                    TestKind::IntersectionShader
+                },
+            },
+        };
+        let anyhit_leaf = if self.exp.workload == RtWorkload::LeafAm {
+            LeafGeometry::Triangle {
+                test: TestKind::IntersectionShader,
+            }
+        } else {
+            leaf
+        };
+        let pipeline = |leaf, mode, sato| -> Box<dyn TraversalSemantics> {
+            Box::new(BvhSemantics {
+                tree_base,
+                prim_base: tree_base + self.inputs.ser.prim_base as u64,
+                leaf,
+                mode,
+                sato,
+            })
+        };
+        vec![
+            pipeline(leaf, RayQueryMode::ClosestHit, false),
+            pipeline(anyhit_leaf, RayQueryMode::AnyHit, self.exp.sato),
+        ]
+    }
+
+    /// The stack-based trace kernel; it has no any-hit early exit, so
+    /// any-hit passes run it too.
+    fn simt_kernel(&self) -> Kernel {
+        bvh_trace_kernel()
+    }
+
+    /// The host BVH's node visits and primitive tests of the slowest ray.
+    fn walk(&self, rays: &[Ray]) -> Walk {
+        let bvh = &self.inputs.bvh;
+        let (mut visited_max, mut prim_tests_max) = (1u64, 0u64);
+        for r in rays {
+            let (_, c) = bvh.closest_hit(r);
+            visited_max = visited_max.max(c.nodes_visited as u64);
+            prim_tests_max = prim_tests_max.max(c.prim_tests as u64);
+        }
+        let nodes = bvh.node_count() as u64;
+        Walk::new(visited_max, visited_max, nodes, prim_tests_max)
+    }
+
+    fn write(&self, gmem: &mut GlobalMemory, addr: u64, ray: Ray) {
+        write_ray_record(gmem, addr, &ray);
+    }
+
+    fn check(&self, gmem: &GlobalMemory, addr: u64, ray: Ray) -> Result<(), String> {
+        let (t, prim, ..) = read_ray_result(gmem, addr);
+        let (oracle, _) = self.inputs.bvh.closest_hit(&ray);
+        let ok = match oracle {
+            Some(h) => prim == h.prim as u32 && (t - h.t).abs() < 1e-3 * h.t.max(1.0),
+            None => prim == u32::MAX,
+        };
+        if ok {
+            Ok(())
+        } else {
+            Err(format!(
+                "{} ray: hit t={t} prim={prim}, oracle {oracle:?}",
+                self.exp.workload
+            ))
+        }
+    }
 }
 
 /// Surface normal of a hit primitive, flipped to face the incoming ray.

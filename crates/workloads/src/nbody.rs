@@ -215,18 +215,18 @@ impl QueryWorkload for ForceQueries {
         }
     }
 
-    fn semantics(&self, platform: &Platform, tree_base: u64) -> Box<dyn TraversalSemantics> {
+    fn semantics(&self, platform: &Platform, tree_base: u64) -> Vec<Box<dyn TraversalSemantics>> {
         let (open_test, force_test) = if platform.is_tta_plus() {
             (TestKind::Program(0), TestKind::Program(1))
         } else {
             (TestKind::PointToPoint, TestKind::IntersectionShader)
         };
-        Box::new(BarnesHutSemantics {
+        vec![Box::new(BarnesHutSemantics {
             tree_base,
             particle_base: tree_base + self.inputs.ser.particle_base as u64,
             open_test,
             force_test,
-        })
+        })]
     }
 
     fn simt_kernel(&self) -> Kernel {

@@ -1,15 +1,17 @@
 //! One query device per tree workload.
 //!
-//! B-Tree lookups, R-Tree range queries, RTNN radius searches and
-//! Barnes-Hut force queries share one shape: a serialized tree image in
-//! global memory, one fixed-size record per query slot (plus one traversal
-//! stack per slot for the stack-based SIMT kernels), a traversal semantics
-//! per platform, and a host oracle for the results. A [`QueryWorkload`]
-//! impl states only what differs between them; a [`QueryDevice`] does the
-//! shared setup once. The closed-batch sessions
-//! ([`QuerySession`](crate::session::QuerySession)) and the serving
-//! backends of `tta-serve` are both built on it, so they lay out memory,
-//! launch and check results the same way.
+//! B-Tree lookups, R-Tree range queries, RTNN radius searches, Barnes-Hut
+//! force queries, ray tracing and the instanced two-level scenes share one
+//! shape: a serialized tree image in global memory, one fixed-size record
+//! per query slot (plus one traversal stack per slot for the stack-based
+//! SIMT kernels), the traversal pipelines per platform, and a host oracle
+//! for the results. A [`QueryWorkload`] impl states only what differs
+//! between them; a [`QueryDevice`] does the shared setup once, and is the
+//! only place that builds a GPU for a workload. The closed-batch sessions
+//! ([`QuerySession`](crate::session::QuerySession), which ray tracing's
+//! [`RtSession`](crate::session::RtSession) wraps) and the serving backends
+//! of `tta-serve` are all built on it, so they lay out memory, launch and
+//! check results the same way.
 
 use gpu_sim::kernel::Kernel;
 use gpu_sim::mem::GlobalMemory;
@@ -38,8 +40,10 @@ pub trait QueryWorkload {
     fn image(&self) -> &MemoryImage;
     /// Byte offset inside the image of the pool that launch parameter
     /// [`AUX`](crate::kernels::params::AUX) points at (leaf entries,
-    /// primitives, particles); 0 when no kernel reads it.
-    fn aux_offset(&self) -> usize;
+    /// primitives, particles); by default 0, for when no kernel reads it.
+    fn aux_offset(&self) -> usize {
+        0
+    }
     /// Size of the query universe.
     fn query_count(&self) -> usize;
     /// Query `i` of the universe.
@@ -49,9 +53,9 @@ pub trait QueryWorkload {
     fn platform(&self, platform: &Platform) -> Platform {
         platform.clone()
     }
-    /// The traversal semantics (pipeline 0) for `platform` over the image
-    /// loaded at `tree_base`.
-    fn semantics(&self, platform: &Platform, tree_base: u64) -> Box<dyn TraversalSemantics>;
+    /// The traversal pipelines (pipeline id = index) for `platform` over
+    /// the image loaded at `tree_base`.
+    fn semantics(&self, platform: &Platform, tree_base: u64) -> Vec<Box<dyn TraversalSemantics>>;
     /// The kernel the SIMT cores run on a platform without an accelerator.
     fn simt_kernel(&self) -> Kernel;
     /// Walks the host oracle over `queries` for the bounds the cost model
@@ -116,10 +120,10 @@ impl<W: QueryWorkload> QueryDevice<W> {
         let extra = alloc(extra_slot_bytes);
         let attached = workload.platform(platform);
         attach_platform(&mut gpu, &attached, || {
-            vec![workload.semantics(&attached, tree_base)]
+            workload.semantics(&attached, tree_base)
         });
         let kernel = if platform.has_accelerator() {
-            traverse_only_kernel(W::RECORD_SIZE as u32)
+            traverse_only_kernel("traverse_only", W::RECORD_SIZE as u32, 0)
         } else {
             workload.simt_kernel()
         };
@@ -185,9 +189,12 @@ mod tests {
     use super::*;
     use crate::btree::{BTreeExperiment, BTreeLookups};
     use crate::cacheable::CacheableExperiment;
+    use crate::instanced::InstancedExperiment;
+    use crate::lumibench::{RayQueries, RtExperiment, RtWorkload};
     use crate::nbody::{ForceQueries, NBodyExperiment};
     use crate::rtnn::{LeafPath, RadiusQueries, RtnnExperiment};
     use crate::rtree::{RTreeExperiment, RTreeRanges};
+    use rta::RtaConfig;
     use std::sync::Arc;
     use trees::BTreeFlavor;
     use tta::backend::TtaConfig;
@@ -264,5 +271,21 @@ mod tests {
             theta: e.theta,
         };
         assert_oracle_rejects_a_wrong_answer(w, tta);
+    }
+
+    #[test]
+    fn rt_oracle_rejects_a_wrong_answer() {
+        let rta = Platform::BaselineRta(RtaConfig::baseline());
+        let mut e = RtExperiment::new(RtWorkload::BlobPt, rta.clone());
+        (e.width, e.height, e.detail) = (32, 24, 0.05);
+        assert_oracle_rejects_a_wrong_answer(RayQueries::new(&e), rta);
+    }
+
+    #[test]
+    fn instanced_oracle_rejects_a_wrong_answer() {
+        let plus = Platform::TtaPlus(TtaPlusConfig::default_paper(), vec![]);
+        let mut e = InstancedExperiment::new(3, plus.clone());
+        (e.width, e.height) = (32, 24);
+        assert_oracle_rejects_a_wrong_answer(e.workload(), plus);
     }
 }

@@ -214,7 +214,7 @@ impl QueryWorkload for RadiusQueries {
         self.inputs.queries[i]
     }
 
-    fn semantics(&self, platform: &Platform, tree_base: u64) -> Box<dyn TraversalSemantics> {
+    fn semantics(&self, platform: &Platform, tree_base: u64) -> Vec<Box<dyn TraversalSemantics>> {
         let plus = platform.is_tta_plus();
         let inner_test = if plus {
             TestKind::Program(0)
@@ -226,18 +226,18 @@ impl QueryWorkload for RadiusQueries {
             (LeafPath::Offloaded, false) => TestKind::PointToPoint,
             (LeafPath::Offloaded, true) => TestKind::Program(1),
         };
-        Box::new(RadiusSearchSemantics {
+        vec![Box::new(RadiusSearchSemantics {
             tree_base,
             prim_base: tree_base + self.inputs.ser.prim_base as u64,
             inner_test,
             leaf_test,
-        })
+        })]
     }
 
     /// RTNN has no SIMT kernel in the paper: it always runs on a
     /// ray-tracing accelerator.
     fn simt_kernel(&self) -> Kernel {
-        traverse_only_kernel(Self::RECORD_SIZE as u32)
+        traverse_only_kernel("traverse_only", Self::RECORD_SIZE as u32, 0)
     }
 
     /// The host radius search counts no visits, so the walk is the

@@ -190,18 +190,18 @@ impl QueryWorkload for RTreeRanges {
         self.0.queries[i]
     }
 
-    fn semantics(&self, platform: &Platform, tree_base: u64) -> Box<dyn TraversalSemantics> {
+    fn semantics(&self, platform: &Platform, tree_base: u64) -> Vec<Box<dyn TraversalSemantics>> {
         let test = if platform.is_tta_plus() {
             TestKind::Program(0)
         } else {
             TestKind::RayBox
         };
-        Box::new(RTreeSemantics {
+        vec![Box::new(RTreeSemantics {
             tree_base,
             entry_base: tree_base + self.0.ser.entry_base as u64,
             inner_test: test,
             leaf_test: test,
-        })
+        })]
     }
 
     fn simt_kernel(&self) -> Kernel {

@@ -5,13 +5,14 @@
 //! The simulator only snapshots between launches (warp state is transient
 //! within one), so a session splits an experiment into steps — one launch
 //! each — and exposes [`RunSession::export_state`] /
-//! [`RunSession::import_state`] at every step boundary. The four
-//! tree-query workloads share one session type, [`QuerySession`], over the
-//! [`QueryDevice`] the serving backends use too: the single-launch
-//! workloads (B-Tree, R-Tree, RTNN) gain interior snapshot points by
-//! chunking their query range, and N-Body steps through its
-//! traverse/integrate launch plan. [`RtSession`] steps the ray-tracing
-//! passes.
+//! [`RunSession::import_state`] at every step boundary. Every workload
+//! runs on one session type, [`QuerySession`], over the [`QueryDevice`]
+//! the serving backends use too: the single-launch workloads (B-Tree,
+//! R-Tree, RTNN, the instanced two-level scenes) gain interior snapshot
+//! points by chunking their query range, and N-Body steps through its
+//! traverse/integrate launch plan. Ray tracing's [`RtSession`] is a
+//! `QuerySession` whose plan grows by one launch per secondary round
+//! once the primary pass has run.
 //!
 //! The parity contract: `experiment.run()` *is* `session(1)` stepped to
 //! completion, so a single-chunk session produces the exact `RunResult`
@@ -25,28 +26,24 @@ use std::path::{Path, PathBuf};
 use std::rc::Rc;
 use std::sync::Arc;
 
-use geometry::{Ray, Vec3};
+use geometry::Vec3;
 use gpu_sim::kernel::Kernel;
 use gpu_sim::snapshot::{BagError, SnapValue, StateBag};
-use gpu_sim::{Gpu, GpuConfig, SimStats};
-use rta::bvh_semantics::{
-    read_ray_result, write_ray_record, BvhSemantics, LeafGeometry, RayQueryMode, RAY_RECORD_SIZE,
-};
-use rta::units::TestKind;
+use gpu_sim::{GpuConfig, SimStats};
+use rta::bvh_semantics::read_ray_result;
 use rta::AccelReport;
 use trace::ChromeTraceSink;
-use trees::bvh::PrimitiveKind;
 
 use crate::btree::{BTreeExperiment, BTreeLookups};
 use crate::cacheable::{inputs_or_build, CacheableExperiment};
-use crate::gen;
-use crate::kernels::{bvh_trace_kernel, nbody_integrate_kernel, THREAD_STACK_BYTES};
-use crate::lumibench::{rt_kernel_for, RtExperiment, RtInputs, RtWorkload};
+use crate::instanced::{InstancedExperiment, InstancedRays};
+use crate::kernels::nbody_integrate_kernel;
+use crate::lumibench::{RayQueries, RtExperiment};
 use crate::nbody::{merged_traverse_integrate_kernel, ForceQueries, NBodyExperiment, PostProcess};
 use crate::query::{QueryDevice, QueryWorkload};
 use crate::rtnn::{LeafPath, RadiusQueries, RtnnExperiment};
 use crate::rtree::{RTreeExperiment, RTreeRanges};
-use crate::runner::{attach_platform, build_gpu, sum_stats, Platform, RunResult};
+use crate::runner::{sum_stats, Platform, RunResult};
 
 /// A resumable experiment run: a fixed sequence of launches with snapshot
 /// points between them.
@@ -113,22 +110,6 @@ fn split_chunks(n: usize, chunks: usize) -> Vec<(usize, usize)> {
         .collect()
 }
 
-/// The restore check every session runs: one launch part per step done,
-/// and no more steps than the plan has.
-fn check_cursor(cursor: usize, parts: usize, steps: usize) -> Result<(), BagError> {
-    if parts != cursor {
-        return Err(BagError::Mismatch(format!(
-            "snapshot has {parts} launch parts but cursor {cursor}"
-        )));
-    }
-    if cursor > steps {
-        return Err(BagError::Mismatch(format!(
-            "cursor {cursor} past the {steps}-step plan"
-        )));
-    }
-    Ok(())
-}
-
 /// Runs a session to completion and harvests the result — the body every
 /// experiment's `run()` delegates to.
 pub fn run_to_end(mut session: Box<dyn RunSession>) -> RunResult {
@@ -152,9 +133,10 @@ struct SessionSpec<'a> {
 
 /// A resumable run of a [`QueryWorkload`] experiment: one
 /// [`QueryDevice`] holding every query in its own slot, stepped through a
-/// fixed launch plan. B-Tree, R-Tree and RTNN chunk their query range into
-/// launches of the device kernel; N-Body steps through its
-/// traverse/integrate plan.
+/// launch plan. B-Tree, R-Tree, RTNN and the instanced scenes chunk their
+/// query range into launches of the device kernel; N-Body steps through
+/// its traverse/integrate plan; [`RtSession`] appends its secondary
+/// rounds after the primary pass.
 pub struct QuerySession<W: QueryWorkload> {
     pub(crate) dev: QueryDevice<W>,
     pub(crate) queries: Vec<W::Query>,
@@ -214,8 +196,34 @@ impl<W: QueryWorkload> QuerySession<W> {
         s
     }
 
+    /// The restore check: one launch part per step done, and no more
+    /// steps than the plan has.
     fn check_plan(&self) -> Result<(), BagError> {
-        check_cursor(self.cursor, self.parts.len(), self.plan.len())
+        let (cursor, parts, steps) = (self.cursor, self.parts.len(), self.plan.len());
+        if parts != cursor {
+            return Err(BagError::Mismatch(format!(
+                "snapshot has {parts} launch parts but cursor {cursor}"
+            )));
+        }
+        if cursor > steps {
+            return Err(BagError::Mismatch(format!(
+                "cursor {cursor} past the {steps}-step plan"
+            )));
+        }
+        Ok(())
+    }
+
+    /// Checks the sampled oracle when configured.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the run's label on the first mismatch.
+    fn check_oracle(&self) {
+        if self.verify {
+            if let Err(e) = self.dev.check(&self.queries) {
+                panic!("{}: {e}", self.label);
+            }
+        }
     }
 }
 
@@ -253,11 +261,7 @@ impl<W: QueryWorkload> RunSession for QuerySession<W> {
     /// result, summing the stats of every launch.
     fn finish(self: Box<Self>) -> RunResult {
         assert!(self.done(), "session not done");
-        if self.verify {
-            if let Err(e) = self.dev.check(&self.queries) {
-                panic!("{}: {e}", self.label);
-            }
-        }
+        self.check_oracle();
         let result = RunResult {
             stats: sum_stats(&self.parts),
             label: self.label,
@@ -282,21 +286,12 @@ impl BTreeExperiment {
         if self.sort_queries {
             queries.sort_unstable();
         }
+        let p = self.platform.label();
         let spec = SessionSpec {
             platform: &self.platform,
             gpu: &self.gpu,
-            label: format!(
-                "{} {}k keys {}",
-                self.flavor,
-                self.keys / 1000,
-                self.platform.label()
-            ),
-            key: format!(
-                "{}|{}|sort={}",
-                self.inputs_key(),
-                self.platform.label(),
-                self.sort_queries
-            ),
+            label: format!("{} {}k keys {p}", self.flavor, self.keys / 1000),
+            key: format!("{}|{p}|sort={}", self.inputs_key(), self.sort_queries),
             verify: self.verify,
             trace_dir: self.trace_dir.as_deref(),
         };
@@ -340,20 +335,12 @@ impl RtnnExperiment {
         } else {
             ""
         };
+        let p = self.platform.label();
         let spec = SessionSpec {
             platform: &self.platform,
             gpu: &self.gpu,
-            label: format!(
-                "{star}RTNN {}k pts {}",
-                self.points / 1000,
-                self.platform.label()
-            ),
-            key: format!(
-                "{}|{}|{:?}",
-                self.inputs_key(),
-                self.platform.label(),
-                self.leaf
-            ),
+            label: format!("{star}RTNN {}k pts {p}", self.points / 1000),
+            key: format!("{}|{p}|{:?}", self.inputs_key(), self.leaf),
             verify: self.verify,
             trace_dir: self.trace_dir.as_deref(),
         };
@@ -367,6 +354,37 @@ impl RtnnExperiment {
     }
 }
 
+impl InstancedExperiment {
+    /// Opens a resumable session, splitting the ray range into `chunks`
+    /// launches. `run()` is exactly `session(1)` stepped to completion.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the pure-SIMT baseline: the two-level walk is
+    /// accelerator-only.
+    pub fn session(&self, chunks: usize) -> QuerySession<InstancedRays> {
+        assert!(
+            self.platform.has_accelerator(),
+            "the instanced workload requires an RTA/TTA/TTA+ platform"
+        );
+        let (p, side) = (self.platform.label(), self.side);
+        let spec = SessionSpec {
+            platform: &self.platform,
+            gpu: &self.gpu,
+            label: format!("Instanced {side}x{side} {p}"),
+            key: format!(
+                "instanced/{side}/{:#x}|{}x{}|{p}",
+                self.seed, self.width, self.height
+            ),
+            verify: self.verify,
+            trace_dir: None,
+        };
+        let w = self.workload();
+        let rays = w.rays.clone();
+        QuerySession::chunked(w, rays, chunks, spec)
+    }
+}
+
 impl NBodyExperiment {
     /// Opens a resumable session stepping through the experiment's launch
     /// plan (1 launch for `PostProcess::None`/`Merged` on an accelerator,
@@ -375,26 +393,17 @@ impl NBodyExperiment {
     /// session takes does not apply here, so there is none.
     pub fn session(&self) -> QuerySession<ForceQueries> {
         let inputs = inputs_or_build(self, self.inputs.as_ref());
+        let p = self.platform.label();
+        let post = match self.post {
+            PostProcess::Merged => " merged",
+            PostProcess::Split => " split",
+            PostProcess::None => "",
+        };
         let spec = SessionSpec {
             platform: &self.platform,
             gpu: &self.gpu,
-            label: format!(
-                "N-Body {}D {} {}{}",
-                self.dims,
-                self.bodies,
-                self.platform.label(),
-                match self.post {
-                    PostProcess::Merged => " merged",
-                    PostProcess::Split => " split",
-                    PostProcess::None => "",
-                }
-            ),
-            key: format!(
-                "{}|{}|{:?}",
-                self.inputs_key(),
-                self.platform.label(),
-                self.post
-            ),
+            label: format!("N-Body {}D {} {p}{post}", self.dims, self.bodies),
+            key: format!("{}|{p}|{:?}", self.inputs_key(), self.post),
             verify: self.verify,
             trace_dir: self.trace_dir.as_deref(),
         };
@@ -423,23 +432,16 @@ impl NBodyExperiment {
 
 // ------------------------------------------------------------ LumiBench
 
-/// A resumable [`RtExperiment`] run: step 0 is the primary pass, each
-/// further step one secondary pass. The surfels extracted from the primary
-/// hits are part of the exported state — secondary rounds overwrite the
-/// ray records they were read from, so they cannot be recovered from
-/// memory after round 1.
+/// A resumable [`RtExperiment`] run: a [`QuerySession`] over the camera
+/// rays whose plan grows after the primary pass. Step 0 is the primary
+/// pass; the session then appends one launch per secondary round, each
+/// tracing the round's rays from the same slots. The surfels of the
+/// primary hits are the one piece of state the inner session does not
+/// hold: secondary rounds overwrite the ray records they were read from,
+/// so they are exported as their own entry.
 pub struct RtSession {
-    pub(crate) exp: RtExperiment,
-    pub(crate) inputs: Arc<RtInputs>,
-    pub(crate) gpu: Gpu,
-    qbase: u64,
-    launch_params: [u32; 4],
-    is_simt: bool,
-    pub(crate) primary: Vec<Ray>,
+    pub(crate) inner: QuerySession<RayQueries>,
     surfels: Option<Vec<(Vec3, Vec3, Vec3)>>,
-    cursor: usize,
-    parts: Vec<SimStats>,
-    key: String,
 }
 
 impl RtExperiment {
@@ -451,11 +453,7 @@ impl RtExperiment {
     ///
     /// Panics on the same platform/feature conflicts `run()` rejects.
     pub fn session(&self) -> RtSession {
-        let is_plus = matches!(
-            self.platform,
-            Platform::TtaPlus(..) | Platform::TtaPlusWith(..)
-        );
-        let is_simt = !self.platform.has_accelerator();
+        let is_plus = self.platform.is_tta_plus();
         assert!(
             !self.sato || is_plus,
             "SATO needs TTA+'s programmable traversal (the paper's *SHIP_SH)"
@@ -465,274 +463,148 @@ impl RtExperiment {
             "Ray-Sphere offload needs TTA+'s SQRT unit (the paper's *WKND_PT)"
         );
         assert!(
-            !is_simt || !self.workload.uses_spheres(),
+            self.platform.has_accelerator() || !self.workload.uses_spheres(),
             "the baseline SIMT trace kernel supports triangle scenes only"
         );
-
-        let inputs = inputs_or_build(self, self.inputs.as_ref());
-        let ser = &inputs.ser;
-        let n = self.width * self.height;
-        let mem =
-            (ser.image.len() + 2 * n * (RAY_RECORD_SIZE + THREAD_STACK_BYTES as usize) + (1 << 21))
-                .next_power_of_two();
-        let mut gpu = build_gpu(&self.gpu, mem);
-        gpu.perfect_node_fetch = self.perfect_node_fetch;
-        let tree_base = gpu.gmem.alloc(ser.image.len(), 64);
-        gpu.gmem.write_bytes(tree_base, ser.image.as_bytes());
-        let prim_base = tree_base + ser.prim_base as u64;
-        let qbase = gpu.gmem.alloc(n * RAY_RECORD_SIZE, 64);
-        let stacks = gpu.gmem.alloc(n * THREAD_STACK_BYTES as usize, 64);
-
-        let leaf = match ser.prim_kind {
-            PrimitiveKind::Triangle => LeafGeometry::TRIANGLE,
-            PrimitiveKind::Sphere => LeafGeometry::Sphere {
-                test: if self.offload_sphere {
-                    TestKind::Program(0)
-                } else {
-                    TestKind::IntersectionShader
-                },
-            },
+        let (p, starred) = (self.platform.label(), self.sato || self.offload_sphere);
+        let star = if starred { "*" } else { "" };
+        let spec = SessionSpec {
+            platform: &self.platform,
+            gpu: &self.gpu,
+            label: format!("{star}{} {p}", self.workload),
+            key: format!(
+                "{}|{p}|{}x{}|sato={}|sphere={}|perfect={}",
+                self.inputs_key(),
+                self.width,
+                self.height,
+                self.sato,
+                self.offload_sphere,
+                self.perfect_node_fetch
+            ),
+            verify: self.verify,
+            trace_dir: None,
         };
-        let am = self.workload == RtWorkload::LeafAm;
-        let anyhit_leaf = if am {
-            LeafGeometry::Triangle {
-                test: TestKind::IntersectionShader,
-            }
-        } else {
-            leaf
-        };
-        let sato = self.sato;
-        attach_platform(&mut gpu, &self.platform, move || {
-            let closest = BvhSemantics {
-                tree_base,
-                prim_base,
-                leaf,
-                mode: RayQueryMode::ClosestHit,
-                sato: false,
-            };
-            let any = BvhSemantics {
-                tree_base,
-                prim_base,
-                leaf: anyhit_leaf,
-                mode: RayQueryMode::AnyHit,
-                sato,
-            };
-            vec![Box::new(closest), Box::new(any)]
-        });
-
-        let (eye, target) = self.camera(&inputs.bvh);
-        let primary = gen::camera_rays(self.width, self.height, eye, target);
-        let launch_params = [
-            qbase as u32,
-            tree_base as u32,
-            stacks as u32,
-            prim_base as u32,
-        ];
-        let key = format!(
-            "{}|{}|{}x{}|sato={}|sphere={}|perfect={}",
-            self.inputs_key(),
-            self.platform.label(),
-            self.width,
-            self.height,
-            self.sato,
-            self.offload_sphere,
-            self.perfect_node_fetch
-        );
+        let w = RayQueries::new(self);
+        let rays = w.rays.clone();
+        let mut inner = QuerySession::open(w, rays, 0, spec);
+        inner.dev.gpu.perfect_node_fetch = self.perfect_node_fetch;
+        let (dev, n) = (&inner.dev, inner.queries.len());
+        inner.plan = vec![(dev.workload.kernel(0), n, dev.params(0))];
         RtSession {
-            exp: self.clone(),
-            inputs,
-            gpu,
-            qbase,
-            launch_params,
-            is_simt,
-            primary,
+            inner,
             surfels: None,
-            cursor: 0,
-            parts: Vec::new(),
-            key,
         }
     }
 }
 
 impl RtSession {
-    // The entries every session starts with (see `QuerySession`); the
-    // surfels of the primary pass follow when it has run.
-    gpu_sim::snap_fields! {
-        fn export_fields / import_fields;
-        #[check] key,
-        cursor,
-        parts,
-        gpu,
-    }
-
-    fn rounds(&self) -> Option<usize> {
-        let surfels = self.surfels.as_ref()?;
-        Some(if surfels.is_empty() {
-            0
-        } else {
-            self.exp.workload.secondary_rounds()
-        })
-    }
-
-    /// The kernel a pass on traversal pipeline `pipeline` launches.
-    pub(crate) fn kernel(&self, pipeline: u16) -> Kernel {
-        if self.is_simt {
-            bvh_trace_kernel()
-        } else {
-            rt_kernel_for(pipeline)
+    /// Appends one launch per secondary round over `surfels` (none when
+    /// the primary pass hit nothing). The primary pass has been checked by
+    /// then, here or by the session that exported this state, and the
+    /// rounds overwrite its records, so finishing checks nothing.
+    fn grow_plan(&mut self, surfels: Vec<(Vec3, Vec3, Vec3)>) {
+        let w = &self.inner.dev.workload;
+        let pipeline = w.exp.workload.secondary_pipeline();
+        let pass = (w.kernel(pipeline), surfels.len(), self.inner.dev.params(0));
+        if !surfels.is_empty() {
+            let rounds = w.exp.workload.secondary_rounds();
+            self.inner.plan.extend(std::iter::repeat_n(pass, rounds));
         }
-    }
-
-    fn step_primary(&mut self) {
-        for (i, r) in self.primary.iter().enumerate() {
-            write_ray_record(
-                &mut self.gpu.gmem,
-                self.qbase + (i * RAY_RECORD_SIZE) as u64,
-                r,
-            );
-        }
-        let kernel = self.kernel(0);
-        let n = self.primary.len();
-        self.parts
-            .push(self.gpu.launch(&kernel, n, &self.launch_params));
-
-        if self.exp.verify {
-            for (i, r) in self.primary.iter().enumerate().step_by(97) {
-                let (t, prim, ..) =
-                    read_ray_result(&self.gpu.gmem, self.qbase + (i * RAY_RECORD_SIZE) as u64);
-                let (oracle, _) = self.inputs.bvh.closest_hit(r);
-                match oracle {
-                    Some(h) => {
-                        assert_eq!(prim, h.prim as u32, "{} ray {i}", self.exp.workload);
-                        assert!((t - h.t).abs() < 1e-3 * h.t.max(1.0));
-                    }
-                    None => assert_eq!(prim, u32::MAX, "{} ray {i}", self.exp.workload),
-                }
-            }
-        }
-
-        let mut surfels = Vec::new();
-        for (i, r) in self.primary.iter().enumerate() {
-            let (t, prim, ..) =
-                read_ray_result(&self.gpu.gmem, self.qbase + (i * RAY_RECORD_SIZE) as u64);
-            if t.is_finite() {
-                let p = r.at(t);
-                let nrm = crate::lumibench::prim_normal(&self.inputs.bvh, prim as usize, p, r.dir);
-                surfels.push((p + nrm * 1e-3, nrm, r.dir));
-            }
-        }
+        self.inner.verify = false;
         self.surfels = Some(surfels);
     }
 
-    fn step_secondary(&mut self, round: u32) {
-        let surfels = self.surfels.as_ref().expect("primary pass ran");
-        let (rays, pipeline) = self.exp.secondary_rays(surfels, round);
-        for (i, r) in rays.iter().enumerate() {
-            write_ray_record(
-                &mut self.gpu.gmem,
-                self.qbase + (i * RAY_RECORD_SIZE) as u64,
-                r,
-            );
+    /// The offset hit point, normal and incoming direction of every
+    /// primary ray that hit, read back from its record.
+    fn primary_surfels(&self) -> Vec<(Vec3, Vec3, Vec3)> {
+        let dev = &self.inner.dev;
+        let mut surfels = Vec::new();
+        for (i, r) in self.inner.queries.iter().enumerate() {
+            let (t, prim, ..) = read_ray_result(&dev.gpu.gmem, dev.slot_addr(i));
+            if t.is_finite() {
+                let (p, bvh) = (r.at(t), &dev.workload.inputs.bvh);
+                let nrm = crate::lumibench::prim_normal(bvh, prim as usize, p, r.dir);
+                surfels.push((p + nrm * 1e-3, nrm, r.dir));
+            }
         }
-        let kernel = self.kernel(pipeline);
-        self.parts
-            .push(self.gpu.launch(&kernel, rays.len(), &self.launch_params));
-    }
-
-    fn into_result(self) -> RunResult {
-        assert!(
-            self.rounds().is_some_and(|r| self.cursor == 1 + r),
-            "session not done"
-        );
-        let star = self.exp.sato || self.exp.offload_sphere;
-        RunResult {
-            label: format!(
-                "{}{} {}",
-                if star { "*" } else { "" },
-                self.exp.workload,
-                self.exp.platform.label()
-            ),
-            stats: sum_stats(&self.parts),
-            accel: AccelReport::harvest(&self.gpu),
-            serve: None,
-            fleet: None,
-        }
+        surfels
     }
 }
 
 impl RunSession for RtSession {
     fn done(&self) -> bool {
-        self.rounds().is_some_and(|r| self.cursor == 1 + r)
+        self.inner.done()
     }
 
     fn steps_done(&self) -> usize {
-        self.cursor
+        self.inner.steps_done()
     }
 
     fn snapshot_key(&self) -> &str {
-        &self.key
+        self.inner.snapshot_key()
     }
 
+    /// The primary pass is checked against the oracle before the first
+    /// secondary round overwrites its records.
     fn step(&mut self) {
-        assert!(!self.done(), "session already done");
-        if self.cursor == 0 {
-            self.step_primary();
-        } else {
-            self.step_secondary(self.cursor as u32 - 1);
+        let cursor = self.inner.cursor;
+        if let Some(surfels) = &self.surfels {
+            let exp = &self.inner.dev.workload.exp;
+            let rays = exp.secondary_rays(surfels, cursor as u32 - 1);
+            for (slot, r) in rays.into_iter().enumerate() {
+                self.inner.dev.write(slot, r);
+            }
         }
-        self.cursor += 1;
+        self.inner.step();
+        if cursor == 0 {
+            self.inner.check_oracle();
+            self.grow_plan(self.primary_surfels());
+        }
     }
 
     fn export_state(&self) -> StateBag {
-        let mut bag = self.export_fields();
+        let mut bag = self.inner.export_state();
         if let Some(surfels) = &self.surfels {
-            // 9 f32s per surfel (offset point, normal, incoming dir),
-            // bit-exact via to_bits.
+            // 9 little-endian f32s per surfel (offset point, normal,
+            // incoming dir), bit-exact.
             let bytes = surfels
                 .iter()
-                .flat_map(|(p, n, d)| [p, n, d])
-                .flat_map(|v| [v.x, v.y, v.z])
-                .flat_map(|c| c.to_bits().to_le_bytes())
+                .flat_map(|(p, n, d)| [p, n, d].map(|v| [v.x, v.y, v.z]))
+                .flat_map(|v| v.map(f32::to_le_bytes))
+                .flatten()
                 .collect();
             bag.put("surfels", SnapValue::Bytes(bytes));
         }
         bag
     }
 
+    /// The surfels come first: they grow the plan the inner session's
+    /// cursor is checked against.
     fn import_state(&mut self, bag: &StateBag) -> Result<(), BagError> {
-        self.import_fields(bag)?;
-        self.surfels = match bag.get("surfels") {
-            None => None,
-            Some(v) => {
-                let bytes = v.as_bytes("surfels")?;
-                if bytes.len() % 36 != 0 {
-                    return Err(BagError::Mismatch(format!(
-                        "surfel blob of {} bytes is not a multiple of 36",
-                        bytes.len()
-                    )));
-                }
-                let f =
-                    |c: &[u8]| f32::from_bits(u32::from_le_bytes(c.try_into().expect("4 bytes")));
-                let v = |c: &[u8]| Vec3::new(f(&c[0..4]), f(&c[4..8]), f(&c[8..12]));
-                Some(
-                    bytes
-                        .chunks_exact(36)
-                        .map(|c| (v(&c[0..12]), v(&c[12..24]), v(&c[24..36])))
-                        .collect(),
-                )
+        if let Some(v) = bag.get("surfels") {
+            let bytes = v.as_bytes("surfels")?;
+            if bytes.len() % 36 != 0 {
+                return Err(BagError::Mismatch(format!(
+                    "surfel blob of {} bytes is not a multiple of 36",
+                    bytes.len()
+                )));
             }
-        };
-        if self.cursor > 0 && self.surfels.is_none() {
+            let f = |c: &[u8]| f32::from_le_bytes(c.try_into().expect("4 bytes"));
+            let v = |c: &[u8]| Vec3::new(f(&c[0..4]), f(&c[4..8]), f(&c[8..12]));
+            let surfel = |c: &[u8]| (v(&c[0..12]), v(&c[12..24]), v(&c[24..36]));
+            self.grow_plan(bytes.chunks_exact(36).map(surfel).collect());
+        }
+        self.inner.import_state(bag)?;
+        if self.inner.cursor > 0 && self.surfels.is_none() {
             return Err(BagError::Mismatch(
                 "snapshot past the primary pass carries no surfels".into(),
             ));
         }
-        let steps = self.rounds().map_or(0, |r| 1 + r);
-        check_cursor(self.cursor, self.parts.len(), steps)
+        Ok(())
     }
 
     fn finish(self: Box<Self>) -> RunResult {
-        self.into_result()
+        Box::new(self.inner).finish()
     }
 }
 

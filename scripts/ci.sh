@@ -188,14 +188,15 @@ run cargo run "${CARGO_FLAGS[@]}" --release -p tta-trace --bin tta-trace-check -
 # bisect tool's --diff self-check then proves real points restore and
 # replay byte-identically at every step boundary: B-Tree on TTA, the
 # accelerator layouts (ray tracing and N-Body on TTA+, RTNN on the RTA),
-# and R-Tree on the SIMT baseline, the one point that restores a run's
-# L1/L2 fills mid-run with no accelerator attached.
+# and on the SIMT baseline R-Tree, which restores a run's L1/L2 fills
+# mid-run with no accelerator attached, and the stack-based ray tracer,
+# whose plan grows after its primary pass.
 rm -rf results/snap-smoke
 run cargo run "${CARGO_FLAGS[@]}" --release -p tta-bench --bin fig13 -- --quick --threads 2 --snapshot-dir results/snap-smoke
 cp results/fig13.journal.json results/snap-smoke-cold.journal.json
 run cargo run "${CARGO_FLAGS[@]}" --release -p tta-bench --bin fig13 -- --quick --threads 2 --snapshot-dir results/snap-smoke --resume
 run cmp results/snap-smoke-cold.journal.json results/fig13.journal.json
-for point in "btree tta" "rt ttaplus" "rtnn rta" "nbody ttaplus" "rtree simt"; do
+for point in "btree tta" "rt ttaplus" "rtnn rta" "nbody ttaplus" "rtree simt" "rt simt"; do
     read -r workload platform <<<"$point"
     run cargo run "${CARGO_FLAGS[@]}" --release -p tta-snap --bin tta-snap-bisect -- \
         --workload "$workload" --platform "$platform" --chunks 3 --scale 0.2 --diff

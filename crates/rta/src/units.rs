@@ -14,7 +14,7 @@
 //!   crossbar.
 
 use crate::config::RtaConfig;
-use gpu_sim::snapshot::{BagError, StateBag};
+use gpu_sim::snapshot::{BagError, Snap, SnapValue, StateBag};
 
 /// Which hardware path performs a test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -130,11 +130,10 @@ gpu_sim::snap_row!(ProgramStats {
 /// (default 1), and an in-flight tracker for peak-occupancy statistics.
 #[derive(Debug, Clone)]
 pub struct PipelinedUnit {
-    latency: u64,
     interval: u64,
     next_issue: u64,
-    /// End times of in-flight ops (for concurrency accounting).
-    in_flight: Vec<u64>,
+    /// The operations in flight (for concurrency accounting).
+    in_flight: Occupancy,
     /// Statistics.
     pub stats: UnitStats,
 }
@@ -151,17 +150,16 @@ impl PipelinedUnit {
     pub fn with_interval(latency: u64, interval: u64) -> Self {
         assert!(interval >= 1, "initiation interval must be at least 1");
         PipelinedUnit {
-            latency,
             interval,
             next_issue: 0,
-            in_flight: Vec::new(),
+            in_flight: Occupancy::new(latency),
             stats: UnitStats::default(),
         }
     }
 
     /// Schedules one operation arriving at `now`; returns completion cycle.
     pub fn schedule(&mut self, now: u64) -> u64 {
-        self.schedule_with(now, self.latency)
+        self.schedule_with(now, self.in_flight.latency)
     }
 
     /// Schedules one operation with an explicit latency (for units that run
@@ -171,9 +169,8 @@ impl PipelinedUnit {
         let start = self.next_issue.max(now);
         self.next_issue = start + self.interval;
         let end = start + latency;
-        self.in_flight.retain(|&e| e > start);
-        self.in_flight.push(end);
-        self.stats.peak_in_flight = self.stats.peak_in_flight.max(self.in_flight.len());
+        let in_flight = self.in_flight.start(start, latency);
+        self.stats.peak_in_flight = self.stats.peak_in_flight.max(in_flight);
         self.stats.invocations += 1;
         self.stats.busy_cycles += latency;
         self.stats.total_latency += end - now;
@@ -185,12 +182,12 @@ impl PipelinedUnit {
         self.next_issue.max(now)
     }
 
-    // Snapshot support: the issue stamp, the in-flight tracker (retained
-    // lazily, so stale end-times are state: the peak-occupancy accounting
-    // of the next `schedule` depends on them) and the statistics. Latency
-    // and interval are configuration and stay out.
+    // Snapshot support: the issue stamp, the end times of the operations
+    // in flight as of the last start (the peak-occupancy accounting of the
+    // next `schedule` depends on them) and the statistics. Latency and
+    // interval are configuration and stay out.
     gpu_sim::snap_fields! {
-        pub fn export_state / import_state;
+        pub fn export_state / import_state, after import restore_occupancy;
         next_issue,
         in_flight,
         invocations: stats.invocations,
@@ -198,9 +195,127 @@ impl PipelinedUnit {
         peak_in_flight: stats.peak_in_flight,
         total_latency: stats.total_latency,
     }
+
+    /// Anchors the restored in-flight list at the unit's last start,
+    /// `next_issue − interval`.
+    ///
+    /// # Errors
+    ///
+    /// [`BagError::Mismatch`] when an operation ends before the last
+    /// start, or when a unit that never issued has operations in flight:
+    /// no run of the unit leaves either.
+    fn restore_occupancy(&mut self) -> Result<(), BagError> {
+        let occupancy = &mut self.in_flight;
+        match self.next_issue.checked_sub(self.interval) {
+            None if !occupancy.others.is_empty() => Err(BagError::Mismatch(
+                "a unit that never issued has operations in flight".into(),
+            )),
+            Some(last) if occupancy.others.iter().any(|&(_, end)| end < last) => {
+                Err(BagError::Mismatch(format!(
+                    "an in-flight operation ends before the unit's last start {last}"
+                )))
+            }
+            last_start => {
+                occupancy.last_start = last_start.unwrap_or(0);
+                Ok(())
+            }
+        }
+    }
 }
 
 gpu_sim::snap_state!(PipelinedUnit, Box<dyn IntersectionBackend>);
+
+/// The operations a [`PipelinedUnit`] has in flight as of its last start.
+///
+/// Starts are distinct and ascending (each is at least the previous one
+/// plus the interval), so an operation at the unit's own latency `L` is in
+/// flight at the last start exactly when it started fewer than `L` cycles
+/// before it: one bit of `starts` per pipeline stage, retired by shifting
+/// and masking to the low `L` bits, and counted by a popcount. Operations
+/// the mask cannot hold — another latency (`schedule_with`), a latency of
+/// 0 or above 64, or restored from a snapshot — keep `(start, end)` in
+/// `others`, which is empty on the hot path.
+#[derive(Debug, Clone)]
+struct Occupancy {
+    /// The unit's own latency.
+    latency: u64,
+    /// The low `latency` bits, or 0 when `latency` is 0 or above 64.
+    stages: u64,
+    /// Start cycle of the unit's last operation.
+    last_start: u64,
+    /// Bit k: an operation at `latency` started k cycles before
+    /// `last_start` and is in flight.
+    starts: u64,
+    /// `(start, end)` of every other operation in flight, in start order.
+    /// Restored operations carry start 0: they started before every
+    /// operation after the restore.
+    others: Vec<(u64, u64)>,
+}
+
+impl Occupancy {
+    fn new(latency: u64) -> Self {
+        let stages = match latency {
+            1..=64 => u64::MAX >> (64 - latency),
+            _ => 0,
+        };
+        Occupancy {
+            latency,
+            stages,
+            last_start: 0,
+            starts: 0,
+            others: Vec::new(),
+        }
+    }
+
+    /// Records an operation of `latency` starting at `start` (at or after
+    /// the last start) and returns how many are then in flight: those
+    /// that end after `start`, and the new one.
+    #[inline]
+    fn start(&mut self, start: u64, latency: u64) -> usize {
+        let shift = (start - self.last_start).min(64) as u32;
+        self.starts = self.starts.checked_shl(shift).unwrap_or(0) & self.stages;
+        self.last_start = start;
+        if !self.others.is_empty() {
+            self.others.retain(|&(_, end)| end > start);
+        }
+        if latency == self.latency && self.stages != 0 {
+            self.starts |= 1;
+        } else {
+            self.others.push((start, start + latency));
+        }
+        self.starts.count_ones() as usize + self.others.len()
+    }
+}
+
+/// The end times of the operations in flight, in start order: the list a
+/// unit that kept every end time and dropped those ended at each start
+/// would hold.
+impl Snap for Occupancy {
+    fn save(&self) -> SnapValue {
+        let mut ops: Vec<(u64, u64)> = (0..64)
+            .filter(|k| self.starts >> k & 1 == 1)
+            .map(|k| {
+                let start = self.last_start - k;
+                (start, start + self.latency)
+            })
+            .chain(self.others.iter().copied())
+            .collect();
+        ops.sort_by_key(|&(start, _)| start);
+        SnapValue::List(
+            ops.into_iter()
+                .map(|(_, end)| SnapValue::U64(end))
+                .collect(),
+        )
+    }
+
+    fn load(&mut self, v: &SnapValue, name: &str) -> Result<(), BagError> {
+        let mut ends: Vec<u64> = Vec::new();
+        ends.load(v, name)?;
+        self.starts = 0;
+        self.others = ends.into_iter().map(|end| (0, end)).collect();
+        Ok(())
+    }
+}
 
 /// Timing backend for intersection tests.
 pub trait IntersectionBackend: std::fmt::Debug {
@@ -270,13 +385,22 @@ impl std::error::Error for UnsupportedTest {}
 /// The unit of `pool` that can start an operation soonest at `now` (the
 /// first on a tie): how a pool of interchangeable units picks one.
 ///
+/// No unit starts before `now`, so the first unit free at `now` is the
+/// first minimum and ends the scan; only an all-busy pool is scanned to
+/// the end.
+///
 /// # Panics
 ///
 /// Panics on an empty pool.
 pub fn least_busy(pool: &mut [PipelinedUnit], now: u64) -> &mut PipelinedUnit {
-    pool.iter_mut()
-        .min_by_key(|u| u.next_free(now))
-        .expect("a unit pool needs at least one unit")
+    let pick = pool
+        .iter()
+        .position(|u| u.next_issue <= now)
+        .unwrap_or_else(|| {
+            let busy = pool.iter().enumerate().min_by_key(|(_, u)| u.next_issue);
+            busy.expect("a unit pool needs at least one unit").0
+        });
+    &mut pool[pick]
 }
 
 /// The fixed-function backend: `unit_sets` sets of (Ray-Box, Ray-Triangle)
@@ -429,7 +553,202 @@ mod tests {
         assert_eq!(u.schedule(200), 213, "idle unit restarts immediately");
         assert_eq!(u.stats.invocations, 3);
         assert_eq!(u.stats.busy_cycles, 39);
-        assert!(u.stats.peak_in_flight >= 2);
+        assert_eq!(u.stats.peak_in_flight, 2);
+    }
+
+    /// The in-flight list `PipelinedUnit` kept before the start mask:
+    /// every end time, dropping those ended at each start. The reference
+    /// the mask is checked against.
+    #[derive(Debug)]
+    struct ListUnit {
+        latency: u64,
+        interval: u64,
+        next_issue: u64,
+        in_flight: Vec<u64>,
+        peak_in_flight: usize,
+    }
+
+    impl ListUnit {
+        fn new(latency: u64, interval: u64) -> Self {
+            ListUnit {
+                latency,
+                interval,
+                next_issue: 0,
+                in_flight: Vec::new(),
+                peak_in_flight: 0,
+            }
+        }
+
+        fn schedule(&mut self, now: u64) -> u64 {
+            self.schedule_with(now, self.latency)
+        }
+
+        fn schedule_with(&mut self, now: u64, latency: u64) -> u64 {
+            let start = self.next_issue.max(now);
+            self.next_issue = start + self.interval;
+            let end = start + latency;
+            self.in_flight.retain(|&e| e > start);
+            self.in_flight.push(end);
+            self.peak_in_flight = self.peak_in_flight.max(self.in_flight.len());
+            end
+        }
+    }
+
+    fn exported_in_flight(u: &PipelinedUnit) -> Vec<u64> {
+        let bag = u.export_state();
+        let list = bag
+            .entry("in_flight")
+            .unwrap()
+            .as_list("in_flight")
+            .unwrap();
+        list.iter()
+            .map(|v| v.as_u64("in_flight").unwrap())
+            .collect()
+    }
+
+    /// Runs a unit and the list model side by side over 4000 seeded
+    /// arrivals, each at one of `latencies`, and checks completions, the
+    /// peak and the exported list after every step. With `resume`, the
+    /// unit is sometimes exported and replaced by a fresh one that
+    /// imports the bag.
+    fn differential(seed: u64, latency: u64, interval: u64, latencies: &[u64], resume: bool) {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut unit = PipelinedUnit::with_interval(latency, interval);
+        let mut model = ListUnit::new(latency, interval);
+        let mut now = 0;
+        for step in 0..4000 {
+            // Mostly bursts and short gaps, sometimes a gap past the mask.
+            now += match rng.random_range(0..10u32) {
+                0..=4 => 0,
+                5..=8 => rng.random_range(1..2 * latency.max(interval) + 2),
+                _ => rng.random_range(60..200),
+            };
+            let lat = latencies[rng.random_range(0..latencies.len())];
+            let (got, want) = if lat == latency {
+                (unit.schedule(now), model.schedule(now))
+            } else {
+                (unit.schedule_with(now, lat), model.schedule_with(now, lat))
+            };
+            let ctx = format!("seed {seed}, L{latency}/{interval}, step {step}");
+            assert_eq!(got, want, "{ctx}: completion");
+            assert_eq!(
+                unit.stats.peak_in_flight, model.peak_in_flight,
+                "{ctx}: peak"
+            );
+            assert_eq!(exported_in_flight(&unit), model.in_flight, "{ctx}: list");
+            if resume && rng.random_range(0..50u32) == 0 {
+                let bag = unit.export_state();
+                let mut fresh = PipelinedUnit::with_interval(latency, interval);
+                fresh.import_state(&bag).expect("own export fits");
+                assert_eq!(fresh.export_state(), bag, "{ctx}: lossless");
+                unit = fresh;
+            }
+        }
+        assert_eq!(unit.stats.invocations, 4000);
+    }
+
+    #[test]
+    fn start_mask_matches_the_list_model_at_a_fixed_latency() {
+        for (seed, latency) in [(1, 1), (2, 4), (3, 13), (4, 37)] {
+            differential(seed, latency, 1, &[latency], false);
+        }
+    }
+
+    #[test]
+    fn start_mask_matches_the_list_model_with_mixed_latencies() {
+        differential(5, 37, 1, &[13, 37], false);
+        differential(6, 13, 1, &[3, 13], false);
+    }
+
+    #[test]
+    fn long_latency_units_match_the_list_model() {
+        differential(7, 100, 24, &[100], false);
+        differential(8, 400, 24, &[400], false);
+    }
+
+    #[test]
+    fn export_import_and_resume_match_the_list_model() {
+        for (seed, latency, interval, latencies) in [
+            (9, 4, 1, &[4][..]),
+            (10, 37, 1, &[13, 37]),
+            (11, 13, 1, &[3, 13]),
+            (12, 100, 24, &[100]),
+        ] {
+            differential(seed, latency, interval, latencies, true);
+        }
+    }
+
+    /// `bag` with its `in_flight` entry replaced by `ends`.
+    fn with_in_flight(bag: &StateBag, ends: &[u64]) -> StateBag {
+        let mut out = StateBag::new();
+        for (name, value) in bag.entries() {
+            let value = match name.as_str() {
+                "in_flight" => SnapValue::List(ends.iter().map(|&e| SnapValue::U64(e)).collect()),
+                _ => value.clone(),
+            };
+            out.put(name, value);
+        }
+        out
+    }
+
+    #[test]
+    fn import_rejects_in_flight_lists_no_run_leaves() {
+        let mut u = PipelinedUnit::new(13);
+        u.schedule(100);
+        u.schedule(100);
+        let bag = u.export_state();
+        assert_eq!(exported_in_flight(&u), [113, 114]);
+        // Last start 101: an operation may end there (latency 0), not before.
+        let mut fresh = PipelinedUnit::new(13);
+        fresh
+            .import_state(&with_in_flight(&bag, &[101, 114]))
+            .unwrap();
+        assert!(matches!(
+            PipelinedUnit::new(13).import_state(&with_in_flight(&bag, &[100, 114])),
+            Err(BagError::Mismatch(_))
+        ));
+        let never_issued = PipelinedUnit::new(13).export_state();
+        assert!(matches!(
+            PipelinedUnit::new(13).import_state(&with_in_flight(&never_issued, &[13])),
+            Err(BagError::Mismatch(_))
+        ));
+    }
+
+    #[test]
+    fn least_busy_picks_the_first_soonest_free_unit() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(27);
+        for size in [1, 2, 3, 16] {
+            for _ in 0..500 {
+                let mut pool: Vec<PipelinedUnit> =
+                    (0..size).map(|_| PipelinedUnit::new(4)).collect();
+                // Few distinct stamps, so ties are common; `now` below
+                // every stamp leaves the whole pool busy.
+                for u in &mut pool {
+                    for _ in 0..rng.random_range(0..4u32) {
+                        u.schedule(rng.random_range(0..4));
+                    }
+                }
+                let now = rng.random_range(0..5);
+                let (want, _) = pool
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|(_, u)| u.next_free(now))
+                    .unwrap();
+                let picked: *const PipelinedUnit = least_busy(&mut pool, now);
+                assert!(std::ptr::eq(picked, &pool[want]), "size {size}, now {now}");
+            }
+        }
+        // All busy: the earliest stamp wins, the first on a tie.
+        let mut pool: Vec<PipelinedUnit> = (0..3).map(|_| PipelinedUnit::new(4)).collect();
+        for (u, at) in pool.iter_mut().zip([9, 7, 7]) {
+            u.schedule(at);
+        }
+        let picked: *const PipelinedUnit = least_busy(&mut pool, 0);
+        assert!(std::ptr::eq(picked, &pool[1]));
     }
 
     #[test]

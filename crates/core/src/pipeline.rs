@@ -60,6 +60,13 @@ pub enum AcceleratorGen {
     TtaPlusNoSqrt,
 }
 
+impl AcceleratorGen {
+    /// Does this generation run μop programs (either TTA+ design point)?
+    pub fn is_tta_plus(self) -> bool {
+        matches!(self, Self::TtaPlus | Self::TtaPlusNoSqrt)
+    }
+}
+
 /// A record layout declared via `DecodeR`/`DecodeI`/`DecodeL`: field sizes
 /// in bytes, mirroring the byte-offset arrays of Listing 1.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -231,42 +238,35 @@ impl TraversalPipeline {
         &self.leaf_layout
     }
 
-    /// The inner-node test as an engine [`TestKind`]. μop programs map to
-    /// [`TestKind::Program`] with the id assigned by the caller's backend
-    /// registration order.
-    pub fn inner_test_kind(&self, program_id: u16) -> TestKind {
-        Self::kind_of(&self.inner, program_id)
+    /// The distinct μop programs of the `Uops` slots, inner first: the
+    /// program list a TTA+ platform registers for this pipeline.
+    pub fn programs(&self) -> Vec<UopProgram> {
+        let mut programs: Vec<UopProgram> = Vec::new();
+        for test in [&self.inner, &self.leaf] {
+            match test {
+                TestConfig::Uops(p) if !programs.contains(p) => programs.push(p.clone()),
+                _ => {}
+            }
+        }
+        programs
     }
 
-    /// The leaf-node test as an engine [`TestKind`].
-    pub fn leaf_test_kind(&self, program_id: u16) -> TestKind {
-        Self::kind_of(&self.leaf, program_id)
-    }
-
-    /// The inner test configuration.
-    pub fn inner_config(&self) -> &TestConfig {
-        &self.inner
-    }
-
-    /// The leaf test configuration.
-    pub fn leaf_config(&self) -> &TestConfig {
-        &self.leaf
-    }
-
-    /// The termination condition.
-    pub fn terminate(&self) -> TerminateCond {
-        self.terminate
-    }
-
-    fn kind_of(cfg: &TestConfig, program_id: u16) -> TestKind {
-        match cfg {
+    /// The (inner, leaf) tests as engine [`TestKind`]s. A μop program maps
+    /// to [`TestKind::Program`], numbered by its position in
+    /// [`programs`](Self::programs).
+    pub fn test_kinds(&self) -> (TestKind, TestKind) {
+        let programs = self.programs();
+        let kind = |test: &TestConfig| match test {
             TestConfig::RayBox => TestKind::RayBox,
             TestConfig::RayTriangle => TestKind::RayTriangle,
             TestConfig::QueryKey => TestKind::QueryKey,
             TestConfig::PointToPoint => TestKind::PointToPoint,
             TestConfig::Shader => TestKind::IntersectionShader,
-            TestConfig::Uops(_) => TestKind::Program(program_id),
-        }
+            TestConfig::Uops(p) => {
+                TestKind::Program(programs.iter().position(|q| q == p).unwrap() as u16)
+            }
+        };
+        (kind(&self.inner), kind(&self.leaf))
     }
 
     /// The `decode-coverage` lint pass: cross-checks the `DecodeR` /
@@ -354,7 +354,7 @@ impl TraversalPipeline {
         slot: &'static str,
         test: &TestConfig,
     ) -> Option<UopProgram> {
-        let ttaplus = matches!(gen, AcceleratorGen::TtaPlus | AcceleratorGen::TtaPlusNoSqrt);
+        let ttaplus = gen.is_tta_plus();
         match test {
             TestConfig::Uops(p) => Some(p.clone()),
             TestConfig::RayBox if ttaplus => Some(UopProgram::ray_box()),
@@ -582,9 +582,40 @@ mod tests {
             .config_l(TestConfig::QueryKey)
             .build(AcceleratorGen::Tta)
             .unwrap();
-        assert_eq!(p.inner_test_kind(0), TestKind::QueryKey);
+        assert_eq!(p.test_kinds(), (TestKind::QueryKey, TestKind::QueryKey));
+        assert!(p.programs().is_empty());
         assert_eq!(p.ray_layout().total_bytes(), 16);
         assert_eq!(p.ray_layout().offset_of(2), 8);
+    }
+
+    #[test]
+    fn programs_are_numbered_inner_first_without_repeats() {
+        let build = |inner, leaf| {
+            base()
+                .config_i(inner)
+                .config_l(leaf)
+                .build(AcceleratorGen::TtaPlus)
+                .unwrap()
+        };
+        let (qk_inner, qk_leaf) = (UopProgram::query_key_inner(), UopProgram::query_key_leaf());
+        let p = build(
+            TestConfig::Uops(qk_inner.clone()),
+            TestConfig::Uops(qk_leaf.clone()),
+        );
+        assert_eq!(p.programs(), vec![qk_inner, qk_leaf]);
+        assert_eq!(p.test_kinds(), (TestKind::Program(0), TestKind::Program(1)));
+        // One program in both slots registers once and runs as id 0 twice.
+        let rb = UopProgram::ray_box();
+        let p = build(TestConfig::Uops(rb.clone()), TestConfig::Uops(rb.clone()));
+        assert_eq!(p.programs(), vec![rb.clone()]);
+        assert_eq!(p.test_kinds(), (TestKind::Program(0), TestKind::Program(0)));
+        // A fixed-function or shader slot takes no id.
+        let p = build(TestConfig::Shader, TestConfig::Uops(rb.clone()));
+        assert_eq!(p.programs(), vec![rb]);
+        assert_eq!(
+            p.test_kinds(),
+            (TestKind::IntersectionShader, TestKind::Program(0))
+        );
     }
 
     #[test]

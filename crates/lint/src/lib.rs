@@ -371,10 +371,8 @@ pub fn lint_pipeline(pipeline: &TraversalPipeline, cfg: &TtaPlusConfig) -> Vec<D
                 message: issue.to_string(),
             }),
     );
-    for test in [pipeline.inner_config(), pipeline.leaf_config()] {
-        if let tta::pipeline::TestConfig::Uops(p) = test {
-            diags.extend(lint_program(p, cfg));
-        }
+    for p in pipeline.programs() {
+        diags.extend(lint_program(&p, cfg));
     }
     diags
 }
@@ -419,55 +417,11 @@ pub struct ShippedKernel {
 /// at any size — so one round number serves every workload.
 const SHIPPED_POOL_BYTES: u64 = 1 << 20;
 
-/// Every workload kernel the workspace ships, with its memory contracts.
+/// Every workload kernel the workspace ships
+/// ([`workloads::kernels::shipped_kernels`]), with its memory contracts.
 pub fn shipped_kernel_inventory() -> Vec<ShippedKernel> {
     let bounds = LaunchBounds { num_threads: 1024 };
-    let pool = SHIPPED_POOL_BYTES;
-    // Ray records are 48 bytes, B-Tree query records 16.
-    const RAY: u32 = 48;
-    let entries: Vec<(Kernel, Vec<MemContract>)> = vec![
-        (
-            workloads::kernels::btree_search_kernel(false),
-            workloads::kernels::btree_search_contracts(pool),
-        ),
-        (
-            workloads::kernels::btree_search_kernel(true),
-            workloads::kernels::btree_search_contracts(pool),
-        ),
-        (
-            workloads::kernels::nbody_force_kernel(),
-            workloads::kernels::nbody_force_contracts(pool),
-        ),
-        (
-            workloads::kernels::nbody_integrate_kernel(),
-            workloads::kernels::nbody_integrate_contracts(),
-        ),
-        (
-            workloads::kernels::bvh_trace_kernel(),
-            workloads::kernels::bvh_trace_contracts(pool, pool),
-        ),
-        (
-            workloads::rtree::rtree_range_kernel(),
-            workloads::rtree::rtree_range_contracts(pool, pool),
-        ),
-        (
-            workloads::btree::traverse_only_kernel("rt_pipeline0", RAY, 0),
-            workloads::btree::traverse_only_contracts(RAY, pool),
-        ),
-        (
-            workloads::btree::traverse_only_kernel("rt_pipeline1", RAY, 1),
-            workloads::btree::traverse_only_contracts(RAY, pool),
-        ),
-        (
-            workloads::btree::traverse_only_kernel("traverse_only", 16, 0),
-            workloads::btree::traverse_only_contracts(16, pool),
-        ),
-        (
-            workloads::nbody::merged_traverse_integrate_kernel(),
-            workloads::nbody::merged_traverse_integrate_contracts(pool),
-        ),
-    ];
-    entries
+    workloads::kernels::shipped_kernels(SHIPPED_POOL_BYTES)
         .into_iter()
         .map(|(kernel, contracts)| ShippedKernel {
             kernel,
@@ -485,20 +439,20 @@ pub fn shipped_kernel_inventory() -> Vec<ShippedKernel> {
 /// Panics if a shipped workload's pipeline fails builder validation —
 /// that would be a bug in the workload itself.
 pub fn shipped_pipelines() -> Vec<TraversalPipeline> {
-    use workloads::{btree::BTreeExperiment, nbody::NBodyExperiment, rtnn::RtnnExperiment};
+    use workloads::btree::BTreeExperiment;
+    use workloads::{nbody::NBodyExperiment, rtnn::RtnnExperiment, rtree::RTreeExperiment};
     let mut out = Vec::new();
+    // TtaPlusNoSqrt is deliberately absent: the N-Body force program
+    // needs the SQRT unit, and the builder itself rejects that pairing —
+    // validation the pipeline layer already performs at build time.
     for gen in [AcceleratorGen::Tta, AcceleratorGen::TtaPlus] {
         out.push(BTreeExperiment::pipeline(gen).expect("shipped btree pipeline"));
         out.push(RtnnExperiment::pipeline(gen, LeafPath::Shader).expect("shipped rtnn pipeline"));
         out.push(
             RtnnExperiment::pipeline(gen, LeafPath::Offloaded).expect("shipped rtnn pipeline"),
         );
-    }
-    // TtaPlusNoSqrt is deliberately absent: the N-Body force program
-    // needs the SQRT unit, and the builder itself rejects that pairing —
-    // validation the pipeline layer already performs at build time.
-    for gen in [AcceleratorGen::Tta, AcceleratorGen::TtaPlus] {
         out.push(NBodyExperiment::pipeline(gen).expect("shipped nbody pipeline"));
+        out.push(RTreeExperiment::pipeline(gen).expect("shipped rtree pipeline"));
     }
     out
 }

@@ -94,37 +94,35 @@ fn parse_opts() -> Result<Opts, String> {
     Ok(o)
 }
 
+/// The `--platform` to run on, registering `programs` on TTA+; an error
+/// when it is unknown or cannot run the workload: RTNN has no SIMT
+/// baseline, and an accelerator must build the workload's pipeline.
 fn platform_for(o: &Opts, programs: Vec<tta::programs::UopProgram>) -> Result<Platform, String> {
-    match o.platform.as_str() {
-        "simt" => Ok(Platform::BaselineGpu),
-        "rta" => Ok(Platform::BaselineRta(rta::RtaConfig::baseline())),
-        "tta" => Ok(Platform::Tta(tta::backend::TtaConfig::default_paper())),
-        "ttaplus" => Ok(Platform::TtaPlus(
-            tta::ttaplus::TtaPlusConfig::default_paper(),
-            programs,
-        )),
-        other => Err(format!("unknown platform `{other}`")),
-    }
-}
-
-/// Why `workload` cannot run on `platform`, for the pairings whose
-/// traversal needs a test or a baseline the platform lacks.
-fn unsupported(workload: &str, platform: &str) -> Option<&'static str> {
-    match (workload, platform) {
-        ("btree", "rta") => Some("the baseline RTA has no Query-Key unit; use --platform tta"),
-        ("nbody", "rta") => Some("the baseline RTA has no Point-to-Point unit; use --platform tta"),
-        ("rtnn", "simt") => Some("RTNN has no SIMT baseline; use --platform rta"),
-        _ => None,
-    }
+    let platform = match o.platform.as_str() {
+        "simt" => Platform::BaselineGpu,
+        "rta" => Platform::BaselineRta(rta::RtaConfig::baseline()),
+        "tta" => Platform::Tta(tta::backend::TtaConfig::default_paper()),
+        "ttaplus" => Platform::TtaPlus(tta::ttaplus::TtaPlusConfig::default_paper(), programs),
+        other => return Err(format!("unknown platform `{other}`")),
+    };
+    let cannot = |why: &str| {
+        format!(
+            "--workload {} cannot run on --platform {}: {why}",
+            o.workload, o.platform
+        )
+    };
+    let built = match (o.workload.as_str(), platform.generation()) {
+        ("rtnn", None) => return Err(cannot("RTNN has no SIMT baseline; use --platform rta")),
+        ("btree", Some(gen)) => BTreeExperiment::pipeline(gen),
+        ("rtree", Some(gen)) => RTreeExperiment::pipeline(gen),
+        ("rtnn", Some(gen)) => RtnnExperiment::pipeline(gen, LeafPath::Shader),
+        ("nbody", Some(gen)) => NBodyExperiment::pipeline(gen),
+        _ => return Ok(platform),
+    };
+    built.map(|_| platform).map_err(|e| cannot(&e.to_string()))
 }
 
 fn make_session(o: &Opts) -> Result<Box<dyn RunSession>, String> {
-    if let Some(why) = unsupported(&o.workload, &o.platform) {
-        return Err(format!(
-            "--workload {} cannot run on --platform {}: {why}",
-            o.workload, o.platform
-        ));
-    }
     let sz = |d: usize| ((d as f64 * o.scale) as usize).max(64);
     match o.workload.as_str() {
         "btree" => {

@@ -9,11 +9,13 @@ use gpu_sim::kernel::{Kernel, KernelBuilder};
 use gpu_sim::mem::GlobalMemory;
 use gpu_sim::GpuConfig;
 use rta::engine::TraversalSemantics;
-use rta::units::TestKind;
 use trees::btree::SerializedBTree;
 use trees::image::MemoryImage;
 use trees::{BTree, BTreeFlavor};
 use tta::btree_sem::{self, BTreeSemantics};
+use tta::pipeline::{
+    AcceleratorGen, ConfigError, PipelineBuilder, TerminateCond, TestConfig, TraversalPipeline,
+};
 use tta::programs::UopProgram;
 
 use crate::cacheable::CacheableExperiment;
@@ -84,23 +86,17 @@ impl BTreeExperiment {
         }
     }
 
-    /// The TTA+ μop programs this workload registers (Table III rows 1–2).
+    /// The TTA+ μop programs this workload registers (Table III rows 1–2):
+    /// those of its TTA+ [`pipeline`](Self::pipeline).
     pub fn uop_programs() -> Vec<UopProgram> {
-        vec![UopProgram::query_key_inner(), UopProgram::query_key_leaf()]
+        Self::pipeline(AcceleratorGen::TtaPlus).unwrap().programs()
     }
 
-    /// The Listing-1 pipeline configuration this workload submits to the
-    /// accelerator, validated against the target generation.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`tta::pipeline::ConfigError`] when the generation cannot
-    /// execute the configured tests (e.g. Query-Key on a baseline RTA).
-    pub fn pipeline(
-        gen: tta::pipeline::AcceleratorGen,
-    ) -> Result<tta::pipeline::TraversalPipeline, tta::pipeline::ConfigError> {
-        use tta::pipeline::{PipelineBuilder, TerminateCond, TestConfig};
-        let (inner, leaf) = if matches!(gen, tta::pipeline::AcceleratorGen::TtaPlus) {
+    /// The Listing-1 pipeline this workload submits: the tests the engine
+    /// runs on `gen`, or a [`ConfigError`] when `gen` cannot execute them
+    /// (Query-Key on a baseline RTA).
+    pub fn pipeline(gen: AcceleratorGen) -> Result<TraversalPipeline, ConfigError> {
+        let (inner, leaf) = if gen.is_tta_plus() {
             (
                 TestConfig::Uops(UopProgram::query_key_inner()),
                 TestConfig::Uops(UopProgram::query_key_leaf()),
@@ -181,11 +177,7 @@ impl QueryWorkload for BTreeLookups {
     }
 
     fn semantics(&self, platform: &Platform, tree_base: u64) -> Vec<Box<dyn TraversalSemantics>> {
-        let (inner_test, leaf_test) = if platform.is_tta_plus() {
-            (TestKind::Program(0), TestKind::Program(1))
-        } else {
-            (TestKind::QueryKey, TestKind::QueryKey)
-        };
+        let (inner_test, leaf_test) = platform.declared_tests(BTreeExperiment::pipeline);
         vec![Box::new(BTreeSemantics {
             tree_base,
             bplus: self.0.ser.flavor == BTreeFlavor::BPlus,
@@ -335,7 +327,6 @@ mod tests {
 mod pipeline_tests {
     use super::*;
     use tta::btree_sem::QUERY_RECORD_SIZE;
-    use tta::pipeline::AcceleratorGen;
 
     #[test]
     fn pipeline_validates_per_generation() {
@@ -350,11 +341,12 @@ mod pipeline_tests {
     fn pipeline_kinds_match_what_run_configures() {
         use rta::units::TestKind;
         let p = BTreeExperiment::pipeline(AcceleratorGen::Tta).unwrap();
-        assert_eq!(p.inner_test_kind(0), TestKind::QueryKey);
-        assert_eq!(p.leaf_test_kind(0), TestKind::QueryKey);
-        let p = BTreeExperiment::pipeline(AcceleratorGen::TtaPlus).unwrap();
-        assert_eq!(p.inner_test_kind(0), TestKind::Program(0));
-        assert_eq!(p.leaf_test_kind(1), TestKind::Program(1));
+        assert_eq!(p.test_kinds(), (TestKind::QueryKey, TestKind::QueryKey));
+        for gen in [AcceleratorGen::TtaPlus, AcceleratorGen::TtaPlusNoSqrt] {
+            let p = BTreeExperiment::pipeline(gen).unwrap();
+            assert_eq!(p.test_kinds(), (TestKind::Program(0), TestKind::Program(1)));
+            assert_eq!(p.programs(), BTreeExperiment::uop_programs());
+        }
         assert_eq!(p.ray_layout().total_bytes(), QUERY_RECORD_SIZE);
     }
 }

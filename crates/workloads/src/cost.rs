@@ -259,10 +259,8 @@ pub fn shipped_facts(kernel_name: &str, gpu: &GpuConfig) -> Option<CostFacts> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::btree::{traverse_only_kernel, BTreeExperiment};
-    use crate::kernels::{btree_search_kernel, bvh_trace_kernel, nbody_force_kernel};
-    use crate::nbody::merged_traverse_integrate_kernel;
-    use crate::rtree::rtree_range_kernel;
+    use crate::btree::BTreeExperiment;
+    use crate::kernels::shipped_kernels;
 
     #[test]
     fn step_cost_covers_every_platform() {
@@ -283,19 +281,12 @@ mod tests {
     #[test]
     fn shipped_facts_cover_the_inventory_kernels() {
         let gpu = GpuConfig::vulkan_sim_default();
-        for name in [
-            "btree_search",
-            "bplus_search",
-            "nbody_force",
-            "nbody_integrate",
-            "bvh_trace",
-            "rtree_range",
-            "traverse_only",
-            "nbody_merged",
-            "rt_pipeline0",
-            "rt_pipeline1",
-        ] {
-            assert!(shipped_facts(name, &gpu).is_some(), "{name}");
+        for (kernel, _) in shipped_kernels(SHIPPED_NODE_CAP) {
+            assert!(
+                shipped_facts(&kernel.name, &gpu).is_some(),
+                "{}",
+                kernel.name
+            );
         }
         assert!(shipped_facts("nonesuch", &gpu).is_none());
     }
@@ -318,20 +309,8 @@ mod tests {
     fn shipped_facts_trip_arity_matches_the_kernels() {
         use gpu_sim::absint::check_termination;
         let gpu = GpuConfig::vulkan_sim_default();
-        for (name, kernel) in [
-            ("btree_search", btree_search_kernel(false)),
-            ("bplus_search", btree_search_kernel(true)),
-            ("nbody_force", nbody_force_kernel()),
-            ("nbody_integrate", crate::kernels::nbody_integrate_kernel()),
-            ("bvh_trace", bvh_trace_kernel()),
-            ("rtree_range", rtree_range_kernel()),
-            (
-                "traverse_only",
-                traverse_only_kernel("traverse_only", 16, 0),
-            ),
-            ("nbody_merged", merged_traverse_integrate_kernel()),
-            ("rt_pipeline0", traverse_only_kernel("rt_pipeline0", 48, 0)),
-        ] {
+        for (kernel, _) in shipped_kernels(SHIPPED_NODE_CAP) {
+            let name = &kernel.name;
             let facts = shipped_facts(name, &gpu).unwrap();
             let term = check_termination(&kernel);
             assert_eq!(

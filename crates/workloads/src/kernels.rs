@@ -885,29 +885,51 @@ pub fn bvh_trace_kernel() -> Kernel {
     k.build()
 }
 
+/// Every kernel the workspace ships, with the memory contracts its builder
+/// exports over `pool`-byte tree and primitive pools, in the order the
+/// `tta-cost` journal pins.
+pub fn shipped_kernels(pool: u64) -> Vec<(Kernel, Vec<MemContract>)> {
+    use crate::btree::{traverse_only_contracts, traverse_only_kernel};
+    use crate::rtree::{rtree_range_contracts, rtree_range_kernel};
+    let offload = |name, size, pipeline| {
+        let kernel = traverse_only_kernel(name, size, pipeline);
+        (kernel, traverse_only_contracts(size, pool))
+    };
+    let ray = rta::bvh_semantics::RAY_RECORD_SIZE as u32;
+    vec![
+        (btree_search_kernel(false), btree_search_contracts(pool)),
+        (btree_search_kernel(true), btree_search_contracts(pool)),
+        (nbody_force_kernel(), nbody_force_contracts(pool)),
+        (nbody_integrate_kernel(), nbody_integrate_contracts()),
+        (bvh_trace_kernel(), bvh_trace_contracts(pool, pool)),
+        (rtree_range_kernel(), rtree_range_contracts(pool, pool)),
+        offload("rt_pipeline0", ray, 0),
+        offload("rt_pipeline1", ray, 1),
+        offload("traverse_only", BTREE_RECORD as u32, 0),
+        (
+            crate::nbody::merged_traverse_integrate_kernel(),
+            crate::nbody::merged_traverse_integrate_contracts(pool),
+        ),
+    ]
+}
+
 #[cfg(test)]
 mod validator_tests {
     use super::*;
 
-    /// Every shipped baseline kernel must pass the static dataflow checks
-    /// with zero *errors*. (Warnings are allowed: the SIMT baselines keep
-    /// far more than 16 live registers — exactly the register pressure the
-    /// traversal offload removes.)
+    /// Every shipped kernel, the SIMT baselines and the offload kernels,
+    /// must pass the static dataflow checks with zero *errors*. (Warnings
+    /// are allowed: the SIMT baselines keep far more than 16 live
+    /// registers — exactly the register pressure the traversal offload
+    /// removes.)
     #[test]
     fn all_baseline_kernels_are_clean() {
-        for (name, kernel) in [
-            ("btree", btree_search_kernel(false)),
-            ("bplus", btree_search_kernel(true)),
-            ("nbody_force", nbody_force_kernel()),
-            ("nbody_integrate", nbody_integrate_kernel()),
-            ("bvh_trace", bvh_trace_kernel()),
-            ("rtree_range", crate::rtree::rtree_range_kernel()),
-        ] {
+        for (kernel, _) in shipped_kernels(1 << 20) {
             let issues: Vec<_> = gpu_sim::verify::check(&kernel)
                 .into_iter()
                 .filter(|i| i.is_error())
                 .collect();
-            assert!(issues.is_empty(), "{name}: {issues:?}");
+            assert!(issues.is_empty(), "{}: {issues:?}", kernel.name);
         }
     }
 

@@ -7,11 +7,13 @@ use geometry::Vec3;
 use gpu_sim::mem::GlobalMemory;
 use gpu_sim::GpuConfig;
 use rta::engine::TraversalSemantics;
-use rta::units::TestKind;
 use trees::barnes_hut::SerializedBarnesHut;
 use trees::image::MemoryImage;
 use trees::{BarnesHutTree, Particle};
 use tta::nbody_sem::{self, BarnesHutSemantics, QUERY_RECORD_SIZE};
+use tta::pipeline::{
+    AcceleratorGen, ConfigError, PipelineBuilder, TerminateCond, TestConfig, TraversalPipeline,
+};
 use tta::programs::UopProgram;
 
 use crate::cacheable::CacheableExperiment;
@@ -93,29 +95,17 @@ impl NBodyExperiment {
     }
 
     /// TTA+ μop programs: the Point-to-Point opening test and the force
-    /// computation (Table III rows 3–4).
+    /// computation (Table III rows 3–4), those of the TTA+
+    /// [`pipeline`](Self::pipeline).
     pub fn uop_programs() -> Vec<UopProgram> {
-        vec![
-            UopProgram::point_to_point_inner(),
-            UopProgram::nbody_force_leaf(),
-        ]
+        Self::pipeline(AcceleratorGen::TtaPlus).unwrap().programs()
     }
 
-    /// The Listing-1 pipeline configuration for the Barnes-Hut walk.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`tta::pipeline::ConfigError`]; notably the force program
-    /// needs SQRT, so only TTA+ can run the fully-offloaded leaf.
-    pub fn pipeline(
-        gen: tta::pipeline::AcceleratorGen,
-    ) -> Result<tta::pipeline::TraversalPipeline, tta::pipeline::ConfigError> {
-        use tta::pipeline::{PipelineBuilder, TerminateCond, TestConfig};
-        let plus = matches!(
-            gen,
-            tta::pipeline::AcceleratorGen::TtaPlus | tta::pipeline::AcceleratorGen::TtaPlusNoSqrt
-        );
-        let (inner, leaf) = if plus {
+    /// The Listing-1 pipeline for the Barnes-Hut walk; a [`ConfigError`]
+    /// when `gen` cannot run it, notably on TTA+ without the SQRT unit the
+    /// force program needs.
+    pub fn pipeline(gen: AcceleratorGen) -> Result<TraversalPipeline, ConfigError> {
+        let (inner, leaf) = if gen.is_tta_plus() {
             (
                 TestConfig::Uops(UopProgram::point_to_point_inner()),
                 TestConfig::Uops(UopProgram::nbody_force_leaf()),
@@ -216,11 +206,7 @@ impl QueryWorkload for ForceQueries {
     }
 
     fn semantics(&self, platform: &Platform, tree_base: u64) -> Vec<Box<dyn TraversalSemantics>> {
-        let (open_test, force_test) = if platform.is_tta_plus() {
-            (TestKind::Program(0), TestKind::Program(1))
-        } else {
-            (TestKind::PointToPoint, TestKind::IntersectionShader)
-        };
+        let (open_test, force_test) = platform.declared_tests(NBodyExperiment::pipeline);
         vec![Box::new(BarnesHutSemantics {
             tree_base,
             particle_base: tree_base + self.inputs.ser.particle_base as u64,
@@ -398,7 +384,6 @@ mod tests {
 #[cfg(test)]
 mod pipeline_tests {
     use super::*;
-    use tta::pipeline::AcceleratorGen;
 
     #[test]
     fn force_program_needs_full_ttaplus() {

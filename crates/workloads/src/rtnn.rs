@@ -17,10 +17,12 @@ use gpu_sim::GpuConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rta::engine::TraversalSemantics;
-use rta::units::TestKind;
 use trees::bvh::SerializedBvh;
 use trees::image::MemoryImage;
 use trees::{Bvh, BvhPrimitive};
+use tta::pipeline::{
+    AcceleratorGen, ConfigError, PipelineBuilder, TerminateCond, TestConfig, TraversalPipeline,
+};
 use tta::programs::UopProgram;
 use tta::radius_sem::{self, RadiusSearchSemantics};
 
@@ -99,34 +101,35 @@ impl RtnnExperiment {
         }
     }
 
-    /// TTA+ μop programs: Ray-Box inner + Point-to-Point leaf (Table III).
+    /// TTA+ μop programs: Ray-Box inner + Point-to-Point leaf (Table III),
+    /// those of the offloaded TTA+ [`pipeline`](Self::pipeline). The
+    /// shader-leaf pipeline's list is a prefix of it.
     pub fn uop_programs() -> Vec<UopProgram> {
-        vec![UopProgram::ray_box(), UopProgram::rtnn_leaf()]
+        Self::pipeline(AcceleratorGen::TtaPlus, LeafPath::Offloaded)
+            .unwrap()
+            .programs()
     }
 
-    /// The Listing-1 pipeline configuration for radius search.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`tta::pipeline::ConfigError`] for unsupported tests.
-    pub fn pipeline(
-        gen: tta::pipeline::AcceleratorGen,
-        leaf: LeafPath,
-    ) -> Result<tta::pipeline::TraversalPipeline, tta::pipeline::ConfigError> {
-        use tta::pipeline::{PipelineBuilder, TerminateCond, TestConfig};
-        let leaf_cfg = match (leaf, gen) {
+    /// The Listing-1 pipeline for radius search; a [`ConfigError`] when
+    /// `gen` lacks a test (Point-to-Point on the baseline RTA).
+    pub fn pipeline(gen: AcceleratorGen, leaf: LeafPath) -> Result<TraversalPipeline, ConfigError> {
+        let plus = gen.is_tta_plus();
+        let inner = if plus {
+            TestConfig::Uops(UopProgram::ray_box())
+        } else {
+            TestConfig::RayBox
+        };
+        let leaf = match (leaf, plus) {
             (LeafPath::Shader, _) => TestConfig::Shader,
-            (LeafPath::Offloaded, tta::pipeline::AcceleratorGen::TtaPlus) => {
-                TestConfig::Uops(UopProgram::rtnn_leaf())
-            }
-            (LeafPath::Offloaded, _) => TestConfig::PointToPoint,
+            (LeafPath::Offloaded, true) => TestConfig::Uops(UopProgram::rtnn_leaf()),
+            (LeafPath::Offloaded, false) => TestConfig::PointToPoint,
         };
         PipelineBuilder::new("rtnn-radius-search")
             .decode_r(&[12, 4, 4, 4, 8]) // point | radius | count | visited | pad
             .decode_i(&[4, 4, 24, 24, 4, 4]) // header | left | boxes | right | pad
             .decode_l(&[4, 4, 24, 24, 4, 4])
-            .config_i(TestConfig::RayBox)
-            .config_l(leaf_cfg)
+            .config_i(inner)
+            .config_l(leaf)
             .config_terminate(TerminateCond::StackEmpty)
             .build(gen)
     }
@@ -215,17 +218,8 @@ impl QueryWorkload for RadiusQueries {
     }
 
     fn semantics(&self, platform: &Platform, tree_base: u64) -> Vec<Box<dyn TraversalSemantics>> {
-        let plus = platform.is_tta_plus();
-        let inner_test = if plus {
-            TestKind::Program(0)
-        } else {
-            TestKind::RayBox
-        };
-        let leaf_test = match (self.leaf, plus) {
-            (LeafPath::Shader, _) => TestKind::IntersectionShader,
-            (LeafPath::Offloaded, false) => TestKind::PointToPoint,
-            (LeafPath::Offloaded, true) => TestKind::Program(1),
-        };
+        let (inner_test, leaf_test) =
+            platform.declared_tests(|gen| RtnnExperiment::pipeline(gen, self.leaf));
         vec![Box::new(RadiusSearchSemantics {
             tree_base,
             prim_base: tree_base + self.inputs.ser.prim_base as u64,
@@ -337,7 +331,6 @@ mod tests {
 #[cfg(test)]
 mod pipeline_tests {
     use super::*;
-    use tta::pipeline::AcceleratorGen;
 
     #[test]
     fn shader_leaf_works_everywhere_offload_needs_tta() {

@@ -16,9 +16,11 @@ use gpu_sim::GpuConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rta::engine::TraversalSemantics;
-use rta::units::TestKind;
 use trees::image::MemoryImage;
 use trees::rtree::{RTree, RTreeEntry, SerializedRTree, ENTRY_STRIDE, RTREE_FANOUT};
+use tta::pipeline::{
+    AcceleratorGen, ConfigError, PipelineBuilder, TerminateCond, TestConfig, TraversalPipeline,
+};
 use tta::programs::UopProgram;
 use tta::rtree_sem::{read_range_result, write_range_record, RTreeSemantics, QUERY_RECORD_SIZE};
 
@@ -80,9 +82,29 @@ impl RTreeExperiment {
         }
     }
 
-    /// TTA+ μop programs: one Ray-Box for both inner and leaf overlap tests.
+    /// TTA+ μop programs: one Ray-Box for both inner and leaf overlap
+    /// tests, that of the TTA+ [`pipeline`](Self::pipeline).
     pub fn uop_programs() -> Vec<UopProgram> {
-        vec![UopProgram::ray_box()]
+        Self::pipeline(AcceleratorGen::TtaPlus).unwrap().programs()
+    }
+
+    /// The Listing-1 pipeline for range queries: the MBR overlap test of
+    /// inner nodes and leaf entries alike runs on the Ray-Box unit, or as
+    /// the Table III Ray-Box program on TTA+. It builds on every generation.
+    pub fn pipeline(gen: AcceleratorGen) -> Result<TraversalPipeline, ConfigError> {
+        let test = if gen.is_tta_plus() {
+            TestConfig::Uops(UopProgram::ray_box())
+        } else {
+            TestConfig::RayBox
+        };
+        PipelineBuilder::new("rtree-range")
+            .decode_r(&[12, 12, 4, 4]) // box min | box max | count | visited
+            .decode_i(&[4, 4, 12, 12, 32]) // header | first child | mbr min | mbr max | reserved
+            .decode_l(&[4, 4, 12, 12, 32])
+            .config_i(test.clone())
+            .config_l(test)
+            .config_terminate(TerminateCond::StackEmpty)
+            .build(gen)
     }
 
     fn dataset(&self) -> (Vec<RTreeEntry>, Vec<Aabb>) {
@@ -191,16 +213,12 @@ impl QueryWorkload for RTreeRanges {
     }
 
     fn semantics(&self, platform: &Platform, tree_base: u64) -> Vec<Box<dyn TraversalSemantics>> {
-        let test = if platform.is_tta_plus() {
-            TestKind::Program(0)
-        } else {
-            TestKind::RayBox
-        };
+        let (inner_test, leaf_test) = platform.declared_tests(RTreeExperiment::pipeline);
         vec![Box::new(RTreeSemantics {
             tree_base,
             entry_base: tree_base + self.0.ser.entry_base as u64,
-            inner_test: test,
-            leaf_test: test,
+            inner_test,
+            leaf_test,
         })]
     }
 

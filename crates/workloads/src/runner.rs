@@ -7,10 +7,11 @@ use std::rc::Rc;
 
 use gpu_sim::{Gpu, GpuConfig, SimStats};
 use rta::engine::{TraversalEngine, TraversalSemantics};
-use rta::units::{FixedFunctionBackend, IntersectionBackend};
+use rta::units::{FixedFunctionBackend, IntersectionBackend, TestKind};
 use rta::{AccelReport, RtaConfig};
 use trace::{ChromeTraceSink, TraceHandle};
 use tta::backend::TtaConfig;
+use tta::pipeline::{AcceleratorGen, ConfigError, TraversalPipeline};
 use tta::programs::UopProgram;
 use tta::ttaplus::{TtaPlusBackend, TtaPlusConfig};
 
@@ -47,9 +48,31 @@ impl Platform {
         !matches!(self, Platform::BaselineGpu)
     }
 
-    /// Does this platform run μop programs (TTA+)?
-    pub fn is_tta_plus(&self) -> bool {
-        matches!(self, Platform::TtaPlus(..) | Platform::TtaPlusWith(..))
+    /// The generation the platform's pipelines are built for, `None`
+    /// without an accelerator; a TTA+ without SQRT is `TtaPlusNoSqrt`.
+    pub fn generation(&self) -> Option<AcceleratorGen> {
+        Some(match self {
+            Platform::BaselineGpu => return None,
+            Platform::BaselineRta(_) => AcceleratorGen::BaselineRta,
+            Platform::Tta(_) => AcceleratorGen::Tta,
+            Platform::TtaPlus(c, _) | Platform::TtaPlusWith(_, c, _) if !c.with_sqrt => {
+                AcceleratorGen::TtaPlusNoSqrt
+            }
+            Platform::TtaPlus(..) | Platform::TtaPlusWith(..) => AcceleratorGen::TtaPlus,
+        })
+    }
+
+    /// The (inner, leaf) tests of the pipeline `declare` builds for this
+    /// accelerator platform; panics with the [`ConfigError`] text when the
+    /// platform cannot run it.
+    pub(crate) fn declared_tests(
+        &self,
+        declare: impl FnOnce(AcceleratorGen) -> Result<TraversalPipeline, ConfigError>,
+    ) -> (TestKind, TestKind) {
+        let gen = self.generation().expect("an accelerator platform");
+        declare(gen)
+            .unwrap_or_else(|e| panic!("{} cannot run this workload: {e}", self.label()))
+            .test_kinds()
     }
 
     /// The configuration the platform's traversal engine runs under:

@@ -33,6 +33,7 @@ use gpu_sim::{GpuConfig, SimStats};
 use rta::bvh_semantics::read_ray_result;
 use rta::AccelReport;
 use trace::ChromeTraceSink;
+use tta::pipeline::AcceleratorGen;
 
 use crate::btree::{BTreeExperiment, BTreeLookups};
 use crate::cacheable::{inputs_or_build, CacheableExperiment};
@@ -453,7 +454,10 @@ impl RtExperiment {
     ///
     /// Panics on the same platform/feature conflicts `run()` rejects.
     pub fn session(&self) -> RtSession {
-        let is_plus = self.platform.is_tta_plus();
+        let is_plus = self
+            .platform
+            .generation()
+            .is_some_and(AcceleratorGen::is_tta_plus);
         assert!(
             !self.sato || is_plus,
             "SATO needs TTA+'s programmable traversal (the paper's *SHIP_SH)"

@@ -31,10 +31,10 @@
 #      snapshot store, a warm --resume rerun restores every run's final
 #      state without re-simulating, and the two journals must be
 #      byte-identical; then tta-snap-bisect --diff proves real points
-#      (B-Tree and N-Body on TTA, RT and N-Body on TTA+, RTNN on the
-#      RTA) restore and replay byte-identically at every step boundary,
-#      plus R-Tree on the SIMT baseline (a BASE run's L1/L2 fills
-#      restored mid-run)
+#      (B-Tree and N-Body on TTA, RT, N-Body, RTNN and R-Tree on TTA+,
+#      RTNN on the RTA) restore and replay byte-identically at every step
+#      boundary, plus R-Tree on the SIMT baseline (a BASE run's L1/L2
+#      fills restored mid-run)
 #   9. a shadow- and race-checked --quick fig13 sweep (TTA_SHADOW_CHECK=1
 #      TTA_RACE_CHECK=1): the runtime soundness gate asserting every
 #      register value and SIMT stack depth stays inside its static
@@ -189,7 +189,8 @@ run cargo run "${CARGO_FLAGS[@]}" --release -p tta-trace --bin tta-trace-check -
 # bisect tool's --diff self-check then proves real points restore and
 # replay byte-identically at every step boundary: B-Tree on TTA, the
 # accelerator layouts (ray tracing and N-Body on TTA+, RTNN on the RTA),
-# N-Body on TTA, whose Ray-Triangle units run Point-to-Point at their
+# RTNN and R-Tree on TTA+, whose μop programs their declared pipelines
+# list, N-Body on TTA, whose Ray-Triangle units run Point-to-Point at their
 # own latency (in-flight operations a unit's start mask cannot hold),
 # and on the SIMT baseline R-Tree, which restores a run's L1/L2 fills
 # mid-run with no accelerator attached, and the stack-based ray tracer,
@@ -199,7 +200,8 @@ run cargo run "${CARGO_FLAGS[@]}" --release -p tta-bench --bin fig13 -- --quick 
 cp results/fig13.journal.json results/snap-smoke-cold.journal.json
 run cargo run "${CARGO_FLAGS[@]}" --release -p tta-bench --bin fig13 -- --quick --threads 2 --snapshot-dir results/snap-smoke --resume
 run cmp results/snap-smoke-cold.journal.json results/fig13.journal.json
-for point in "btree tta" "rt ttaplus" "rtnn rta" "nbody ttaplus" "nbody tta" "rtree simt" "rt simt"; do
+for point in "btree tta" "rt ttaplus" "rtnn rta" "nbody ttaplus" "nbody tta" "rtnn ttaplus" \
+    "rtree ttaplus" "rtree simt" "rt simt"; do
     read -r workload platform <<<"$point"
     run cargo run "${CARGO_FLAGS[@]}" --release -p tta-snap --bin tta-snap-bisect -- \
         --workload "$workload" --platform "$platform" --chunks 3 --scale 0.2 --diff

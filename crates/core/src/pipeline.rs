@@ -20,8 +20,8 @@
 //!
 //! let pipeline = PipelineBuilder::new("btree-search")
 //!     .decode_r(&[4, 4, 4, 4])            // key, found, visited, pad
-//!     .decode_i(&[4, 4, 32])              // header, first child, keys
-//!     .decode_l(&[4, 4, 32])
+//!     .decode_i(&[4, 4, 32, 24])          // header, first child, keys, pad
+//!     .decode_l(&[4, 4, 32, 24])
 //!     .config_i(TestConfig::QueryKey)
 //!     .config_l(TestConfig::QueryKey)
 //!     .config_terminate(TerminateCond::StackEmpty)
@@ -32,8 +32,8 @@
 //! // The same pipeline with μop programs requires TTA+:
 //! let err = PipelineBuilder::new("btree-uops")
 //!     .decode_r(&[4, 4, 4, 4])
-//!     .decode_i(&[4, 4, 32])
-//!     .decode_l(&[4, 4, 32])
+//!     .decode_i(&[4, 4, 32, 24])
+//!     .decode_l(&[4, 4, 32, 24])
 //!     .config_i(TestConfig::Uops(UopProgram::query_key_inner()))
 //!     .config_l(TestConfig::Uops(UopProgram::query_key_leaf()))
 //!     .config_terminate(TerminateCond::StackEmpty)
@@ -276,7 +276,7 @@ impl TraversalPipeline {
     /// Every `TestConfig::Uops` program is checked directly. On the TTA+
     /// generations the fixed-function tests also execute as Table III μop
     /// programs, so `RayBox` / `RayTriangle` / `QueryKey` / `PointToPoint`
-    /// configurations resolve to the corresponding built-in program and
+    /// configurations resolve to their [`UopProgram::canned`] program and
     /// are checked too; on the baseline RTA and TTA the fixed units decode
     /// their records in hardware, so only explicit μop programs apply.
     ///
@@ -284,12 +284,13 @@ impl TraversalPipeline {
     /// a matching declared field.
     pub fn check_decode_coverage(&self) -> Vec<PipelineIssue> {
         let mut issues = Vec::new();
-        let slots: [(&'static str, &TestConfig, &RecordLayout); 2] = [
-            ("inner", &self.inner, &self.inner_layout),
-            ("leaf", &self.leaf, &self.leaf_layout),
+        let (inner, leaf) = self.test_kinds();
+        let slots = [
+            ("inner", inner, &self.inner_layout),
+            ("leaf", leaf, &self.leaf_layout),
         ];
-        for (slot, test, node_layout) in slots {
-            let Some(program) = Self::resolved_program(self.gen, slot, test) else {
+        for (slot, kind, node_layout) in slots {
+            let Some(program) = self.program_for(kind) else {
                 continue;
             };
             for (pc, uop) in program.uops().iter().enumerate() {
@@ -333,7 +334,7 @@ impl TraversalPipeline {
     pub fn check_terminate_reachability(&self) -> Vec<PipelineIssue> {
         let mut issues = Vec::new();
         if let TerminateCond::RayFieldNonZero { at_pc, .. } = self.terminate {
-            match Self::resolved_program(self.gen, "leaf", &self.leaf) {
+            match self.program_for(self.test_kinds().1) {
                 None => issues.push(PipelineIssue::TerminateNeverChecked),
                 Some(p) if at_pc >= p.uops().len() => {
                     issues.push(PipelineIssue::TerminatePcOutOfRange {
@@ -347,24 +348,14 @@ impl TraversalPipeline {
         issues
     }
 
-    /// The μop program that will actually execute for `test` on `gen`, if
-    /// one exists.
-    fn resolved_program(
-        gen: AcceleratorGen,
-        slot: &'static str,
-        test: &TestConfig,
-    ) -> Option<UopProgram> {
-        let ttaplus = gen.is_tta_plus();
-        match test {
-            TestConfig::Uops(p) => Some(p.clone()),
-            TestConfig::RayBox if ttaplus => Some(UopProgram::ray_box()),
-            TestConfig::RayTriangle if ttaplus => Some(UopProgram::ray_triangle_leaf()),
-            TestConfig::QueryKey if ttaplus => Some(if slot == "leaf" {
-                UopProgram::query_key_leaf()
-            } else {
-                UopProgram::query_key_inner()
-            }),
-            TestConfig::PointToPoint if ttaplus => Some(UopProgram::point_to_point_inner()),
+    /// The μop program that runs for the engine test `kind` of this
+    /// pipeline, if any: a registered program by its id, or on the TTA+
+    /// generations the [`UopProgram::canned`] program of a fixed-function
+    /// test, as the TTA+ backend runs it.
+    fn program_for(&self, kind: TestKind) -> Option<UopProgram> {
+        match kind {
+            TestKind::Program(i) => Some(self.programs()[i as usize].clone()),
+            _ if self.gen.is_tta_plus() => UopProgram::canned(kind),
             _ => None,
         }
     }
@@ -804,6 +795,26 @@ mod tests {
         assert_eq!(
             never.check_terminate_reachability(),
             vec![PipelineIssue::TerminateNeverChecked]
+        );
+    }
+
+    #[test]
+    fn a_fixed_leaf_test_resolves_to_the_program_ttaplus_runs() {
+        // TTA+ runs the canned Query-Key program, `query_key_inner`, in
+        // either slot, so a check anchored past the end of the shorter
+        // `query_key_leaf` still fires.
+        let at_pc = UopProgram::query_key_leaf().len();
+        assert!(at_pc < UopProgram::query_key_inner().len());
+        let p = base()
+            .config_i(TestConfig::QueryKey)
+            .config_l(TestConfig::QueryKey)
+            .config_terminate(TerminateCond::RayFieldNonZero { offset: 4, at_pc })
+            .build(AcceleratorGen::TtaPlus)
+            .unwrap();
+        assert!(p.check_terminate_reachability().is_empty());
+        assert_eq!(
+            p.program_for(p.test_kinds().1),
+            Some(UopProgram::query_key_inner())
         );
     }
 

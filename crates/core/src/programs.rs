@@ -21,6 +21,7 @@
 //! (Listing 1's result fields).
 
 use crate::op_unit::OpUnit;
+use rta::units::TestKind;
 
 /// Number of result slots in the OP Dest Table (one 16-entry vec3 register
 /// bank, matching the 16x16 crossbar and the 16-register warp-buffer record
@@ -454,6 +455,20 @@ impl UopProgram {
             0,
         )];
         Self::from_uops("Transform", uops).expect("static program")
+    }
+
+    /// The Table III program TTA+ runs for the fixed-function test `kind`,
+    /// in either slot; `None` for a shader call or a registered program.
+    /// The backend and the pipeline lint passes both read this mapping.
+    pub fn canned(kind: TestKind) -> Option<Self> {
+        Some(match kind {
+            TestKind::RayBox => Self::ray_box(),
+            TestKind::RayTriangle => Self::ray_triangle_leaf(),
+            TestKind::QueryKey => Self::query_key_inner(),
+            TestKind::PointToPoint => Self::point_to_point_inner(),
+            TestKind::Transform => Self::transform(),
+            TestKind::IntersectionShader | TestKind::Program(_) => return None,
+        })
     }
 
     /// The §IV-A strength-reduction the paper applies to the N-Body force

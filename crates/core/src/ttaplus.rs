@@ -125,13 +125,7 @@ impl TtaPlusBackend {
         let crossbar = (0..cfg.crossbar_parallel_transfers)
             .map(|_| PipelinedUnit::new(cfg.crossbar_hop_latency))
             .collect();
-        let builtin = [
-            UopProgram::ray_box(),
-            UopProgram::ray_triangle_leaf(),
-            UopProgram::query_key_inner(),
-            UopProgram::point_to_point_inner(),
-            UopProgram::transform(),
-        ];
+        let builtin = BUILTIN_TESTS.map(|k| UopProgram::canned(k).expect("a fixed-function test"));
         let program_stats = vec![ProgramStats::default(); programs.len()];
         let rta = RtaConfig::baseline();
         TtaPlusBackend {
@@ -188,6 +182,16 @@ impl TtaPlusBackend {
     }
 }
 
+/// The fixed-function tests whose [`UopProgram::canned`] programs fill the
+/// `builtin` slots, in [`BUILTIN_TRACE_ORDER`].
+const BUILTIN_TESTS: [TestKind; 5] = [
+    TestKind::RayBox,
+    TestKind::RayTriangle,
+    TestKind::QueryKey,
+    TestKind::PointToPoint,
+    TestKind::Transform,
+];
+
 /// Stable ordering of the built-in Table III programs: trace tracks,
 /// `builtin`/`builtin_stats` slots, snapshot rows and reported programs.
 const BUILTIN_TRACE_ORDER: [&str; 5] = [
@@ -207,7 +211,7 @@ enum ProgramRef {
 
 impl IntersectionBackend for TtaPlusBackend {
     fn schedule(&mut self, kind: TestKind, now: u64) -> Result<u64, UnsupportedTest> {
-        // Builtin slots follow BUILTIN_TRACE_ORDER.
+        // Builtin slots follow BUILTIN_TESTS.
         let which = match kind {
             TestKind::RayBox => ProgramRef::Builtin(0),
             TestKind::RayTriangle => ProgramRef::Builtin(1),

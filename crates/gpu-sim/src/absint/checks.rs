@@ -63,6 +63,31 @@ pub struct MemContract {
     pub mode: AccessMode,
 }
 
+impl MemContract {
+    /// `bytes` per launched thread at launch parameter `param`, thread `t`
+    /// owning `[base + bytes·t, base + bytes·(t+1))`: a query record or a
+    /// traversal stack.
+    pub const fn per_thread(name: &'static str, param: u8, bytes: u64) -> Self {
+        MemContract {
+            name,
+            base_param: param,
+            len: ContractLen::BytesPerThread(bytes),
+            mode: AccessMode::WriteExclusivePerThread { stride: bytes },
+        }
+    }
+
+    /// A `bytes`-byte pool at launch parameter `param` that no thread
+    /// writes: a tree or a primitive pool.
+    pub const fn shared(name: &'static str, param: u8, bytes: u64) -> Self {
+        MemContract {
+            name,
+            base_param: param,
+            len: ContractLen::Bytes(bytes),
+            mode: AccessMode::ReadShared,
+        }
+    }
+}
+
 /// Outcome of the memory-safety pass for one `Load`/`Store`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MemIssue {

@@ -9,8 +9,8 @@
 //! launch bounds, on the `vulkan_sim_default` device) the journal records
 //! the divergence verdict of every conditional branch, the coalescing
 //! class and per-warp transaction bracket of every memory site, and the
-//! static cycle bounds derived from the kernel's declared cost facts
-//! (`workloads::cost::shipped_facts`). For each Table III μop program it
+//! static cycle bounds derived from the cost facts of the kernel's row in
+//! `workloads::kernels::shipped_kernels`. For each Table III μop program it
 //! records the `[critical_path, serial]` latency bracket on the paper's
 //! crossbar.
 //!
@@ -22,7 +22,8 @@
 use gpu_sim::absint::{coalescing, cycle_bounds, divergence, Divergence};
 use trace::json::{Array, Object, ALIGNED, COMPACT, PRETTY};
 use tta::ttaplus::TtaPlusConfig;
-use tta_lint::{shipped_kernel_inventory, shipped_programs};
+use tta_lint::{shipped_programs, SHIPPED_BOUNDS};
+use workloads::kernels::{shipped_kernels, ShippedKernel};
 
 fn usage() -> ! {
     eprintln!("usage: tta-cost [--threads N] [--out <path>] [--quiet]");
@@ -38,14 +39,14 @@ fn fail(msg: &str) -> ! {
 /// of every item's fragment in inventory order, independent of which
 /// worker produced it.
 enum Item {
-    Kernel(Box<tta_lint::ShippedKernel>),
+    Kernel(Box<ShippedKernel>),
     Program(tta::programs::UopProgram),
 }
 
 /// A kernel's journal fragment, and whether it has finite cycle bounds.
-fn kernel_fragment(s: &tta_lint::ShippedKernel, gpu: &gpu_sim::GpuConfig) -> (String, bool) {
-    let div = divergence(&s.kernel, s.bounds);
-    let coal = coalescing(&s.kernel, s.bounds, gpu);
+fn kernel_fragment(s: &ShippedKernel, gpu: &gpu_sim::GpuConfig) -> (String, bool) {
+    let div = divergence(&s.kernel, SHIPPED_BOUNDS);
+    let coal = coalescing(&s.kernel, SHIPPED_BOUNDS, gpu);
     let (uniform, may, proved) =
         div.branches
             .iter()
@@ -83,15 +84,9 @@ fn kernel_fragment(s: &tta_lint::ShippedKernel, gpu: &gpu_sim::GpuConfig) -> (St
     sites.end();
     c.end();
 
-    let (bounds, issues) = match workloads::cost::shipped_facts(&s.kernel.name, gpu) {
-        Some(facts) => {
-            let rep = cycle_bounds(&s.kernel, s.bounds, gpu, &facts);
-            let issues = rep.issues.iter().map(ToString::to_string).collect();
-            (rep.bounds, issues)
-        }
-        None => (None, vec!["no declared cost facts".to_string()]),
-    };
-    match &bounds {
+    let facts = workloads::cost::shipped_facts(s, gpu);
+    let rep = cycle_bounds(&s.kernel, SHIPPED_BOUNDS, gpu, &facts);
+    match &rep.bounds {
         Some(b) => {
             let mut o = Object::new(k.key("cycle_bounds"), COMPACT);
             o.field("lower", &b.lower)
@@ -103,9 +98,10 @@ fn kernel_fragment(s: &tta_lint::ShippedKernel, gpu: &gpu_sim::GpuConfig) -> (St
             k.field("cycle_bounds", &None::<u64>);
         }
     }
+    let issues: Vec<String> = rep.issues.iter().map(ToString::to_string).collect();
     k.field("issues", &issues);
     k.end();
-    (out, bounds.is_some())
+    (out, rep.bounds.is_some())
 }
 
 fn program_fragment(p: &tta::programs::UopProgram, hop: u64) -> String {
@@ -152,7 +148,7 @@ fn main() {
     let gpu = gpu_sim::GpuConfig::vulkan_sim_default();
     let hop = TtaPlusConfig::default_paper().crossbar_hop_latency;
 
-    let items: Vec<Item> = shipped_kernel_inventory()
+    let items: Vec<Item> = shipped_kernels()
         .into_iter()
         .map(|s| Item::Kernel(Box::new(s)))
         .chain(shipped_programs().into_iter().map(Item::Program))
@@ -182,7 +178,7 @@ fn main() {
     doc.field("schema", &1u32)
         .field("report", "tta-cost")
         .field("gpu", "vulkan_sim_default")
-        .field("launch_bounds", &1024u32)
+        .field("launch_bounds", &SHIPPED_BOUNDS.num_threads)
         .field("crossbar_hop_latency", &hop);
     let (kernels, programs) = fragments.split_at(n_kernels);
     for (key, frags) in [("kernels", kernels), ("programs", programs)] {

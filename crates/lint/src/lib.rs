@@ -399,37 +399,9 @@ pub fn shipped_programs() -> Vec<UopProgram> {
     ]
 }
 
-/// One shipped kernel bundled with its declared memory contracts and a
-/// representative launch size for the proving passes.
-#[derive(Debug, Clone)]
-pub struct ShippedKernel {
-    /// The kernel itself.
-    pub kernel: Kernel,
-    /// The allocation contracts its builder exports.
-    pub contracts: Vec<MemContract>,
-    /// Representative launch bounds (contract lengths scale per-thread).
-    pub bounds: LaunchBounds,
-}
-
-/// Representative tree/primitive pool size for the shipped inventory. The
-/// memory-safety verdicts on shared `Bytes` pools do not depend on the
-/// exact value — pointer-chasing node addresses are unprovable (warnings)
-/// at any size — so one round number serves every workload.
-const SHIPPED_POOL_BYTES: u64 = 1 << 20;
-
-/// Every workload kernel the workspace ships
-/// ([`workloads::kernels::shipped_kernels`]), with its memory contracts.
-pub fn shipped_kernel_inventory() -> Vec<ShippedKernel> {
-    let bounds = LaunchBounds { num_threads: 1024 };
-    workloads::kernels::shipped_kernels(SHIPPED_POOL_BYTES)
-        .into_iter()
-        .map(|(kernel, contracts)| ShippedKernel {
-            kernel,
-            contracts,
-            bounds,
-        })
-        .collect()
-}
+/// Launch bounds the proving passes and `tta-cost` analyze every shipped
+/// kernel under (per-thread contract lengths scale with them).
+pub const SHIPPED_BOUNDS: LaunchBounds = LaunchBounds { num_threads: 1024 };
 
 /// Every Listing-1 pipeline the workloads configure, across the
 /// generations each workload targets.
@@ -467,24 +439,16 @@ pub fn lint_shipped() -> Vec<Diagnostic> {
         diags.extend(lint_program(&p, &cfg));
     }
     let gpu = gpu_sim::GpuConfig::vulkan_sim_default();
-    for s in shipped_kernel_inventory() {
-        diags.extend(lint_kernel(&s.kernel));
-        diags.extend(lint_kernel_memory(&s.kernel, &s.contracts, s.bounds));
-        diags.extend(lint_kernel_races(&s.kernel, &s.contracts, s.bounds));
-        diags.extend(lint_kernel_termination(&s.kernel));
-        diags.extend(lint_kernel_divergence(&s.kernel, s.bounds));
-        diags.extend(lint_kernel_coalescing(&s.kernel, s.bounds, &gpu));
-        match workloads::cost::shipped_facts(&s.kernel.name, &gpu) {
-            Some(facts) => diags.extend(lint_kernel_cost(&s.kernel, s.bounds, &gpu, &facts)),
-            None => diags.push(Diagnostic {
-                severity: Severity::Error,
-                pass: "kernel-cost",
-                location: s.kernel.name.clone(),
-                message:
-                    "shipped kernel has no declared cost facts (workloads::cost::shipped_facts)"
-                        .to_string(),
-            }),
-        }
+    for row in workloads::kernels::shipped_kernels() {
+        let k = &row.kernel;
+        diags.extend(lint_kernel(k));
+        diags.extend(lint_kernel_memory(k, &row.contracts, SHIPPED_BOUNDS));
+        diags.extend(lint_kernel_races(k, &row.contracts, SHIPPED_BOUNDS));
+        diags.extend(lint_kernel_termination(k));
+        diags.extend(lint_kernel_divergence(k, SHIPPED_BOUNDS));
+        diags.extend(lint_kernel_coalescing(k, SHIPPED_BOUNDS, &gpu));
+        let facts = workloads::cost::shipped_facts(&row, &gpu);
+        diags.extend(lint_kernel_cost(k, SHIPPED_BOUNDS, &gpu, &facts));
     }
     for p in shipped_pipelines() {
         diags.extend(lint_pipeline(&p, &cfg));

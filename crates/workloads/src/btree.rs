@@ -3,9 +3,7 @@
 
 use std::sync::Arc;
 
-use gpu_sim::absint::{AccessMode, ContractLen, MemContract};
-use gpu_sim::isa::SReg;
-use gpu_sim::kernel::{Kernel, KernelBuilder};
+use gpu_sim::kernel::Kernel;
 use gpu_sim::mem::GlobalMemory;
 use gpu_sim::GpuConfig;
 use rta::engine::TraversalSemantics;
@@ -21,7 +19,7 @@ use tta::programs::UopProgram;
 use crate::cacheable::CacheableExperiment;
 use crate::cost::Walk;
 use crate::gen;
-use crate::kernels::{btree_search_kernel, params};
+use crate::kernels::btree_search_kernel;
 use crate::query::QueryWorkload;
 use crate::runner::{Platform, RunResult};
 
@@ -218,49 +216,6 @@ impl QueryWorkload for BTreeLookups {
             Ok(())
         }
     }
-}
-
-/// Memory contracts for [`traverse_only_kernel`]: per-thread query records
-/// of `record_size` bytes and a `tree_bytes` node pool. The kernel itself
-/// issues no loads or stores — the traversal unit owns all memory traffic —
-/// so these only describe the offload operands.
-pub fn traverse_only_contracts(record_size: u32, tree_bytes: u64) -> Vec<MemContract> {
-    vec![
-        MemContract {
-            name: "queries",
-            base_param: params::QUERIES,
-            len: ContractLen::BytesPerThread(record_size as u64),
-            mode: AccessMode::WriteExclusivePerThread {
-                stride: record_size as u64,
-            },
-        },
-        MemContract {
-            name: "tree",
-            base_param: params::TREE,
-            len: ContractLen::Bytes(tree_bytes),
-            mode: AccessMode::ReadShared,
-        },
-    ]
-}
-
-/// The accelerated kernel, built as `name`: compute the address of the
-/// thread's `record_size`-byte record and offload it to traversal
-/// pipeline `pipeline` — the whole traversal becomes one
-/// `traverseTreeTTA` instruction.
-pub fn traverse_only_kernel(name: &str, record_size: u32, pipeline: u16) -> Kernel {
-    let mut k = KernelBuilder::new(name);
-    let tid = k.reg();
-    let q = k.reg();
-    let root = k.reg();
-    let off = k.reg();
-    k.mov_sreg(tid, SReg::ThreadId);
-    k.mov_sreg(q, SReg::Param(params::QUERIES));
-    k.mov_sreg(root, SReg::Param(params::TREE));
-    k.imul_imm(off, tid, record_size);
-    k.iadd(q, q, off);
-    k.traverse(q, root, pipeline);
-    k.exit();
-    k.build()
 }
 
 #[cfg(test)]

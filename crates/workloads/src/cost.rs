@@ -4,9 +4,9 @@
 //! given declared [`CostFacts`]; this module derives those facts and
 //! composes the per-launch brackets along the launch plan a session
 //! executes. Each workload walks its host tree oracle once
-//! ([`QueryWorkload::walk`]) into a [`Walk`]; one function,
-//! `kernel_facts`, turns a kernel (by the name it is built with) and a
-//! walk into facts; and [`predict`] folds the brackets over a
+//! ([`QueryWorkload::walk`]) into a [`Walk`]; a kernel's row in
+//! [`shipped_kernels`] turns a walk into its facts
+//! ([`ShippedKernel::facts`]); and [`predict`] folds the brackets over a
 //! [`QuerySession`]'s own plan. The result is a static `[lower, upper]`
 //! bracket on the `RunResult::stats.cycles` the experiment will measure,
 //! which the `cost_gate` integration suite (and CI) re-validates on every
@@ -24,15 +24,13 @@
 //! containment (measured ∈ [lower, upper]) plus a per-row tightness
 //! ceiling on upper/lower, not by point equality.
 
-use gpu_sim::absint::{
-    cycle_bounds, CostFacts, CycleBounds, LaunchBounds, TraversalFact, TripFact,
-};
+use gpu_sim::absint::{cycle_bounds, CostFacts, CycleBounds, LaunchBounds, TraversalFact};
+use gpu_sim::isa::Instr;
 use gpu_sim::kernel::Kernel;
 use gpu_sim::GpuConfig;
 use rta::config::RtaConfig;
-use trees::btree::MAX_KEYS;
-use trees::rtree::RTREE_FANOUT;
 
+use crate::kernels::{shipped_kernels, ShippedKernel};
 use crate::query::QueryWorkload;
 use crate::runner::Platform;
 use crate::session::{QuerySession, RtSession};
@@ -40,10 +38,6 @@ use crate::session::{QuerySession, RtSession};
 /// Fixed per-step engine-bookkeeping allowance in [`step_cost_upper`]:
 /// warp-buffer entry, fetch-queue issue, result-retry events.
 pub const STEP_SLACK: u64 = 64;
-
-/// Flat trip-total for the 12-step integrate loop: 12 body iterations
-/// plus the final (breaking) header evaluation.
-const INTEGRATE_TRIPS: TripFact = TripFact { min: 12, max: 13 };
 
 /// Worst-case cycles one accelerator traversal *step* (node visit or
 /// leaf-primitive round) can occupy on `platform`: node-fetch round trip
@@ -112,69 +106,40 @@ impl Walk {
     }
 }
 
-/// The cost facts of the kernel named `kernel` over `walk`, charging each
-/// traversal step `step_cost`; `None` for a kernel this module does not
-/// know. Trip facts list the kernel's back-edges in pc order.
-fn kernel_facts(kernel: &str, walk: &Walk, step_cost: u64) -> Option<CostFacts> {
-    let w = walk;
-    let trips = |trips| CostFacts {
-        trips,
-        traversal: None,
-    };
-    let traversal = |trips| CostFacts {
-        trips,
-        traversal: Some(TraversalFact {
-            min_steps: w.slowest_visits,
-            max_steps: w.max_steps,
-            step_cost_upper: step_cost,
-        }),
-    };
-    Some(match kernel {
-        // The key scan, then the node walk. The scan header runs at most
-        // MAX_KEYS+1 times per visited node.
-        "btree_search" | "bplus_search" => trips(vec![
-            TripFact::new(1, w.max_visits * (MAX_KEYS as u64 + 1)),
-            TripFact::new(1, w.max_visits + 1),
-        ]),
-        // Child push, leaf particle sum, walk. Every node pops at most
-        // once (walk ≤ nodes+1 headers); pushes total the child count
-        // (< nodes) plus one closing header per opened node (≤ nodes);
-        // particle rounds total the particles plus one closing header per
-        // visited leaf (≤ nodes).
-        "nbody_force" => trips(vec![
-            TripFact::new(0, 2 * w.nodes),
-            TripFact::new(0, w.items + w.nodes),
-            TripFact::new(1, w.nodes + 1),
-        ]),
-        "nbody_integrate" => trips(vec![INTEGRATE_TRIPS]),
-        // Triangle loop, walk. Triangle-loop headers total the tests plus
-        // one closing evaluation per visited leaf.
-        "bvh_trace" => trips(vec![
-            TripFact::new(0, w.items + w.max_visits),
-            TripFact::new(1, w.max_visits + 1),
-        ]),
-        // Leaf entry scan, child push, walk: each visited node tests at
-        // most a fanout of entries or children.
-        "rtree_range" => {
-            let tests = w.max_visits * (RTREE_FANOUT as u64 + 1);
-            trips(vec![
-                TripFact::new(0, tests),
-                TripFact::new(0, tests),
-                TripFact::new(1, w.max_visits + 1),
-            ])
+impl ShippedKernel {
+    /// The kernel's cost facts over `walk`: its trip totals and, if it
+    /// offloads a traversal, one traversal of the walk's steps, each
+    /// charged `step_cost`.
+    pub fn facts(&self, walk: &Walk, step_cost: u64) -> CostFacts {
+        let offloads = self
+            .kernel
+            .instrs
+            .iter()
+            .any(|i| matches!(i, Instr::Traverse { .. }));
+        CostFacts {
+            trips: (self.trips)(walk),
+            traversal: offloads.then_some(TraversalFact {
+                min_steps: walk.slowest_visits,
+                max_steps: walk.max_steps,
+                step_cost_upper: step_cost,
+            }),
         }
-        "nbody_merged" => traversal(vec![INTEGRATE_TRIPS]),
-        name if name == "traverse_only" || name.starts_with("rt_pipeline") => traversal(Vec::new()),
-        _ => return None,
-    })
+    }
+}
+
+/// The row of the shipped kernel named `name`, panicking if no row is.
+fn shipped_kernel(name: &str) -> ShippedKernel {
+    shipped_kernels()
+        .into_iter()
+        .find(|row| row.kernel.name == name)
+        .unwrap_or_else(|| panic!("{name}: not a shipped kernel"))
 }
 
 /// Brackets one launch of `threads` threads over `walk`, panicking if the
-/// kernel is unknown or the facts leave anything unbounded (a bug in this
-/// module, not in the caller's inputs).
+/// kernel is not shipped or the facts leave anything unbounded (a bug in
+/// the kernel table, not in the caller's inputs).
 fn launch(kernel: &Kernel, threads: usize, gpu: &GpuConfig, walk: &Walk, step: u64) -> CycleBounds {
-    let facts = kernel_facts(&kernel.name, walk, step)
-        .unwrap_or_else(|| panic!("{}: no cost facts", kernel.name));
+    let facts = shipped_kernel(&kernel.name).facts(walk, step);
     let bounds = LaunchBounds {
         num_threads: threads as u32,
     };
@@ -245,22 +210,19 @@ const CAP_WALK: Walk = Walk {
     items: SHIPPED_NODE_CAP,
 };
 
-/// Facts for a shipped kernel by name over `CAP_WALK`, or `None` for
-/// kernels this module does not know (the lint pass reports those as
-/// unbounded).
-pub fn shipped_facts(kernel_name: &str, gpu: &GpuConfig) -> Option<CostFacts> {
+/// The facts of a shipped kernel over `CAP_WALK`.
+pub fn shipped_facts(kernel: &ShippedKernel, gpu: &GpuConfig) -> CostFacts {
     // Step cost under the most general shipped platform (baseline RTA
     // covers TTA/TTA+ structurally; exact per-platform values come from
     // `step_cost_upper` in the predictors).
     let step = step_cost_upper(gpu, &Platform::BaselineRta(RtaConfig::baseline()));
-    kernel_facts(kernel_name, &CAP_WALK, step)
+    kernel.facts(&CAP_WALK, step)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::btree::BTreeExperiment;
-    use crate::kernels::shipped_kernels;
 
     #[test]
     fn step_cost_covers_every_platform() {
@@ -279,29 +241,24 @@ mod tests {
     }
 
     #[test]
-    fn shipped_facts_cover_the_inventory_kernels() {
-        let gpu = GpuConfig::vulkan_sim_default();
-        for (kernel, _) in shipped_kernels(SHIPPED_NODE_CAP) {
-            assert!(
-                shipped_facts(&kernel.name, &gpu).is_some(),
-                "{}",
-                kernel.name
-            );
-        }
-        assert!(shipped_facts("nonesuch", &gpu).is_none());
+    #[should_panic(expected = "nonesuch: not a shipped kernel")]
+    fn a_kernel_outside_the_table_has_no_facts() {
+        shipped_kernel("nonesuch");
     }
 
     #[test]
     fn cap_walk_keeps_the_design_traversal_caps() {
         let step = 500;
         for name in ["traverse_only", "nbody_merged", "rt_pipeline1"] {
-            let t = kernel_facts(name, &CAP_WALK, step).unwrap().traversal;
+            let t = shipped_kernel(name).facts(&CAP_WALK, step).traversal;
             let t = t.expect("a traversal kernel");
             assert_eq!(t.min_steps, 1, "{name}");
             assert_eq!(t.max_steps, 2 * SHIPPED_NODE_CAP, "{name}");
             assert_eq!(t.step_cost_upper, step, "{name}");
         }
-        let trips = kernel_facts("btree_search", &CAP_WALK, step).unwrap().trips;
+        let btree = shipped_kernel("btree_search").facts(&CAP_WALK, step);
+        assert!(btree.traversal.is_none());
+        let trips = btree.trips;
         assert_eq!((trips[1].min, trips[1].max), (1, SHIPPED_NODE_CAP + 1));
     }
 
@@ -309,16 +266,16 @@ mod tests {
     fn shipped_facts_trip_arity_matches_the_kernels() {
         use gpu_sim::absint::check_termination;
         let gpu = GpuConfig::vulkan_sim_default();
-        for (kernel, _) in shipped_kernels(SHIPPED_NODE_CAP) {
-            let name = &kernel.name;
-            let facts = shipped_facts(name, &gpu).unwrap();
-            let term = check_termination(&kernel);
+        for row in shipped_kernels() {
+            let (kernel, name) = (&row.kernel, &row.kernel.name);
+            let facts = shipped_facts(&row, &gpu);
+            let term = check_termination(kernel);
             assert_eq!(
                 facts.trips.len(),
                 term.loops.len(),
                 "{name}: fact arity vs back-edges"
             );
-            let report = cycle_bounds(&kernel, LaunchBounds { num_threads: 1024 }, &gpu, &facts);
+            let report = cycle_bounds(kernel, LaunchBounds { num_threads: 1024 }, &gpu, &facts);
             assert!(report.bounds.is_some(), "{name}: {:?}", report.issues);
         }
     }

@@ -20,9 +20,9 @@ use trees::image::MemoryImage;
 use trees::two_level::{Instance, SerializedTwoLevel, TwoLevelScene};
 use trees::BvhPrimitive;
 
-use crate::btree::traverse_only_kernel;
 use crate::cost::Walk;
 use crate::gen;
+use crate::kernels::traverse_only_kernel;
 use crate::query::QueryWorkload;
 use crate::runner::{Platform, RunResult};
 

@@ -15,13 +15,23 @@
 //! | 1 | tree base (= root node address) |
 //! | 2 | per-thread stack buffer base (kernels that need one) |
 //! | 3 | auxiliary data base (primitives / particles) |
+//!
+//! [`shipped_kernels`] is the one table of every kernel the workspace
+//! ships: each row states the kernel's memory contracts and cost facts.
 
-use gpu_sim::absint::{AccessMode, ContractLen, MemContract};
+use gpu_sim::absint::{AccessMode, ContractLen, MemContract, TripFact};
 use gpu_sim::isa::{Cmp, Reg, SReg};
-use gpu_sim::kernel::{Kernel, KernelBuilder};
-
+use gpu_sim::kernel::{Kernel, KernelBuilder, LoopToken};
+use rta::bvh_semantics::RAY_RECORD_SIZE;
+use trees::btree::MAX_KEYS;
+use trees::rtree::RTREE_FANOUT;
 use tta::btree_sem::QUERY_RECORD_SIZE as BTREE_RECORD;
 use tta::nbody_sem::QUERY_RECORD_SIZE as NBODY_RECORD;
+use tta::rtree_sem::QUERY_RECORD_SIZE as RTREE_RECORD;
+
+use crate::cost::Walk;
+use crate::nbody::merged_traverse_integrate_kernel;
+use crate::rtree::rtree_range_kernel;
 
 /// Launch-parameter indices shared by the traversal kernels.
 pub mod params {
@@ -50,25 +60,39 @@ fn record_addr(k: &mut KernelBuilder, rd: Reg, tid: Reg, base_param: u8, stride:
     k.iadd(rd, rd, t);
 }
 
-/// Memory contracts for [`btree_search_kernel`]: 16-byte query records at
-/// param 0, a `tree_bytes`-byte node pool at param 1.
-pub fn btree_search_contracts(tree_bytes: u64) -> Vec<MemContract> {
-    vec![
-        MemContract {
-            name: "queries",
-            base_param: params::QUERIES,
-            len: ContractLen::BytesPerThread(BTREE_RECORD as u64),
-            mode: AccessMode::WriteExclusivePerThread {
-                stride: BTREE_RECORD as u64,
-            },
-        },
-        MemContract {
-            name: "tree",
-            base_param: params::TREE,
-            len: ContractLen::Bytes(tree_bytes),
-            mode: AccessMode::ReadShared,
-        },
-    ]
+/// A thread's traversal stack of node addresses: `base` is the bottom of
+/// its [`THREAD_STACK_BYTES`] slice of the [`params::STACKS`] buffer, `sp`
+/// the next free word.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Stack {
+    pub(crate) sp: Reg,
+    pub(crate) base: Reg,
+}
+
+impl Stack {
+    /// Points `base` and `sp` at thread `tid`'s slice.
+    fn open(k: &mut KernelBuilder, sp: Reg, base: Reg, tid: Reg) -> Stack {
+        record_addr(k, base, tid, params::STACKS, THREAD_STACK_BYTES);
+        k.mov(sp, base);
+        Stack { sp, base }
+    }
+
+    /// Pushes the address in `node`.
+    pub(crate) fn push(self, k: &mut KernelBuilder, node: Reg) {
+        k.store(node, self.sp, 0);
+        k.iadd_imm(self.sp, self.sp, 4);
+    }
+
+    /// Opens the walk loop: leaves it once the stack is empty (`cond` is
+    /// scratch), else pops the next address into `node`.
+    pub(crate) fn begin_walk(self, k: &mut KernelBuilder, cond: Reg, node: Reg) -> LoopToken {
+        let mut walk = k.begin_loop();
+        k.ucmp(Cmp::Gt, cond, self.sp, self.base);
+        k.break_if_z(cond, &mut walk);
+        k.iadd_imm(self.sp, self.sp, (-4i32) as u32);
+        k.load(node, self.sp, 0);
+        walk
+    }
 }
 
 /// Baseline B-Tree search kernel (Algorithm 1 inside a while-loop).
@@ -183,44 +207,6 @@ pub fn btree_search_kernel(bplus: bool) -> Kernel {
     k.build()
 }
 
-/// Memory contracts for [`nbody_force_kernel`]: 32-byte body records,
-/// 256-byte per-thread stacks, a `tree_bytes` node pool, and the particle
-/// array (16 bytes per body, one thread per body).
-pub fn nbody_force_contracts(tree_bytes: u64) -> Vec<MemContract> {
-    vec![
-        MemContract {
-            name: "queries",
-            base_param: params::QUERIES,
-            len: ContractLen::BytesPerThread(NBODY_RECORD as u64),
-            mode: AccessMode::WriteExclusivePerThread {
-                stride: NBODY_RECORD as u64,
-            },
-        },
-        MemContract {
-            name: "tree",
-            base_param: params::TREE,
-            len: ContractLen::Bytes(tree_bytes),
-            mode: AccessMode::ReadShared,
-        },
-        MemContract {
-            name: "stacks",
-            base_param: params::STACKS,
-            len: ContractLen::BytesPerThread(THREAD_STACK_BYTES as u64),
-            mode: AccessMode::WriteExclusivePerThread {
-                stride: THREAD_STACK_BYTES as u64,
-            },
-        },
-        // The force pass gathers every interacting particle's record:
-        // threads read each other's entries by design, and nothing writes.
-        MemContract {
-            name: "particles",
-            base_param: params::AUX,
-            len: ContractLen::BytesPerThread(16),
-            mode: AccessMode::ReadShared,
-        },
-    ]
-}
-
 /// Baseline Barnes-Hut force kernel: stack-based octree walk with inline
 /// force accumulation (the standard GPU formulation of Burtscher &
 /// Pingali's tree-walk, one thread per body).
@@ -271,9 +257,7 @@ pub fn nbody_force_kernel() -> Kernel {
     record_addr(&mut k, qaddr, tid, params::QUERIES, NBODY_RECORD as u32);
     k.mov_sreg(tree, SReg::Param(params::TREE));
     k.mov_sreg(parts, SReg::Param(params::AUX));
-    // Per-thread stack: sp/base in bytes.
-    record_addr(&mut k, base, tid, params::STACKS, THREAD_STACK_BYTES);
-    k.mov(sp, base);
+    let stack = Stack::open(&mut k, sp, base, tid);
 
     k.load(px, qaddr, 0);
     k.load(py, qaddr, 4);
@@ -286,16 +270,8 @@ pub fn nbody_force_kernel() -> Kernel {
     k.mov_imm_f32(one, 1.0);
     k.mov_imm_f32(eps2, EPS2);
 
-    // push(root)
-    k.store(tree, sp, 0);
-    k.iadd_imm(sp, sp, 4);
-
-    let mut walk = k.begin_loop();
-    k.ucmp(Cmp::Gt, cond, sp, base);
-    k.break_if_z(cond, &mut walk);
-    // pop
-    k.iadd_imm(sp, sp, (-4i32) as u32);
-    k.load(node, sp, 0);
+    stack.push(&mut k, tree);
+    let walk = stack.begin_walk(&mut k, cond, node);
     k.iadd_imm(visited, visited, 1);
 
     k.load(header, node, 0);
@@ -338,8 +314,7 @@ pub fn nbody_force_kernel() -> Kernel {
         k.iadd(tmp2, first, j);
         k.shl_imm(tmp2, tmp2, 6);
         k.iadd(tmp2, tmp2, tree);
-        k.store(tmp2, sp, 0);
-        k.iadd_imm(sp, sp, 4);
+        stack.push(&mut k, tmp2);
         k.iadd_imm(j, j, 1);
         k.end_loop(push);
     }
@@ -414,27 +389,6 @@ pub fn nbody_force_kernel() -> Kernel {
     k.store(visited, qaddr, 28);
     k.exit();
     k.build()
-}
-
-/// Memory contracts for [`nbody_integrate_kernel`]: 32-byte body records
-/// and a 12-byte velocity vector per body.
-pub fn nbody_integrate_contracts() -> Vec<MemContract> {
-    vec![
-        MemContract {
-            name: "queries",
-            base_param: params::QUERIES,
-            len: ContractLen::BytesPerThread(NBODY_RECORD as u64),
-            mode: AccessMode::WriteExclusivePerThread {
-                stride: NBODY_RECORD as u64,
-            },
-        },
-        MemContract {
-            name: "velocities",
-            base_param: params::AUX,
-            len: ContractLen::BytesPerThread(12),
-            mode: AccessMode::WriteExclusivePerThread { stride: 12 },
-        },
-    ]
 }
 
 /// Post-traversal N-Body integration kernel (the "heavy computations after
@@ -512,40 +466,6 @@ pub fn emit_integrate(k: &mut KernelBuilder, qaddr: Reg, vaddr: Reg) {
     k.store(vz, vaddr, 8);
 }
 
-/// Memory contracts for [`bvh_trace_kernel`]: 48-byte ray records,
-/// 256-byte per-thread stacks, a `tree_bytes` node pool and a
-/// `prim_bytes` triangle pool.
-pub fn bvh_trace_contracts(tree_bytes: u64, prim_bytes: u64) -> Vec<MemContract> {
-    vec![
-        MemContract {
-            name: "queries",
-            base_param: params::QUERIES,
-            len: ContractLen::BytesPerThread(48),
-            mode: AccessMode::WriteExclusivePerThread { stride: 48 },
-        },
-        MemContract {
-            name: "tree",
-            base_param: params::TREE,
-            len: ContractLen::Bytes(tree_bytes),
-            mode: AccessMode::ReadShared,
-        },
-        MemContract {
-            name: "stacks",
-            base_param: params::STACKS,
-            len: ContractLen::BytesPerThread(THREAD_STACK_BYTES as u64),
-            mode: AccessMode::WriteExclusivePerThread {
-                stride: THREAD_STACK_BYTES as u64,
-            },
-        },
-        MemContract {
-            name: "prims",
-            base_param: params::AUX,
-            len: ContractLen::Bytes(prim_bytes),
-            mode: AccessMode::ReadShared,
-        },
-    ]
-}
-
 /// Baseline SIMT BVH ray-tracing kernel (closest-hit, triangles): the
 /// while-while traversal with an in-memory stack, inline slab tests and
 /// Möller-Trumbore — what ray tracing costs on a GPU *without* an RTA
@@ -590,11 +510,10 @@ pub fn bvh_trace_kernel() -> Kernel {
     let one = k.reg();
 
     k.mov_sreg(tid, SReg::ThreadId);
-    record_addr(&mut k, qaddr, tid, params::QUERIES, 48);
+    record_addr(&mut k, qaddr, tid, params::QUERIES, RAY_RECORD_SIZE as u32);
     k.mov_sreg(tree, SReg::Param(params::TREE));
     k.mov_sreg(prims, SReg::Param(params::AUX));
-    record_addr(&mut k, base, tid, params::STACKS, THREAD_STACK_BYTES);
-    k.mov(sp, base);
+    let stack = Stack::open(&mut k, sp, base, tid);
 
     k.load(ox, qaddr, 0);
     k.load(oy, qaddr, 4);
@@ -613,8 +532,7 @@ pub fn bvh_trace_kernel() -> Kernel {
     k.mov_imm_f32(best_u, 0.0);
     k.mov_imm_f32(best_v, 0.0);
 
-    k.store(tree, sp, 0);
-    k.iadd_imm(sp, sp, 4);
+    stack.push(&mut k, tree);
 
     // Inline helper state for box tests.
     let te = k.reg(); // t_enter
@@ -671,11 +589,7 @@ pub fn bvh_trace_kernel() -> Kernel {
         k.fcmp(Cmp::Le, cond, te, ty);
     };
 
-    let mut walk = k.begin_loop();
-    k.ucmp(Cmp::Gt, cond, sp, base);
-    k.break_if_z(cond, &mut walk);
-    k.iadd_imm(sp, sp, (-4i32) as u32);
-    k.load(node, sp, 0);
+    let walk = stack.begin_walk(&mut k, cond, node);
 
     k.load(header, node, 0);
     k.and_imm(kind, header, 0xff);
@@ -841,35 +755,21 @@ pub fn bvh_trace_kernel() -> Kernel {
         {
             // Push far then near (near popped first).
             let near_left = k.begin_if_nz(cond);
-            {
-                k.store(raddr, sp, 0);
-                k.iadd_imm(sp, sp, 4);
-                k.store(laddr, sp, 0);
-                k.iadd_imm(sp, sp, 4);
-            }
+            stack.push(&mut k, raddr);
+            stack.push(&mut k, laddr);
             k.end_if(near_left);
             let near_right = k.begin_if_z(cond);
-            {
-                k.store(laddr, sp, 0);
-                k.iadd_imm(sp, sp, 4);
-                k.store(raddr, sp, 0);
-                k.iadd_imm(sp, sp, 4);
-            }
+            stack.push(&mut k, laddr);
+            stack.push(&mut k, raddr);
             k.end_if(near_right);
         }
         k.begin_else(&mut both_tok);
         {
             let lonly = k.begin_if_nz(lhit);
-            {
-                k.store(laddr, sp, 0);
-                k.iadd_imm(sp, sp, 4);
-            }
+            stack.push(&mut k, laddr);
             k.end_if(lonly);
             let ronly = k.begin_if_nz(rhit);
-            {
-                k.store(raddr, sp, 0);
-                k.iadd_imm(sp, sp, 4);
-            }
+            stack.push(&mut k, raddr);
             k.end_if(ronly);
         }
         k.end_if(both_tok);
@@ -885,31 +785,158 @@ pub fn bvh_trace_kernel() -> Kernel {
     k.build()
 }
 
-/// Every kernel the workspace ships, with the memory contracts its builder
-/// exports over `pool`-byte tree and primitive pools, in the order the
-/// `tta-cost` journal pins.
-pub fn shipped_kernels(pool: u64) -> Vec<(Kernel, Vec<MemContract>)> {
-    use crate::btree::{traverse_only_contracts, traverse_only_kernel};
-    use crate::rtree::{rtree_range_contracts, rtree_range_kernel};
-    let offload = |name, size, pipeline| {
-        let kernel = traverse_only_kernel(name, size, pipeline);
-        (kernel, traverse_only_contracts(size, pool))
+/// The accelerated kernel, built as `name`: compute the address of the
+/// thread's `record_size`-byte record and offload it to traversal
+/// pipeline `pipeline` — the whole traversal becomes one
+/// `traverseTreeTTA` instruction.
+pub fn traverse_only_kernel(name: &str, record_size: u32, pipeline: u16) -> Kernel {
+    let mut k = KernelBuilder::new(name);
+    let tid = k.reg();
+    let q = k.reg();
+    let root = k.reg();
+    let off = k.reg();
+    k.mov_sreg(tid, SReg::ThreadId);
+    k.mov_sreg(q, SReg::Param(params::QUERIES));
+    k.mov_sreg(root, SReg::Param(params::TREE));
+    k.imul_imm(off, tid, record_size);
+    k.iadd(q, q, off);
+    k.traverse(q, root, pipeline);
+    k.exit();
+    k.build()
+}
+
+/// Bytes of the tree and primitive pools the shipped contracts declare.
+/// The memory-safety verdicts on shared pools do not depend on the exact
+/// value — pointer-chasing node addresses are unprovable (warnings) at any
+/// size — so one round number serves every workload.
+pub const SHIPPED_POOL_BYTES: u64 = 1 << 20;
+
+/// Flat trip total of the 12-step integrate loop: 12 body iterations plus
+/// the final (breaking) header evaluation.
+const INTEGRATE_TRIPS: TripFact = TripFact { min: 12, max: 13 };
+
+/// One row of [`shipped_kernels`]: a kernel, the memory contracts the
+/// proving passes check it against, and its cost facts.
+#[derive(Debug, Clone)]
+pub struct ShippedKernel {
+    /// The kernel itself.
+    pub kernel: Kernel,
+    /// Its allocations; shared pools are [`SHIPPED_POOL_BYTES`] long.
+    pub contracts: Vec<MemContract>,
+    /// Its flat trip totals over a walk, one per back-edge in pc order.
+    /// `crate::cost` adds the traversal fact of a kernel that offloads.
+    pub trips: fn(&Walk) -> Vec<TripFact>,
+}
+
+/// Every kernel the workspace ships, in the order the `tta-cost` journal
+/// pins. The lint inventory, the cost model and the validator tests read
+/// it; a kernel that is not a row has no cost facts.
+pub fn shipped_kernels() -> Vec<ShippedKernel> {
+    let queries =
+        |record: usize| MemContract::per_thread("queries", params::QUERIES, record as u64);
+    let tree = MemContract::shared("tree", params::TREE, SHIPPED_POOL_BYTES);
+    let stacks = MemContract::per_thread("stacks", params::STACKS, THREAD_STACK_BYTES as u64);
+    let velocities = MemContract::per_thread("velocities", params::AUX, 12);
+    let btree = |bplus| ShippedKernel {
+        kernel: btree_search_kernel(bplus),
+        contracts: vec![queries(BTREE_RECORD), tree],
+        // The key scan, then the node walk. The scan header runs at most
+        // MAX_KEYS+1 times per visited node.
+        trips: |w| {
+            vec![
+                TripFact::new(1, w.max_visits * (MAX_KEYS as u64 + 1)),
+                TripFact::new(1, w.max_visits + 1),
+            ]
+        },
     };
-    let ray = rta::bvh_semantics::RAY_RECORD_SIZE as u32;
+    // The offload kernel issues no loads or stores (the traversal unit owns
+    // all memory traffic), so its contracts only describe its operands.
+    let offload = |name, record: usize, pipeline| ShippedKernel {
+        kernel: traverse_only_kernel(name, record as u32, pipeline),
+        contracts: vec![queries(record), tree],
+        trips: |_| Vec::new(),
+    };
     vec![
-        (btree_search_kernel(false), btree_search_contracts(pool)),
-        (btree_search_kernel(true), btree_search_contracts(pool)),
-        (nbody_force_kernel(), nbody_force_contracts(pool)),
-        (nbody_integrate_kernel(), nbody_integrate_contracts()),
-        (bvh_trace_kernel(), bvh_trace_contracts(pool, pool)),
-        (rtree_range_kernel(), rtree_range_contracts(pool, pool)),
-        offload("rt_pipeline0", ray, 0),
-        offload("rt_pipeline1", ray, 1),
-        offload("traverse_only", BTREE_RECORD as u32, 0),
-        (
-            crate::nbody::merged_traverse_integrate_kernel(),
-            crate::nbody::merged_traverse_integrate_contracts(pool),
-        ),
+        btree(false),
+        btree(true),
+        ShippedKernel {
+            kernel: nbody_force_kernel(),
+            contracts: vec![
+                queries(NBODY_RECORD),
+                tree,
+                stacks,
+                // The force pass gathers every interacting particle's
+                // record: threads read each other's entries by design, and
+                // nothing writes.
+                MemContract {
+                    name: "particles",
+                    base_param: params::AUX,
+                    len: ContractLen::BytesPerThread(16),
+                    mode: AccessMode::ReadShared,
+                },
+            ],
+            // Child push, leaf particle sum, walk. Every node pops at most
+            // once (walk ≤ nodes+1 headers); pushes total the child count
+            // (< nodes) plus one closing header per opened node (≤ nodes);
+            // particle rounds total the particles plus one closing header
+            // per visited leaf (≤ nodes).
+            trips: |w| {
+                vec![
+                    TripFact::new(0, 2 * w.nodes),
+                    TripFact::new(0, w.items + w.nodes),
+                    TripFact::new(1, w.nodes + 1),
+                ]
+            },
+        },
+        ShippedKernel {
+            kernel: nbody_integrate_kernel(),
+            contracts: vec![queries(NBODY_RECORD), velocities],
+            trips: |_| vec![INTEGRATE_TRIPS],
+        },
+        ShippedKernel {
+            kernel: bvh_trace_kernel(),
+            contracts: vec![
+                queries(RAY_RECORD_SIZE),
+                tree,
+                stacks,
+                MemContract::shared("prims", params::AUX, SHIPPED_POOL_BYTES),
+            ],
+            // Triangle loop, walk. Triangle-loop headers total the tests
+            // plus one closing evaluation per visited leaf.
+            trips: |w| {
+                vec![
+                    TripFact::new(0, w.items + w.max_visits),
+                    TripFact::new(1, w.max_visits + 1),
+                ]
+            },
+        },
+        ShippedKernel {
+            kernel: rtree_range_kernel(),
+            contracts: vec![
+                queries(RTREE_RECORD),
+                tree,
+                stacks,
+                MemContract::shared("entries", params::AUX, SHIPPED_POOL_BYTES),
+            ],
+            // Leaf entry scan, child push, walk: each visited node tests at
+            // most a fanout of entries or children.
+            trips: |w| {
+                let tests = w.max_visits * (RTREE_FANOUT as u64 + 1);
+                vec![
+                    TripFact::new(0, tests),
+                    TripFact::new(0, tests),
+                    TripFact::new(1, w.max_visits + 1),
+                ]
+            },
+        },
+        offload("rt_pipeline0", RAY_RECORD_SIZE, 0),
+        offload("rt_pipeline1", RAY_RECORD_SIZE, 1),
+        offload("traverse_only", BTREE_RECORD, 0),
+        ShippedKernel {
+            kernel: merged_traverse_integrate_kernel(),
+            contracts: vec![queries(NBODY_RECORD), tree, velocities],
+            trips: |_| vec![INTEGRATE_TRIPS],
+        },
     ]
 }
 
@@ -924,7 +951,7 @@ mod validator_tests {
     /// removes.)
     #[test]
     fn all_baseline_kernels_are_clean() {
-        for (kernel, _) in shipped_kernels(1 << 20) {
+        for ShippedKernel { kernel, .. } in shipped_kernels() {
             let issues: Vec<_> = gpu_sim::verify::check(&kernel)
                 .into_iter()
                 .filter(|i| i.is_error())

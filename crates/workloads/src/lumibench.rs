@@ -32,11 +32,10 @@ use trees::image::MemoryImage;
 use trees::{Bvh, BvhPrimitive};
 use tta::programs::UopProgram;
 
-use crate::btree::traverse_only_kernel;
 use crate::cacheable::{inputs_or_build, CacheableExperiment};
 use crate::cost::Walk;
 use crate::gen;
-use crate::kernels::{bvh_trace_kernel, THREAD_STACK_BYTES};
+use crate::kernels::{bvh_trace_kernel, traverse_only_kernel, THREAD_STACK_BYTES};
 use crate::query::QueryWorkload;
 use crate::runner::{Platform, RunResult};
 

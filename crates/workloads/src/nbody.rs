@@ -247,35 +247,6 @@ impl QueryWorkload for ForceQueries {
     }
 }
 
-/// Declared allocation contracts of [`merged_traverse_integrate_kernel`]
-/// for a tree blob of `tree_bytes`: per-thread query records and velocity
-/// triples, a read-only tree.
-pub fn merged_traverse_integrate_contracts(tree_bytes: u64) -> Vec<gpu_sim::absint::MemContract> {
-    use gpu_sim::absint::{AccessMode, ContractLen, MemContract};
-    vec![
-        MemContract {
-            name: "queries",
-            base_param: params::QUERIES,
-            len: ContractLen::BytesPerThread(QUERY_RECORD_SIZE as u64),
-            mode: AccessMode::WriteExclusivePerThread {
-                stride: QUERY_RECORD_SIZE as u64,
-            },
-        },
-        MemContract {
-            name: "tree",
-            base_param: params::TREE,
-            len: ContractLen::Bytes(tree_bytes),
-            mode: AccessMode::ReadShared,
-        },
-        MemContract {
-            name: "velocities",
-            base_param: params::AUX,
-            len: ContractLen::BytesPerThread(12),
-            mode: AccessMode::WriteExclusivePerThread { stride: 12 },
-        },
-    ]
-}
-
 /// The merged kernel: offload the traversal, then integrate in-thread —
 /// other warps integrate while the accelerator traverses (§V-A).
 pub fn merged_traverse_integrate_kernel() -> Kernel {

@@ -20,8 +20,8 @@ use rta::engine::TraversalSemantics;
 use trace::TraceHandle;
 use trees::image::MemoryImage;
 
-use crate::btree::traverse_only_kernel;
 use crate::cost::Walk;
+use crate::kernels::traverse_only_kernel;
 use crate::runner::{attach_platform, build_gpu, Platform};
 
 /// What one tree-query workload contributes to a [`QueryDevice`].

@@ -26,10 +26,10 @@ use tta::pipeline::{
 use tta::programs::UopProgram;
 use tta::radius_sem::{self, RadiusSearchSemantics};
 
-use crate::btree::traverse_only_kernel;
 use crate::cacheable::CacheableExperiment;
 use crate::cost::Walk;
 use crate::gen;
+use crate::kernels::traverse_only_kernel;
 use crate::query::QueryWorkload;
 use crate::runner::{Platform, RunResult};
 

@@ -26,10 +26,9 @@ use tta::rtree_sem::{read_range_result, write_range_record, RTreeSemantics, QUER
 
 use crate::cacheable::CacheableExperiment;
 use crate::cost::Walk;
-use crate::kernels::{params, THREAD_STACK_BYTES};
+use crate::kernels::{params, Stack, THREAD_STACK_BYTES};
 use crate::query::QueryWorkload;
 use crate::runner::{Platform, RunResult};
-use gpu_sim::absint::{AccessMode, ContractLen, MemContract};
 
 /// One R-Tree experiment configuration.
 #[derive(Debug, Clone)]
@@ -259,42 +258,6 @@ impl QueryWorkload for RTreeRanges {
     }
 }
 
-/// Memory contracts for [`rtree_range_kernel`]: 24-byte query records,
-/// 256-byte per-thread stacks, a `tree_bytes` node pool and an
-/// `entry_bytes` leaf-entry pool.
-pub fn rtree_range_contracts(tree_bytes: u64, entry_bytes: u64) -> Vec<MemContract> {
-    vec![
-        MemContract {
-            name: "queries",
-            base_param: params::QUERIES,
-            len: ContractLen::BytesPerThread(QUERY_RECORD_SIZE as u64),
-            mode: AccessMode::WriteExclusivePerThread {
-                stride: QUERY_RECORD_SIZE as u64,
-            },
-        },
-        MemContract {
-            name: "tree",
-            base_param: params::TREE,
-            len: ContractLen::Bytes(tree_bytes),
-            mode: AccessMode::ReadShared,
-        },
-        MemContract {
-            name: "stacks",
-            base_param: params::STACKS,
-            len: ContractLen::BytesPerThread(THREAD_STACK_BYTES as u64),
-            mode: AccessMode::WriteExclusivePerThread {
-                stride: THREAD_STACK_BYTES as u64,
-            },
-        },
-        MemContract {
-            name: "entries",
-            base_param: params::AUX,
-            len: ContractLen::Bytes(entry_bytes),
-            mode: AccessMode::ReadShared,
-        },
-    ]
-}
-
 /// Baseline SIMT R-Tree range-query kernel: stack-based walk with inline
 /// MBR/entry overlap tests.
 pub fn rtree_range_kernel() -> Kernel {
@@ -334,6 +297,7 @@ pub fn rtree_range_kernel() -> Kernel {
     k.imul_imm(tmp, tid, THREAD_STACK_BYTES);
     k.iadd(base, base, tmp);
     k.mov(sp, base);
+    let stack = Stack { sp, base };
 
     k.load(qminx, qaddr, 0);
     k.load(qminy, qaddr, 4);
@@ -344,8 +308,7 @@ pub fn rtree_range_kernel() -> Kernel {
     k.mov_imm(count, 0);
     k.mov_imm(visited, 0);
 
-    k.store(tree, sp, 0);
-    k.iadd_imm(sp, sp, 4);
+    stack.push(&mut k, tree);
 
     // Emits the box-overlap test of the box at `addr + off` against the
     // query, leaving 0/1 in `ok`.
@@ -371,11 +334,7 @@ pub fn rtree_range_kernel() -> Kernel {
         k.and(ok, ok, tmp);
     };
 
-    let mut walk = k.begin_loop();
-    k.ucmp(Cmp::Gt, cond, sp, base);
-    k.break_if_z(cond, &mut walk);
-    k.iadd_imm(sp, sp, (-4i32) as u32);
-    k.load(node, sp, 0);
+    let walk = stack.begin_walk(&mut k, cond, node);
     k.iadd_imm(visited, visited, 1);
 
     k.load(header, node, 0);
@@ -418,8 +377,7 @@ pub fn rtree_range_kernel() -> Kernel {
             k.iadd(caddr, first, j);
             k.shl_imm(caddr, caddr, 6);
             k.iadd(caddr, caddr, tree);
-            k.store(caddr, sp, 0);
-            k.iadd_imm(sp, sp, 4);
+            stack.push(&mut k, caddr);
             k.iadd_imm(j, j, 1);
             k.end_loop(push);
         }

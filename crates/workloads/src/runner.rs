@@ -64,15 +64,31 @@ impl Platform {
 
     /// The (inner, leaf) tests of the pipeline `declare` builds for this
     /// accelerator platform; panics with the [`ConfigError`] text when the
-    /// platform cannot run it.
+    /// platform cannot run it, and on TTA+ when the registered μop
+    /// programs do not start with the pipeline's `programs()`, whose ids
+    /// the tests name.
     pub(crate) fn declared_tests(
         &self,
         declare: impl FnOnce(AcceleratorGen) -> Result<TraversalPipeline, ConfigError>,
     ) -> (TestKind, TestKind) {
         let gen = self.generation().expect("an accelerator platform");
-        declare(gen)
-            .unwrap_or_else(|e| panic!("{} cannot run this workload: {e}", self.label()))
-            .test_kinds()
+        let label = self.label();
+        let pipeline =
+            declare(gen).unwrap_or_else(|e| panic!("{label} cannot run this workload: {e}"));
+        if let Platform::TtaPlus(_, programs) | Platform::TtaPlusWith(_, _, programs) = self {
+            let declared = pipeline.programs();
+            let names =
+                |list: &[UopProgram]| list.iter().map(|p| p.name().to_owned()).collect::<Vec<_>>();
+            assert!(
+                programs.starts_with(&declared),
+                "{label} cannot run this workload: its μop programs {:?} do not start with \
+                 pipeline `{}`'s {:?}",
+                names(programs),
+                pipeline.name(),
+                names(&declared),
+            );
+        }
+        pipeline.test_kinds()
     }
 
     /// The configuration the platform's traversal engine runs under:

@@ -17,10 +17,11 @@ use tta::backend::TtaConfig;
 use tta::pipeline::{AcceleratorGen, ConfigError, TraversalPipeline};
 use tta::programs::UopProgram;
 use tta::ttaplus::TtaPlusConfig;
-use tta_workloads::btree::BTreeExperiment;
-use tta_workloads::nbody::NBodyExperiment;
-use tta_workloads::rtnn::{LeafPath, RtnnExperiment};
-use tta_workloads::rtree::RTreeExperiment;
+use tta_workloads::btree::{BTreeExperiment, BTreeLookups};
+use tta_workloads::nbody::{ForceQueries, NBodyExperiment};
+use tta_workloads::query::QueryWorkload;
+use tta_workloads::rtnn::{LeafPath, RadiusQueries, RtnnExperiment};
+use tta_workloads::rtree::{RTreeExperiment, RTreeRanges};
 use tta_workloads::runner::Platform;
 
 /// The TTA unit pool a fixed-function test runs on.
@@ -169,4 +170,49 @@ fn btree_on_the_baseline_rta_fails_at_open_with_the_config_error() {
     let mut e = BTreeExperiment::new(BTreeFlavor::BTree, 200, 64, rta);
     e.gpu = GpuConfig::small_test();
     e.run();
+}
+
+/// A TTA+ platform whose registered μop programs do not start with the
+/// workload pipeline's `programs()` would run other programs under the
+/// declared ids; it fails when the device opens.
+#[test]
+#[should_panic(expected = "TTA+ cannot run this workload: its μop programs")]
+fn btree_with_another_workloads_programs_fails_at_open() {
+    let plus = Platform::TtaPlus(
+        TtaPlusConfig::default_paper(),
+        NBodyExperiment::uop_programs(),
+    );
+    let mut e = BTreeExperiment::new(BTreeFlavor::BTree, 200, 64, plus);
+    e.gpu = GpuConfig::small_test();
+    let _ = e.session(1);
+}
+
+/// Each declared `DecodeR` layout is the workload's query record, and each
+/// declared node layout fits in one node fetch.
+#[test]
+fn declared_layouts_match_the_records_and_fetches_the_engine_uses() {
+    let fetch = rta::RtaConfig::baseline().node_fetch_bytes as usize;
+    for gen in [AcceleratorGen::Tta, AcceleratorGen::TtaPlus] {
+        let declared = [
+            (BTreeExperiment::pipeline(gen), BTreeLookups::RECORD_SIZE),
+            (
+                RtnnExperiment::pipeline(gen, LeafPath::Shader),
+                RadiusQueries::RECORD_SIZE,
+            ),
+            (
+                RtnnExperiment::pipeline(gen, LeafPath::Offloaded),
+                RadiusQueries::RECORD_SIZE,
+            ),
+            (NBodyExperiment::pipeline(gen), ForceQueries::RECORD_SIZE),
+            (RTreeExperiment::pipeline(gen), RTreeRanges::RECORD_SIZE),
+        ];
+        for (pipeline, record) in declared {
+            let p = pipeline.unwrap();
+            let name = format!("{} on {gen:?}", p.name());
+            assert_eq!(p.ray_layout().total_bytes(), record, "{name}");
+            for node in [p.inner_layout(), p.leaf_layout()] {
+                assert!(node.total_bytes() <= fetch, "{name}: {node:?}");
+            }
+        }
+    }
 }

@@ -6,23 +6,16 @@
 //! ```
 
 use trees::BTreeFlavor;
-use tta::pipeline::{AcceleratorGen, PipelineBuilder, TerminateCond, TestConfig};
+use tta::pipeline::AcceleratorGen;
 use workloads::btree::BTreeExperiment;
 use workloads::Platform;
 
 fn main() {
-    // 1. The programming model: declare the traversal the way the paper's
-    //    Listing 1 does — layouts, intersection tests, termination — and
-    //    let the builder validate it against the TTA generation.
-    let pipeline = PipelineBuilder::new("btree-search")
-        .decode_r(&[4, 4, 4, 4]) // key | found | visited | pad
-        .decode_i(&[4, 4, 32]) // header | first child | 8 keys
-        .decode_l(&[4, 4, 32])
-        .config_i(TestConfig::QueryKey)
-        .config_l(TestConfig::QueryKey)
-        .config_terminate(TerminateCond::StackEmpty)
-        .build(AcceleratorGen::Tta)
-        .expect("a valid TTA pipeline");
+    // 1. The programming model: B-Tree declares its traversal the way the
+    //    paper's Listing 1 does — layouts, intersection tests, termination
+    //    — and the builder validates it against the TTA generation. This
+    //    is the pipeline the TTA run below executes.
+    let pipeline = BTreeExperiment::pipeline(AcceleratorGen::Tta).expect("a valid TTA pipeline");
     println!(
         "configured pipeline `{}` for {:?}",
         pipeline.name(),

@@ -8,8 +8,9 @@
 #      program, workload kernel, and pipeline (nonzero exit on any
 #      error-severity diagnostic), including the abstract-interpretation
 #      proving passes (mem-safety, simt-stack-bound, loop-termination,
-#      terminate-reachable, race-freedom); also smokes the --json output
-#      mode. race-freedom runs under --deny: even warning-severity
+#      terminate-reachable, race-freedom); its --json output must equal
+#      the committed results/tta-lint.jsonl. race-freedom runs under
+#      --deny: even warning-severity
 #      PossibleRace findings fail the gate, because the shipped kernels
 #      are supposed to be *proved* race-free, not merely un-disproved
 #   4. cargo build --release && cargo test  — the tier-1 gate
@@ -90,22 +91,22 @@ run cargo clippy "${CARGO_FLAGS[@]}" --workspace --all-targets -- -D warnings
 # misalignment defects. (A global --deny-warnings is deliberately not
 # used — the register-pressure and possibly-OOB mem-safety warnings are
 # intentional, documented, and asserted by the lint test suite.) The
-# --json smoke checks the machine-readable output stays one object per
-# line.
+# --json run writes every diagnostic, one object per line, to the
+# committed results/tta-lint.jsonl: the format check reads that file, and
+# the file must equal the committed one, so any change to a shipped
+# artifact's diagnostics (a register count, a contract name) fails here.
 run cargo run "${CARGO_FLAGS[@]}" -p tta-lint --bin tta-lint -- --deny race-freedom \
     --deny kernel-divergence --deny kernel-coalescing --deny kernel-cost
-# The banner must be printed outside the pipeline: `run` echoes to
-# stdout, and inside the pipe that echo would reach the JSON validator
-# as a bogus first line.
-echo "==> cargo run -q -p tta-lint --bin tta-lint -- --json (line format check)"
-cargo run "${CARGO_FLAGS[@]}" -q -p tta-lint --bin tta-lint -- --json | {
-    while IFS= read -r line; do
-        case "$line" in
-            '{"severity":'*'}') ;;
-            *) echo "bad --json line: $line" >&2; exit 1;;
-        esac
-    done
-}
+# The banner is echoed by hand: `run` would echo it into the file.
+echo "==> cargo run -q -p tta-lint --bin tta-lint -- --json >results/tta-lint.jsonl"
+cargo run "${CARGO_FLAGS[@]}" -q -p tta-lint --bin tta-lint -- --json >results/tta-lint.jsonl
+while IFS= read -r line; do
+    case "$line" in
+        '{"severity":'*'}') ;;
+        *) echo "bad --json line: $line" >&2; exit 1;;
+    esac
+done <results/tta-lint.jsonl
+run git diff --exit-code -- results/tta-lint.jsonl
 
 # Static cost report: journal the cost model's predictions for the whole
 # shipped inventory, and prove the journal byte-identical at two thread
